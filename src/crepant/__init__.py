@@ -1,13 +1,10 @@
 """Crepant: quivers with superpotentials, crystal counting, and the vertex."""
 
-from .compare import ChamberCertificate, ComparisonSheet, chamber_certificate, compare
+from .compare import ChamberCertificate, ComparisonSheet, chamber_certificate
 from .crystal import (BoxFamily, PyramidFamily, configuration_to_module,
                       configurations, enumerate_configurations, family_for,
                       ncdt_series)
 from .errors import CrepantError
-from .geometry import (GluedThreefold, VerificationReport, builtin_geometry,
-                       verify_contraction, verify_equivariance,
-                       verify_transition)
 from .mckay import (AbelianAction, character_decomposition_table, mckay_quiver,
                     mckay_superpotential, parse_action)
 from .quiver import (Arrow, CyclicWord, FramedQuiver, Path, PathAlgebraElement,
@@ -24,6 +21,6 @@ from .series import FormalSeries, product_series
 from .toric import (DualWeb, LatticePolygon, UnitTriangulation, dual_web,
                     flop_adjacent, unit_triangulations)
 from .vertex import (GVTable, GWSeries, Partition, TSeries, gv_extract,
-                     gw_partition_function, schur_principal, vertex)
+                     gw_partition_function, schur_principal)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import crystal, geometry, mckay, quiver, reps, roots, toric
+from . import crystal, mckay, quiver, reps, roots, toric
 from .compare import compare as run_compare
 from .errors import CrepantError
 from .vertex import gv_extract, gw_partition_function
@@ -21,23 +21,68 @@ def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _parse_theta(text: str) -> dict:
+# argparse ``type=`` parsers: a malformed value is a usage error (exit 2)
+
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a rational number") from None
+
+
+def _fraction_list(text: str) -> list[Fraction]:
+    return [_fraction(x) for x in text.split(",")]
+
+
+def _theta(text: str) -> dict:
     out = {}
     for piece in text.split(","):
         key, _, value = piece.partition("=")
-        if not _ or not key:
-            raise CrepantError(f"bad theta entry {piece!r}; use vertex=value")
-        out[key.strip()] = Fraction(value.strip())
+        if not _ or not key.strip():
+            raise argparse.ArgumentTypeError(
+                f"bad theta entry {piece!r}; use vertex=value")
+        out[key.strip()] = _fraction(value)
     return out
 
 
-def _parse_variable_map(text: str) -> dict:
+def _cartan_rows(text: str) -> list:
+    try:
+        rows = json.loads(text)
+    except ValueError:
+        rows = None
+    if not (isinstance(rows, list) and rows
+            and all(isinstance(r, list) and all(type(x) is int for x in r)
+                    for r in rows)):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a JSON list of integer rows")
+    return rows
+
+
+def _int_pair(text: str) -> tuple[int, int]:
+    try:
+        n0, n1 = (int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a pair of integers N0,N1") from None
+    return n0, n1
+
+
+def _map_int(text: str, piece: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad number {text!r} in map entry {piece!r}") from None
+
+
+def _variable_map(text: str) -> dict:
     """Parse "q0=-Q0*t^2,q1=Q0" into {var: (coeff, {target: exp})}."""
     out = {}
     for piece in text.split(","):
         key, _, value = piece.partition("=")
         if not _:
-            raise CrepantError(f"bad map entry {piece!r}")
+            raise argparse.ArgumentTypeError(f"bad map entry {piece!r}")
         coeff = 1
         exps: dict[str, int] = {}
         value = value.strip()
@@ -49,10 +94,11 @@ def _parse_variable_map(text: str) -> dict:
             if not factor:
                 continue
             if factor.lstrip("-").isdigit():
-                coeff *= int(factor)
+                coeff *= _map_int(factor, piece)
                 continue
             name, _, power = factor.partition("^")
-            exps[name] = exps.get(name, 0) + (int(power) if power else 1)
+            exps[name] = exps.get(name, 0) + (_map_int(power, piece)
+                                              if power else 1)
         out[key.strip()] = (coeff, exps)
     return out
 
@@ -84,8 +130,7 @@ def _polygon_from_args(args) -> toric.LatticePolygon:
     if args.p2:
         return toric.p2_triangle()
     if args.trapezoid:
-        n0, n1 = (int(x) for x in args.trapezoid.split(","))
-        return toric.trapezoid(n0, n1)
+        return toric.trapezoid(*args.trapezoid)
     if args.zn is not None:
         return toric.zn_triangle(args.zn)
     if args.polygon:
@@ -100,7 +145,7 @@ def _add_polygon_flags(p):
     p.add_argument("--triangle2", action="store_true",
                    help="the (0,0),(2,0),(0,2) triangle")
     p.add_argument("--p2", action="store_true")
-    p.add_argument("--trapezoid", metavar="N0,N1")
+    p.add_argument("--trapezoid", type=_int_pair, metavar="N0,N1")
     p.add_argument("--zn", type=int, metavar="N",
                    help="the (1,0),(0,1),(-N,-N) triangle")
     p.add_argument("--polygon", metavar="FILE", help="polygon JSON file")
@@ -149,17 +194,15 @@ def cmd_stability(args) -> int:
         q = framed.quiver
     with open(args.rep, encoding="utf-8") as fh:
         rep = reps.rep_from_json(fh.read(), q, framed=framed)
-    theta = _parse_theta(args.theta)
-    report = reps.is_semistable(rep, theta)
+    report = reps.is_semistable(rep, args.theta)
     _emit(report.to_json())
     return 0
 
 
 def _cartan_from_args(args) -> roots.CartanMatrix:
     if args.cartan:
-        rows = json.loads(args.cartan)
-        names = tuple(str(i) for i in range(len(rows)))
-        return roots.CartanMatrix(names, tuple(tuple(r) for r in rows))
+        names = tuple(str(i) for i in range(len(args.cartan)))
+        return roots.CartanMatrix(names, tuple(map(tuple, args.cartan)))
     q, _ = _load_quiver(args)
     return roots.cartan_matrix(q)
 
@@ -179,9 +222,7 @@ def cmd_roots(args) -> int:
 def cmd_walls(args) -> int:
     cartan = _cartan_from_args(args)
     rts = roots.positive_roots(cartan, args.height)
-    theta1 = [Fraction(x) for x in args.theta1.split(",")]
-    theta2 = [Fraction(x) for x in args.theta2.split(",")]
-    report = roots.walls_between(theta1, theta2, rts)
+    report = roots.walls_between(args.theta1, args.theta2, rts)
     data = {
         "separating": [{"vector": list(r.vector), "kind": r.kind}
                        for r in report.separating],
@@ -239,26 +280,28 @@ def cmd_flops(args) -> int:
     return 0
 
 
+def _selected_web(args) -> toric.DualWeb:
+    tris = toric.unit_triangulations(_polygon_from_args(args))
+    if not 0 <= args.index < len(tris):
+        raise CrepantError(f"--index {args.index} is out of range: the polygon"
+                           f" has {len(tris)} triangulations")
+    return toric.dual_web(tris[args.index])
+
+
 def cmd_web(args) -> int:
-    polygon = _polygon_from_args(args)
-    tris = toric.unit_triangulations(polygon)
-    _emit(toric.dual_web(tris[args.index]).to_json())
+    _emit(_selected_web(args).to_json())
     return 0
 
 
 def cmd_gw(args) -> int:
-    polygon = _polygon_from_args(args)
-    tris = toric.unit_triangulations(polygon)
-    web = toric.dual_web(tris[args.index])
+    web = _selected_web(args)
     series = gw_partition_function(web, args.order, t_cutoff=args.t_order)
     _emit(series.to_text())
     return 0
 
 
 def cmd_gv(args) -> int:
-    polygon = _polygon_from_args(args)
-    tris = toric.unit_triangulations(polygon)
-    web = toric.dual_web(tris[args.index])
+    web = _selected_web(args)
     series = gw_partition_function(web, args.order, t_cutoff=args.t_order)
     table = gv_extract(series, genus_cap=args.genus)
     if args.json:
@@ -271,6 +314,8 @@ def cmd_gv(args) -> int:
 
 
 def cmd_verify_geometry(args) -> int:
+    from . import geometry  # sympy loads only for this command
+
     overrides = {}
     for item in args.override or ():
         key, _, value = item.partition("=")
@@ -279,14 +324,11 @@ def cmd_verify_geometry(args) -> int:
         overrides[key] = value
     geo = geometry.builtin_geometry(args.geometry, k=args.k, n=args.n,
                                     overrides=overrides or None)
-    reports = [geometry.verify_transition(geo, args.trials, seed=args.seed,
-                                          jobs=args.jobs),
-               geometry.verify_contraction(geo, args.trials, seed=args.seed,
-                                           jobs=args.jobs)]
+    reports = [geometry.verify_transition(geo, args.trials, seed=args.seed),
+               geometry.verify_contraction(geo, args.trials, seed=args.seed)]
     if geo.action is not None:
         reports.append(geometry.verify_equivariance(geo, args.trials,
-                                                    seed=args.seed,
-                                                    jobs=args.jobs))
+                                                    seed=args.seed))
     merged = geometry.VerificationReport(
         geo.label(), args.seed,
         tuple(r for rep in reports for r in rep.identities))
@@ -298,9 +340,7 @@ def cmd_compare(args) -> int:
     geom = args.geometry
     if geom.startswith("mckay:"):
         geom = mckay.parse_action(geom[6:])
-    theta = _parse_theta(args.theta)
-    vmap = _parse_variable_map(args.map) if args.map else None
-    sheet = run_compare(geom, args.order, theta, variable_map=vmap,
+    sheet = run_compare(geom, args.order, args.theta, variable_map=args.map,
                                 t_cutoff=args.t_order, sign=args.sign,
                                 wall_radius=args.wall_radius)
     _emit(sheet.to_json() if args.json else sheet.to_text())
@@ -315,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for all sampling (default 0)")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for trial evaluation")
+                        help="accepted for compatibility; geometry trials"
+                             " run serially")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mckay", help="McKay quiver of a cyclic action")
@@ -342,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stability", help="classify a monomial representation")
     quiver_source(p)
     p.add_argument("--rep", required=True, metavar="FILE")
-    p.add_argument("--theta", required=True, metavar="V=Q,...")
+    p.add_argument("--theta", required=True, type=_theta, metavar="V=Q,...")
     p.add_argument("--framed-v0", metavar="V0",
                    help="frame the quiver at V0 before reading the"
                         " representation; theta must then include the"
@@ -351,17 +392,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("roots", help="positive roots of a Cartan matrix")
     quiver_source(p)
-    p.add_argument("--cartan", metavar="JSON_ROWS")
+    p.add_argument("--cartan", type=_cartan_rows, metavar="JSON_ROWS")
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_roots)
 
     p = sub.add_parser("walls", help="walls separating two parameters")
     quiver_source(p)
-    p.add_argument("--cartan", metavar="JSON_ROWS")
+    p.add_argument("--cartan", type=_cartan_rows, metavar="JSON_ROWS")
     p.add_argument("--height", type=int, default=6)
-    p.add_argument("--theta1", required=True)
-    p.add_argument("--theta2", required=True)
+    p.add_argument("--theta1", required=True, type=_fraction_list)
+    p.add_argument("--theta2", required=True, type=_fraction_list)
     p.set_defaults(func=cmd_walls)
 
     p = sub.add_parser("ncdt", help="crystal partition function")
@@ -415,8 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="crystal versus vertex sheet")
     p.add_argument("geometry", help='"c3", "conifold", or "mckay:n:w1,w2,w3"')
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--theta", required=True, metavar="V=Q,...")
-    p.add_argument("--map", metavar="q0=-Q0*t^2,...")
+    p.add_argument("--theta", required=True, type=_theta, metavar="V=Q,...")
+    p.add_argument("--map", type=_variable_map, metavar="q0=-Q0*t^2,...")
     p.add_argument("--t-order", type=int, default=12)
     p.add_argument("--sign", choices=["unsigned", "dimension"],
                    default="unsigned")

@@ -237,22 +237,17 @@ def configuration_to_module(family, config) -> MonomialRepresentation:
     return MonomialRepresentation(framed.quiver, vertex_of, action, framed=framed)
 
 
-def ncdt_series(family, order: int, sign: str = "unsigned",
-                sign_exponent=None) -> FormalSeries:
+def ncdt_series(family, order: int, sign: str = "unsigned") -> FormalSeries:
     """Partition function of configurations, truncated at total degree.
 
     ``sign="unsigned"`` counts every configuration with weight one;
-    ``sign="dimension"`` weights a configuration by (-1)**s(alpha) where
-    ``sign_exponent`` maps its dimension vector to an integer (default: the
-    total number of atoms).
+    ``sign="dimension"`` weights a configuration by (-1)**(number of atoms),
+    which depends only on its dimension vector, so it is applied to the
+    colour-refined counts.
     """
     if sign not in ("unsigned", "dimension"):
         raise CrepantError(f"unknown sign convention {sign!r}")
-    if sign_exponent is None:
-        sign_exponent = sum
-    terms: dict[tuple[int, ...], int] = {}
-    for config in configurations(family, order):
-        d = dimension_vector(family, config)
-        weight = 1 if sign == "unsigned" else (-1) ** int(sign_exponent(d))
-        terms[d] = terms.get(d, 0) + weight
+    terms = enumerate_configurations(family, order)
+    if sign == "dimension":
+        terms = {d: (-1) ** sum(d) * c for d, c in terms.items()}
     return FormalSeries(family.variables, order, terms)

@@ -5,19 +5,33 @@ glued over x != 0, a contraction given by four coordinates v1..v4 written
 in both charts, a target equation in the v's, and optionally a torus acting
 by monomial weights on each chart.
 
-Verification samples random rational points (numerators and denominators
-bounded by 10**4) and demands exactly zero residuals; a report never
-contains a nonzero-but-small residual classified as holding.  Known
-discrepancies in the stored expressions are surfaced through ``notes`` and
-through per-identity failures, never silently corrected; an ``overrides``
-mapping lets the caller substitute corrected expressions and re-verify.
+Verification samples random rational points (``fractions.Fraction`` values
+with numerators and denominators bounded by 10**4) and demands exactly zero
+residuals; a report never contains a nonzero-but-small residual classified
+as holding.  Known discrepancies in the stored expressions are surfaced
+through ``notes`` and through per-identity failures, never silently
+corrected; an ``overrides`` mapping lets the caller substitute corrected
+expressions and re-verify.
+
+The expressions are stored as sympy objects but evaluated through one exact
+path: a memoized walk over each expression tree compiles it once into a
+Python closure over ``Fraction`` (symbols, rational numbers, sums, products
+and integer powers).  Anything else -- a float, a function such as sin, a
+symbolic exponent, a coordinate of the other chart -- raises
+``CrepantError``, so an override must be a rational function of its own
+chart's coordinates.  A trial that divides by zero fails with the residual
+``zoo``, sympy's name for that value.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from operator import itemgetter
 
 import sympy as sp
 
@@ -30,6 +44,7 @@ T, T1, T2 = sp.symbols("t t1 t2")
 
 CHART1 = (X, Y1, Y2)
 CHART2 = (W, Z1, Z2)
+V_COORDS = (V1, V2, V3, V4)
 
 
 @dataclass(frozen=True)
@@ -41,7 +56,7 @@ class TorusAction:
     chart2_weights: tuple[tuple[int, ...], ...]  # weights of w, z1, z2
 
     def act(self, weights, scalars, values):
-        return tuple(val * sp.prod([s ** w for s, w in zip(scalars, wv)])
+        return tuple(val * math.prod(s ** w for s, w in zip(scalars, wv))
                      for wv, val in zip(weights, values))
 
 
@@ -71,9 +86,12 @@ def _sympify(text: str, k=None, n=None) -> sp.Expr:
     if n is not None:
         local["n"] = sp.Integer(n)
     try:
-        return sp.sympify(text, locals=local)
+        expr = sp.sympify(text, locals=local)
     except (sp.SympifyError, TypeError) as exc:
         raise CrepantError(f"cannot parse expression {text!r}: {exc}") from None
+    if not isinstance(expr, sp.Expr):
+        raise CrepantError(f"{text!r} is not an expression")
+    return expr
 
 
 _OVERRIDE_KEYS = ("w", "z1", "z2", "x", "y1", "y2",
@@ -95,14 +113,20 @@ def _apply_overrides(geo: GluedThreefold, overrides: dict,
         expr = _sympify(text, k=k, n=n)
         if key in ("w", "z1", "z2"):
             forward[("w", "z1", "z2").index(key)] = expr
+            coords = CHART1
         elif key in ("x", "y1", "y2"):
             backward[("x", "y1", "y2").index(key)] = expr
+            coords = CHART2
         elif key == "equation":
             equation = expr
+            coords = V_COORDS
         elif key.endswith("_xy"):
             v1c[int(key[1]) - 1] = expr
+            coords = CHART1
         else:
             v2c[int(key[1]) - 1] = expr
+            coords = CHART2
+        _compile(expr, coords)  # reject what exact evaluation cannot take
         notes.append(f"override {key} = {text}")
     return GluedThreefold(geo.name, geo.parameter, tuple(forward),
                           tuple(backward), tuple(v1c), tuple(v2c), equation,
@@ -253,102 +277,114 @@ class VerificationReport:
 _MAX_COUNTEREXAMPLES = 5
 
 
-def _rational(rng: random.Random, nonzero: bool = False) -> sp.Rational:
+def _rational(rng: random.Random, nonzero: bool = False) -> Fraction:
     while True:
         num = rng.randint(-10 ** 4, 10 ** 4)
         if nonzero and num == 0:
             continue
-        return sp.Rational(num, rng.randint(1, 10 ** 4))
+        return Fraction(num, rng.randint(1, 10 ** 4))
 
 
-def _points(rng: random.Random, symbols, trials: int, nonzero=()) -> list[dict]:
-    return [{s: _rational(rng, nonzero=s in nonzero) for s in symbols}
+def _points(rng: random.Random, symbols, trials: int, nonzero=()) -> list[tuple]:
+    """Points as tuples of values, one per symbol, in symbol order."""
+    return [tuple(_rational(rng, nonzero=s in nonzero) for s in symbols)
             for _ in range(trials)]
 
 
-def _eval(exprs, point):
-    # xreplace is structural and fast; together() normalizes the quotient
-    return [sp.together(e.xreplace(point)) for e in exprs]
+@lru_cache(maxsize=4096)
+def _compile(expr: sp.Expr, coords: tuple):
+    """A closure mapping a tuple of Fraction values of ``coords`` to the
+    exact value of ``expr``; memoized, so a subtree shared between the
+    expressions of a geometry compiles once."""
+    if expr.is_Symbol:
+        if expr not in coords:
+            raise CrepantError(f"{expr} is not one of the coordinates"
+                               f" {', '.join(map(str, coords))}")
+        return itemgetter(coords.index(expr))
+    if expr.is_Rational:
+        value = Fraction(int(expr.p), int(expr.q))
+        return lambda _: value
+    if expr.is_Add or expr.is_Mul:
+        terms = tuple(_compile(arg, coords) for arg in expr.args)
+        if expr.is_Add:
+            return lambda vals: sum(term(vals) for term in terms)
+        return lambda vals: math.prod(term(vals) for term in terms)
+    if expr.is_Pow and expr.exp.is_Integer:
+        base, exp = _compile(expr.base, coords), int(expr.exp)
+        return lambda vals: base(vals) ** exp
+    raise CrepantError(f"cannot evaluate {expr} exactly: only rational numbers,"
+                       " sums, products and integer powers are supported")
 
 
-# residual evaluators are module level so trial batches can cross a process
-# boundary; each takes (geo, extra, point) and returns a residual list
-
-def _res_transition(geo: GluedThreefold, _extra, point):
-    w, z1, z2 = _eval(geo.forward, point)
-    back = _eval(geo.backward, {W: w, Z1: z1, Z2: z2})
-    return [b - point[s] for b, s in zip(back, CHART1)]
+def _compile_all(exprs, coords):
+    fns = tuple(_compile(e, coords) for e in exprs)
+    return lambda vals: tuple(fn(vals) for fn in fns)
 
 
-def _res_v_agreement(geo: GluedThreefold, i: int, point):
-    chart2_point = dict(zip(CHART2, _eval(geo.forward, point)))
-    wz = geo.v_chart2[i].xreplace(chart2_point)
-    xy = geo.v_chart1[i].xreplace(point)
-    return [sp.together(wz - xy)]
+# residual builders: each compiles its expressions once and returns a
+# function from a sampled point to the list of residuals
+
+def _transition_residual(geo: GluedThreefold):
+    forward = _compile_all(geo.forward, CHART1)
+    backward = _compile_all(geo.backward, CHART2)
+    return lambda p: [b - a for a, b in zip(p, backward(forward(p)))]
 
 
-def _res_equation(geo: GluedThreefold, chart: int, point):
-    vs = _eval(geo.v_chart1 if chart == 1 else geo.v_chart2, point)
-    return [sp.together(geo.equation.xreplace(dict(zip((V1, V2, V3, V4), vs))))]
+def _agreement_residual(geo: GluedThreefold, i: int):
+    forward = _compile_all(geo.forward, CHART1)
+    wz = _compile(geo.v_chart2[i], CHART2)
+    xy = _compile(geo.v_chart1[i], CHART1)
+    return lambda p: [wz(forward(p)) - xy(p)]
 
 
-def _res_equivariance(geo: GluedThreefold, torus, point):
+def _equation_residual(geo: GluedThreefold, chart: int):
+    vs = (_compile_all(geo.v_chart1, CHART1) if chart == 1
+          else _compile_all(geo.v_chart2, CHART2))
+    equation = _compile(geo.equation, V_COORDS)
+    return lambda p: [equation(vs(p))]
+
+
+def _equivariance_residual(geo: GluedThreefold):
     act = geo.action
-    coords = [point[s] for s in CHART1]
-    scalars = [point[s] for s in torus]
-    moved = act.act(act.chart1_weights, scalars, coords)
-    lhs = _eval(geo.forward, dict(zip(CHART1, moved)))
-    image = _eval(geo.forward, dict(zip(CHART1, coords)))
-    rhs = act.act(act.chart2_weights, scalars, image)
-    return [sp.together(a - b) for a, b in zip(lhs, rhs)]
+    forward = _compile_all(geo.forward, CHART1)
+
+    def residual(p):
+        coords, scalars = p[:3], p[3:]
+        lhs = forward(act.act(act.chart1_weights, scalars, coords))
+        rhs = act.act(act.chart2_weights, scalars, forward(coords))
+        return [a - b for a, b in zip(lhs, rhs)]
+    return residual
 
 
-def _eval_batch(fn, geo, extra, points):
-    rows = []
+def _run_identity(name, residual, symbols, points) -> IdentityResult:
+    names = [str(s) for s in symbols]
+    failures = []
     for point in points:
-        res = fn(geo, extra, point)
-        rows.append(None if all(r == 0 for r in res)
-                    else (tuple(sorted((str(s), str(v))
-                                       for s, v in point.items())),
-                          [str(r) for r in res]))
-    return rows
-
-
-def _run_identity(name, fn, geo, extra, points, jobs: int) -> IdentityResult:
-    if jobs > 1 and len(points) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = [points[i::jobs] for i in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_eval_batch, fn, geo, extra, chunk)
-                       for chunk in chunks]
-            parts = [f.result() for f in futures]
-        # interleave back into sampling order so reports match serial runs
-        rows = [None] * len(points)
-        for offset, part in enumerate(parts):
-            for j, row in enumerate(part):
-                rows[offset + j * jobs] = row
-    else:
-        rows = _eval_batch(fn, geo, extra, points)
-    failures = [r for r in rows if r is not None]
+        try:
+            res = residual(point)
+        except ZeroDivisionError:
+            res = ["zoo"]
+        if any(r != 0 for r in res):
+            failures.append((tuple(sorted(zip(names, map(str, point)))),
+                             [str(r) for r in res]))
     examples = tuple(failures[:_MAX_COUNTEREXAMPLES])
     status = "holds" if not failures else "fails"
     return IdentityResult(name, status, len(points), len(failures), examples)
 
 
-def verify_transition(geo: GluedThreefold, trials: int, seed: int = 0,
-                      jobs: int = 1) -> VerificationReport:
+def verify_transition(geo: GluedThreefold, trials: int,
+                      seed: int = 0) -> VerificationReport:
     """Round-trip chart 1 -> chart 2 -> chart 1 at random overlap points."""
     if trials < 1:
         raise CrepantError("need at least one trial")
     points = _points(random.Random(seed), CHART1, trials, nonzero=(X,))
-    result = _run_identity("transition_roundtrip", _res_transition, geo, None,
-                           points, jobs)
+    result = _run_identity("transition_roundtrip", _transition_residual(geo),
+                           CHART1, points)
     return VerificationReport(geo.label(), seed, (result,))
 
 
 def verify_contraction(geo: GluedThreefold, trials: int, seed: int = 0,
-                       jobs: int = 1, only=None) -> VerificationReport:
+                       only=None) -> VerificationReport:
     """Chart agreement of each v_i and the target equation on both charts.
 
     ``only`` restricts to a subset of identity names; the sampling stream is
@@ -360,22 +396,23 @@ def verify_contraction(geo: GluedThreefold, trials: int, seed: int = 0,
     wanted = None if only is None else set(only)
     identities = []
 
-    def run(name, fn, extra, symbols, nonzero):
+    def run(name, residual, symbols, nonzero):
         points = _points(rng, symbols, trials, nonzero=nonzero)
         if wanted is None or name in wanted:
-            identities.append(_run_identity(name, fn, geo, extra, points, jobs))
+            identities.append(_run_identity(name, residual, symbols, points))
 
     for i in range(4):
-        run(f"v{i + 1}_chart_agreement", _res_v_agreement, i, CHART1, (X,))
-    run("equation_chart1", _res_equation, 1, CHART1, (X,))
-    run("equation_chart2", _res_equation, 2, CHART2, (W,))
+        run(f"v{i + 1}_chart_agreement", _agreement_residual(geo, i),
+            CHART1, (X,))
+    run("equation_chart1", _equation_residual(geo, 1), CHART1, (X,))
+    run("equation_chart2", _equation_residual(geo, 2), CHART2, (W,))
     if wanted is not None and len(identities) != len(wanted):
         raise CrepantError("unknown identity name in the restriction")
     return VerificationReport(geo.label(), seed, tuple(identities))
 
 
-def verify_equivariance(geo: GluedThreefold, trials: int, seed: int = 0,
-                        jobs: int = 1) -> VerificationReport:
+def verify_equivariance(geo: GluedThreefold, trials: int,
+                        seed: int = 0) -> VerificationReport:
     """transition(action(p)) == action(transition(p)) at random points."""
     if trials < 1:
         raise CrepantError("need at least one trial")
@@ -385,6 +422,6 @@ def verify_equivariance(geo: GluedThreefold, trials: int, seed: int = 0,
     torus = (T1, T2)[:geo.action.rank] if geo.action.rank > 1 else (T,)
     points = _points(rng, CHART1 + torus, trials,
                      nonzero=(X,) + torus)
-    result = _run_identity("equivariance", _res_equivariance, geo, torus,
-                           points, jobs)
+    result = _run_identity("equivariance", _equivariance_residual(geo),
+                           CHART1 + torus, points)
     return VerificationReport(geo.label(), seed, (result,))

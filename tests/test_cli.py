@@ -125,3 +125,43 @@ def test_fixed_seed_outputs_are_byte_identical(args):
     a = run(*args).stdout
     b = run(*args).stdout
     assert a == b
+
+
+def test_jobs_flag_leaves_geometry_reports_unchanged():
+    args = ("verify-geometry", "laufer2", "--n", "1", "--trials", "8",
+            "--report-only")
+    serial = run("--seed", "2", *args).stdout
+    assert run("--seed", "2", "--jobs", "2", *args).stdout == serial
+
+
+@pytest.mark.parametrize("code,args", [
+    (1, ("web", "--square", "--index", "5")),
+    (1, ("gw", "--square", "--order", "2", "--index", "9")),
+    (2, ("walls", "--cartan", "[[2,-2],[-2,2]]", "--theta1=a,b",
+         "--theta2=1,2")),
+    (2, ("compare", "conifold", "--order", "2", "--theta", "0=x,1=2")),
+    (2, ("roots", "--cartan", "[[2", "--height", "3")),
+    (2, ("triangulate", "--trapezoid", "a,b")),
+    (2, ("compare", "conifold", "--order", "2", "--theta", "0=-1,1=-2",
+         "--map", "q0=Q0^x")),
+    (1, ("verify-geometry", "conifold", "--override", "v1_xy=sin(x)")),
+])
+def test_bad_input_exits_without_traceback(code, args):
+    proc = run(*args, check=False)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert "error" in proc.stderr
+
+
+def test_import_leaves_sympy_unloaded():
+    probe = ("import sys, crepant, crepant.cli; "
+             "assert 'sympy' not in sys.modules, 'sympy imported'")
+    subprocess.run([sys.executable, "-c", probe], check=True)
+
+
+def test_package_attributes_are_the_modules():
+    import types
+
+    import crepant
+    assert isinstance(crepant.vertex, types.ModuleType)
+    assert isinstance(crepant.compare, types.ModuleType)

@@ -1,9 +1,14 @@
 """Exact chart verification for the built-in geometries."""
 
+import random
+from fractions import Fraction
+
 import pytest
+import sympy as sp
 
 from crepant.errors import CrepantError
-from crepant.geometry import (builtin_geometry, verify_contraction,
+from crepant.geometry import (CHART1, CHART2, V_COORDS, _compile, _points,
+                              builtin_geometry, verify_contraction,
                               verify_equivariance, verify_transition)
 
 
@@ -94,13 +99,6 @@ def test_reports_are_deterministic_and_seed_sensitive():
     assert c.to_json() != d.to_json() or c.holds() and d.holds()
 
 
-def test_parallel_trials_match_serial():
-    geo = builtin_geometry("laufer2", n=1)
-    serial = verify_contraction(geo, 8, seed=2).to_json()
-    parallel = verify_contraction(geo, 8, seed=2, jobs=2).to_json()
-    assert serial == parallel
-
-
 def test_zero_trials_rejected():
     geo = builtin_geometry("conifold")
     with pytest.raises(CrepantError):
@@ -113,3 +111,49 @@ def test_conifold_stored_chart1_contraction():
     geo = builtin_geometry("conifold")
     x, y1, y2 = sp.symbols("x y1 y2")
     assert list(geo.v_chart1) == [x * y1, x * y2, y1, y2]
+
+
+def sympy_oracle(expr, point):
+    """The substitution route: exact sympy arithmetic at a rational point."""
+    return sp.together(expr.xreplace(point))
+
+
+@pytest.mark.parametrize("name,kw", [
+    ("conifold", {}), ("laufer1", {"k": 1}), ("laufer1", {"k": 2}),
+    ("laufer1", {"k": 3}), ("laufer2", {"n": 1}), ("laufer2", {"n": 2})])
+def test_compiled_evaluation_matches_sympy_substitution(name, kw):
+    geo = builtin_geometry(name, **kw)
+    slots = [(geo.forward + geo.v_chart1, CHART1, (CHART1[0],)),
+             (geo.backward + geo.v_chart2, CHART2, (CHART2[0],)),
+             ((geo.equation,), V_COORDS, ())]
+    rng = random.Random(7)
+    for exprs, coords, nonzero in slots:
+        for values in _points(rng, coords, 10, nonzero=nonzero):
+            point = {s: sp.Rational(v.numerator, v.denominator)
+                     for s, v in zip(coords, values)}
+            for expr in exprs:
+                assert _compile(expr, coords)(values) == sympy_oracle(expr, point)
+
+
+@pytest.mark.parametrize("text", ["sin(x)", "0.5*x", "x**y1", "w*z1"])
+def test_non_rational_overrides_rejected(text):
+    with pytest.raises(CrepantError):
+        builtin_geometry("conifold", overrides={"v1_xy": text})
+
+
+def test_rational_override_evaluates_exactly():
+    geo = builtin_geometry("conifold", overrides={"v1_xy": "x/2"})
+    value = _compile(geo.v_chart1[0], CHART1)((Fraction(3), Fraction(0),
+                                                Fraction(0)))
+    assert type(value) is Fraction and value == Fraction(3, 2)
+
+
+def test_division_by_zero_is_a_failed_trial():
+    # equal to y1 wherever it is defined; seed 501 samples y1 = 0 once
+    geo = builtin_geometry(
+        "conifold", overrides={"v3_xy": "(y1**2 + x*y1)/y1 - x"})
+    result = verify_contraction(geo, 100, seed=501,
+                                only=["v3_chart_agreement"]).identities[0]
+    assert result.failures == 1
+    (point, residual), = result.counterexamples
+    assert dict(point)["y1"] == "0" and residual == ["zoo"]
