@@ -1,4 +1,4 @@
-"""Crystal enumeration: framed cyclic monomial modules counted by size.
+"""Crystal counting: framed cyclic monomial modules counted by size.
 
 Two atom families ship.  For C^3/Z_n the atoms are boxes (i,j,k) in the
 octant, coloured by the character i*w1 + j*w2 + k*w3; a configuration is a
@@ -13,12 +13,21 @@ v2*B = v4*A.  Predecessor and arrow-action rules below are read off from
 those rewriting rules, so every configuration is automatically a module
 satisfying the potential relations.
 
-Enumeration is an exhaustive reverse search: a configuration is grown only
-from its canonical parent (drop the largest removable atom), so every order
-ideal is produced exactly once.
+Counts come from a layer-profile recursion (``enumerate_configurations``):
+both families are graded by ``sort_key(atom)[0]`` with every predecessor one
+layer down, so an ideal is a chain of layer sets and only the top set and
+the atoms left matter for what can follow.  This is the transfer-matrix view
+of plane and pyramid partitions.  ``configurations`` lists the ideals
+themselves by reverse search (a configuration is grown only from its
+canonical parent, obtained by dropping the largest removable atom, so every
+order ideal is produced exactly once); it builds the modules for stability
+checks and is the oracle for the counts.
 """
 
 from __future__ import annotations
+
+from functools import cache
+from itertools import combinations
 
 from .errors import CrepantError
 from .mckay import AbelianAction, mckay_quiver, mckay_superpotential
@@ -204,12 +213,47 @@ def dimension_vector(family, config) -> tuple[int, ...]:
 
 
 def enumerate_configurations(family, max_size: int) -> dict[tuple[int, ...], int]:
-    """Exact ideal counts for every size up to the bound, keyed by colour."""
-    counts: dict[tuple[int, ...], int] = {}
-    for config in configurations(family, max_size):
-        d = dimension_vector(family, config)
-        counts[d] = counts.get(d, 0) + 1
-    return counts
+    """Exact ideal counts for every size up to the bound, keyed by colour.
+
+    Layer-profile recursion.  Atoms are graded by ``sort_key(atom)[0]`` and
+    every predecessor of an atom lies exactly one layer down, so an ideal is
+    a chain of layer sets S0 <= {apex}, S1, S2, ..., each inside the atoms
+    of its layer whose predecessors all lie in the set below.  The colour
+    counts of the continuations above a top layer set depend only on that
+    set and the atoms left, so they are memoized on the pair; the memo lives
+    for one call.  Dimension vectors are packed into one int, a field of
+    ``width`` bits per colour, so that shifting a count is one addition.
+    """
+    if max_size < 0:
+        raise CrepantError("size bound must be nonnegative")
+    width = max_size.bit_length()
+
+    @cache
+    def weight(atom) -> int:
+        return 1 << width * family.color_index(atom)
+
+    def grow(allowed, budget) -> dict[int, int]:
+        counts = {0: 1}
+        for k in range(1, min(budget, len(allowed)) + 1):
+            for layer in combinations(allowed, k):
+                base = sum(map(weight, layer))
+                for dims, count in above(frozenset(layer), budget - k).items():
+                    key = base + dims
+                    counts[key] = counts.get(key, 0) + count
+        return counts
+
+    @cache
+    def above(top: frozenset, budget: int) -> dict[int, int]:
+        if not budget:
+            return {0: 1}
+        nxt = {s for atom in top for s in family.successors(atom)
+               if all(p in top for p in family.predecessors(s))}
+        return grow(sorted(nxt, key=family.sort_key), budget)
+
+    mask = (1 << width) - 1
+    ncolours = len(family.variables)
+    return {tuple(key >> width * i & mask for i in range(ncolours)): count
+            for key, count in grow((family.apex,), max_size).items()}
 
 
 def configuration_to_module(family, config) -> MonomialRepresentation:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .errors import CrepantError
+from .errors import CrepantError, json_object
 
 
 @dataclass(frozen=True)
@@ -317,14 +317,14 @@ def quiver_to_json(quiver: Quiver, potential: Superpotential | None = None) -> s
 
 
 def quiver_from_json(text: str) -> tuple[Quiver, Superpotential | None]:
-    data = json.loads(text)
-    quiver = Quiver(data["vertices"],
-                    [(a["id"], a["tail"], a["head"]) for a in data["arrows"]])
-    potential = None
-    if "potential" in data:
-        potential = Superpotential((t["coeff"], tuple(t["cycle"]))
-                                   for t in data["potential"])
-        potential.validate_on(quiver)
+    with json_object(text, "quiver JSON") as data:
+        quiver = Quiver(data["vertices"],
+                        [(a["id"], a["tail"], a["head"]) for a in data["arrows"]])
+        potential = None
+        if "potential" in data:
+            potential = Superpotential((t["coeff"], tuple(t["cycle"]))
+                                       for t in data["potential"])
+            potential.validate_on(quiver)
     return quiver, potential
 
 

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CrepantError
+from .errors import CrepantError, json_object
 from .quiver import FramedQuiver, PathAlgebraElement, Quiver
 
 
@@ -261,8 +261,8 @@ def rep_to_json(rep: MonomialRepresentation) -> str:
 
 def rep_from_json(text: str, quiver: Quiver,
                   framed: FramedQuiver | None = None) -> MonomialRepresentation:
-    data = json.loads(text)
-    vertex_of = {item["id"]: item["vertex"] for item in data["basis"]}
-    action = {item["arrow"]: {s: d for s, d in item["pairs"]}
-              for item in data["actions"]}
-    return MonomialRepresentation(quiver, vertex_of, action, framed=framed)
+    with json_object(text, "representation JSON") as data:
+        vertex_of = {item["id"]: item["vertex"] for item in data["basis"]}
+        action = {item["arrow"]: {s: d for s, d in item["pairs"]}
+                  for item in data["actions"]}
+        return MonomialRepresentation(quiver, vertex_of, action, framed=framed)

@@ -185,6 +185,11 @@ def walls_between(theta1, theta2, roots: list[Root]) -> WallReport:
     """
     theta1 = tuple(theta1)
     theta2 = tuple(theta2)
+    size = len(roots[0].vector) if roots else len(theta1)
+    for name, theta in (("theta1", theta1), ("theta2", theta2)):
+        if len(theta) != size:
+            raise CrepantError(f"{name} has {len(theta)} entries,"
+                               f" expected {size}")
     separating, on_wall = [], []
     for root in roots:
         a = _dot(theta1, root.vector)

@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import CrepantError
+from .errors import CrepantError, json_object
 
 Point = tuple[int, int]
 
@@ -100,8 +100,8 @@ class LatticePolygon:
 
     @classmethod
     def from_json(cls, text: str) -> "LatticePolygon":
-        data = json.loads(text)
-        return cls(tuple(tuple(v) for v in data["vertices"]))
+        with json_object(text, "polygon JSON") as data:
+            return cls(tuple(tuple(v) for v in data["vertices"]))
 
 
 Triangle = tuple[Point, Point, Point]  # vertices sorted lexicographically

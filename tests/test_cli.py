@@ -1,11 +1,17 @@
 """CLI behaviour: outputs, schemas, exit codes, determinism."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crepant.cli import main
+from crepant.quiver import conifold_quiver, quiver_to_json
 from crepant.series import FormalSeries
 
 BASE = [sys.executable, "-m", "crepant"]
@@ -16,6 +22,20 @@ def run(*args, check=True):
     if check and proc.returncode != 0:
         raise AssertionError(f"{args} failed: {proc.stderr}")
     return proc
+
+
+def run_main(argv):
+    """``crepant.cli.main`` in-process: (exit code, stdout, stderr).
+
+    Only argparse's usage exit (2) is caught; any other exception escapes.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_mckay_emits_quiver_json_with_potential():
@@ -145,6 +165,8 @@ def test_jobs_flag_leaves_geometry_reports_unchanged():
     (2, ("compare", "conifold", "--order", "2", "--theta", "0=-1,1=-2",
          "--map", "q0=Q0^x")),
     (1, ("verify-geometry", "conifold", "--override", "v1_xy=sin(x)")),
+    (1, ("walls", "--cartan", "[[2,-2],[-2,2]]", "--theta1=1,2,3",
+         "--theta2=1,2")),
 ])
 def test_bad_input_exits_without_traceback(code, args):
     proc = run(*args, check=False)
@@ -165,3 +187,129 @@ def test_package_attributes_are_the_modules():
     import crepant
     assert isinstance(crepant.vertex, types.ModuleType)
     assert isinstance(crepant.compare, types.ModuleType)
+
+
+def _file_argv(flag, path):
+    return {"--polygon": ["triangulate", "--polygon", path],
+            "--quiver": ["relations", "--quiver", path],
+            "--rep": ["stability", "--builtin", "conifold", "--rep", path,
+                      "--theta", "0=1,1=-1"]}[flag]
+
+
+@pytest.mark.parametrize("flag", ["--polygon", "--quiver", "--rep"])
+@pytest.mark.parametrize("text,fault", [
+    ("{", "is not valid JSON"),
+    ("[[0, 0], [1, 0], [0, 1]]", "must be a JSON object"),
+    ('{"unrelated": 1}', "lacks the key"),
+    ('{"vertices": 5, "arrows": 5, "basis": 5, "actions": []}', "malformed"),
+])
+def test_malformed_input_file_is_a_one_line_domain_error(tmp_path, flag,
+                                                         text, fault):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code, out, err = run_main(_file_argv(flag, str(path)))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fault in err
+
+
+# A small alphabet of valid and broken tokens per subcommand, sized so that
+# every drawn command runs in well under a second.  Each entry is a flag
+# (None for a positional) with the values drawn for it; "@" values name the
+# input files written by the ``fuzz_files`` fixture.
+ORDERS = ["-1", "0", "1", "2", "4", "6", "x"]
+THETAS = ["0=1,1=-1", "0=-1,1=-2", "0=-1,1=-2,2=3", "0=x", "0", "0=1/0"]
+VECTORS = ["1,-1", "-1,1", "1/2,-1/2", "1,2,3", "1", "a,b"]
+CARTANS = ["[[2,-2],[-2,2]]", "[[2,-1],[-1,2]]", "[[0]]", "[[-2]]", "[[3]]",
+           "[[2,1],[1,2]]", "[[2,-1],[-1]]", "[[2", "[]"]
+FILES = ["@polygon", "@quiver", "@rep", "@broken", "@nokey", "@list",
+         "@missing"]
+QUIVER_SOURCE = [("--builtin", ["conifold", "c3", "p2", "laufer", "bogus"]),
+                 ("--mckay", ["3:1,1,1", "2:1,1,0", "3:1,1,2", "x"]),
+                 ("--quiver", FILES), ("--n", ["-1", "1", "2", "x"])]
+POLYGON = [("--square", None), ("--triangle", None), ("--triangle2", None),
+           ("--p2", None), ("--trapezoid", ["1,2", "0,0", "-1,2", "a,b"]),
+           ("--zn", ["-1", "0", "2", "3", "x"]), ("--polygon", FILES)]
+SMALL = ["-1", "0", "1", "2", "x"]
+FUZZ_COMMANDS = {
+    "mckay": ([(None, ["3:1,1,1", "5:1,1,3", "3:1,1,2", "0:1,1,1", "3:1,1",
+                       "x"])],
+              [("--potential", None)]),
+    "relations": ([], QUIVER_SOURCE + [("--json", None)]),
+    "frame": ([("--v0", ["0", "1", "z"])], QUIVER_SOURCE),
+    "stability": ([("--rep", FILES), ("--theta", THETAS)],
+                  QUIVER_SOURCE + [("--framed-v0", ["0", "1", "z"])]),
+    "roots": ([("--height", ["-1", "0", "1", "3", "6", "x"])],
+              QUIVER_SOURCE + [("--cartan", CARTANS), ("--json", None)]),
+    "walls": ([("--theta1", VECTORS), ("--theta2", VECTORS)],
+              QUIVER_SOURCE + [("--cartan", CARTANS),
+                               ("--height", ["-1", "0", "3", "6"])]),
+    "ncdt": ([(None, ["c3", "conifold", "mckay:3:1,1,1", "mckay:2:1,1,0",
+                      "mckay:3:1,1,2", "mckay:x", "nosuch"]),
+              ("--order", ORDERS)],
+             [("--sign", ["unsigned", "dimension", "bogus"]),
+              ("--json", None)]),
+    "triangulate": ([], POLYGON + [("--json", None)]),
+    "flops": ([], POLYGON),
+    "web": ([], POLYGON + [("--index", ["-1", "0", "1", "9", "x"])]),
+    "gw": ([("--order", SMALL)],
+           POLYGON + [("--index", SMALL), ("--t-order", ["-1", "0", "8"])]),
+    "gv": ([("--order", SMALL)],
+           POLYGON + [("--index", SMALL), ("--t-order", ["-1", "0", "8"]),
+                      ("--genus", SMALL), ("--json", None)]),
+    "verify-geometry": ([(None, ["conifold", "laufer1", "laufer2", "nosuch"]),
+                         ("--trials", ["-1", "0", "1", "3", "x"])],
+                        [("--k", SMALL), ("--n", SMALL),
+                         ("--override", ["v1_xy=x", "v1_xy=sin(x)", "bogus",
+                                         "nosuch=1", "v1_xy=1/0"]),
+                         ("--report-only", None)]),
+    "compare": ([(None, ["c3", "conifold", "mckay:3:1,1,1", "mckay:x"]),
+                 ("--order", SMALL), ("--theta", THETAS)],
+                [("--map", ["q0=-Q0*t,q1=Q0", "q0=Q0^x", "q0", "q9=Q0"]),
+                 ("--t-order", ["-1", "0", "6"]),
+                 ("--sign", ["unsigned", "dimension"]),
+                 ("--wall-radius", ["-1", "0", "2", "x"]), ("--json", None)]),
+}
+JUNK = ["--bogus", "", "-", "--order", "x"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    texts = {
+        "polygon": '{"vertices": [[0, 0], [1, 0], [0, 1]]}',
+        "quiver": quiver_to_json(*conifold_quiver()),
+        "rep": json.dumps({"basis": [{"id": "b0", "vertex": "0"},
+                                     {"id": "b1", "vertex": "1"}],
+                           "actions": [{"arrow": "A",
+                                        "pairs": [["b0", "b1"]]}]}),
+        "broken": "{",
+        "nokey": '{"unrelated": 1}',
+        "list": "[1, 2]",
+    }
+    for name, text in texts.items():
+        (root / f"{name}.json").write_text(text)
+    return {f"@{name}": str(root / f"{name}.json")
+            for name in list(texts) + ["missing"]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_arguments_exit_cleanly(fuzz_files, data):
+    def token(values):
+        value = data.draw(st.sampled_from(values))
+        return fuzz_files.get(value, value)
+
+    command = data.draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    required, optional = FUZZ_COMMANDS[command]
+    argv = [command]
+    for flag, values in required + data.draw(
+            st.lists(st.sampled_from(optional), max_size=4)):
+        argv += [flag] if flag else []
+        argv += [token(values)] if values else []
+    if data.draw(st.booleans()):
+        argv.insert(data.draw(st.integers(0, len(argv))), token(JUNK))
+    code, out, err = run_main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 1 and not out:
+        assert err.startswith("error: "), argv

@@ -1,4 +1,4 @@
-"""Crystal enumeration against an independent order-ideal oracle."""
+"""Crystal counts against independent order-ideal oracles and product formulas."""
 
 import pytest
 
@@ -6,7 +6,7 @@ from crepant.crystal import (configuration_to_module, configurations,
                              enumerate_configurations, dimension_vector,
                              family_for, ncdt_series)
 from crepant.errors import CrepantError
-from crepant.mckay import AbelianAction
+from crepant.mckay import AbelianAction, parse_action
 from crepant.quiver import relations_from_potential
 from crepant.reps import check_relations, framed_theta, is_cyclic, is_semistable
 from crepant.series import product_series
@@ -43,6 +43,16 @@ def counts_by_dimension(family, ideals):
     return out
 
 
+def pyramid_product(order):
+    # prod_k (1+q0^k q1^(k-1))^k (1+q0^k q1^(k+1))^k (1-q0^k q1^k)^(-2k)
+    factors = []
+    for k in range(1, order + 2):
+        factors.append((1, (k, k - 1), k))
+        factors.append((1, (k, k + 1), k))
+        factors.append((-1, (k, k), -2 * k))
+    return product_series(("q0", "q1"), order, factors)
+
+
 def test_c3_counts_match_oracle_and_known_values():
     fam = family_for("c3")
     counts = enumerate_configurations(fam, 6)
@@ -63,18 +73,8 @@ def test_conifold_counts_match_oracle():
 
 
 def test_conifold_counts_match_closed_product_form():
-    # two-colour refinement of the pyramid count equals
-    # prod_k (1+q0^k q1^(k-1))^k (1+q0^k q1^(k+1))^k (1-q0^k q1^k)^(-2k)
-    fam = family_for("conifold")
-    order = 6
-    counts = enumerate_configurations(fam, order)
-    factors = []
-    for k in range(1, order + 2):
-        factors.append((1, (k, k - 1), k))
-        factors.append((1, (k, k + 1), k))
-        factors.append((-1, (k, k), -2 * k))
-    closed = product_series(("q0", "q1"), order, factors)
-    assert closed == ncdt_series(fam, order)
+    # two-colour refinement of the pyramid count equals the closed product
+    assert pyramid_product(6) == ncdt_series(family_for("conifold"), 6)
 
 
 def test_conifold_small_dimension_refinement():
@@ -202,3 +202,59 @@ def test_pyramid_predecessor_successor_duality():
             assert atom in set(fam.predecessors(s)), (atom, s)
         for p in fam.predecessors(atom):
             assert atom in set(fam.successors(p)), (p, atom)
+
+
+FAMILIES = ["c3", "conifold", "3:1,1,1", "2:1,1,0", "5:1,1,3"]
+
+
+def named_family(name):
+    return family_for(parse_action(name) if ":" in name else name)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_layer_dp_matches_reverse_search(name):
+    fam = named_family(name)
+    top = 11
+    listed = counts_by_dimension(fam, configurations(fam, top))
+    for n in range(top + 1):
+        expected = {d: c for d, c in listed.items() if sum(d) <= n}
+        assert enumerate_configurations(fam, n) == expected, n
+
+
+def test_layer_dp_c3_matches_macmahon_to_order_20():
+    order = 20
+    product = product_series(("q0",), order,
+                             [(-1, (k,), -k) for k in range(1, order + 1)])
+    assert ncdt_series(family_for("c3"), order) == product
+
+
+def test_layer_dp_conifold_matches_pyramid_product_to_order_18():
+    order = 18
+    assert ncdt_series(family_for("conifold"), order) == pyramid_product(order)
+
+
+@pytest.mark.parametrize("name", ["c3", "conifold"])
+def test_atoms_are_graded_with_predecessors_one_layer_down(name):
+    fam = family_for(name)
+
+    def layer(atom):
+        return fam.sort_key(atom)[0]
+
+    assert layer(fam.apex) == 0
+    atoms, frontier = set(), {fam.apex}
+    while frontier:
+        atoms |= frontier
+        frontier = {s for a in frontier for s in fam.successors(a)
+                    if layer(s) <= 8} - atoms
+    assert max(map(layer, atoms)) == 8
+    for atom in atoms - {fam.apex}:
+        preds = list(fam.predecessors(atom))
+        assert preds, atom
+        assert all(layer(p) == layer(atom) - 1 for p in preds), atom
+    assert not list(fam.predecessors(fam.apex))
+
+
+def test_negative_size_bound_is_a_domain_error():
+    for fam in (family_for("c3"), family_for("conifold")):
+        with pytest.raises(CrepantError, match="nonnegative"):
+            enumerate_configurations(fam, -1)

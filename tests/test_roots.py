@@ -108,3 +108,13 @@ def test_walls_with_fractions():
     report = walls_between((Fraction(1, 3), Fraction(-1, 2)),
                            (Fraction(-1, 3), Fraction(1, 2)), roots)
     assert report.separating
+
+
+def test_walls_reject_theta_of_the_wrong_length():
+    roots = positive_roots(CartanMatrix(("0", "1"), ((2, -2), (-2, 2))), 4)
+    with pytest.raises(CrepantError, match="theta1 has 3 entries, expected 2"):
+        walls_between((1, 2, 3), (1, 2), roots)
+    with pytest.raises(CrepantError, match="theta2 has 1 entries, expected 2"):
+        walls_between((1, -1), (1,), roots)
+    with pytest.raises(CrepantError, match="theta2 has 1 entries, expected 2"):
+        walls_between((1, -1), (1,), [])
