@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import crystal, mckay, quiver, reps, roots, toric
+from . import crystal, geometry, mckay, quiver, reps, roots, toric
 from .compare import compare as run_compare
 from .errors import CrepantError
 from .vertex import gv_extract, gw_partition_function
@@ -314,8 +314,6 @@ def cmd_gv(args) -> int:
 
 
 def cmd_verify_geometry(args) -> int:
-    from . import geometry  # sympy loads only for this command
-
     overrides = {}
     for item in args.override or ():
         key, _, value = item.partition("=")

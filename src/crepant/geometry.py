@@ -13,38 +13,32 @@ through ``notes`` and through per-identity failures, never silently
 corrected; an ``overrides`` mapping lets the caller substitute corrected
 expressions and re-verify.
 
-The expressions are stored as sympy objects but evaluated through one exact
-path: a memoized walk over each expression tree compiles it once into a
-Python closure over ``Fraction`` (symbols, rational numbers, sums, products
-and integer powers).  Anything else -- a float, a function such as sin, a
-symbolic exponent, a coordinate of the other chart -- raises
-``CrepantError``, so an override must be a rational function of its own
-chart's coordinates.  A trial that divides by zero fails with the residual
-``zoo``, sympy's name for that value.
+Every expression, built-in or override, is text evaluated as written:
+``_compile`` parses it with ``ast`` (``^`` reads as ``**``) and walks a
+whitelist -- integers, the chart's coordinates, ``k``/``n`` when given,
+unary ``+ -``, binary ``+ - * / **`` with an exponent that folds to an
+integer -- into a closure over ``Fraction``.  Anything else (a float, sin,
+a symbolic exponent, the other chart's coordinates, a constant division by
+zero) raises ``CrepantError``.  Nothing cancels symbolically: a trial that
+divides by zero fails with the residual ``zoo``.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 import math
+import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
-
-import sympy as sp
 
 from .errors import CrepantError
 
-X, Y1, Y2 = sp.symbols("x y1 y2")
-W, Z1, Z2 = sp.symbols("w z1 z2")
-V1, V2, V3, V4 = sp.symbols("v1 v2 v3 v4")
-T, T1, T2 = sp.symbols("t t1 t2")
-
-CHART1 = (X, Y1, Y2)
-CHART2 = (W, Z1, Z2)
-V_COORDS = (V1, V2, V3, V4)
+CHART1 = ("x", "y1", "y2")
+CHART2 = ("w", "z1", "z2")
+V_COORDS = ("v1", "v2", "v3", "v4")
 
 
 @dataclass(frozen=True)
@@ -64,13 +58,15 @@ class TorusAction:
 class GluedThreefold:
     name: str
     parameter: tuple[str, int] | None
-    forward: tuple[sp.Expr, sp.Expr, sp.Expr]   # (w, z1, z2) in terms of chart 1
-    backward: tuple[sp.Expr, sp.Expr, sp.Expr]  # (x, y1, y2) in terms of chart 2
-    v_chart1: tuple[sp.Expr, ...]               # v1..v4 in (x, y1, y2)
-    v_chart2: tuple[sp.Expr, ...]               # v1..v4 in (w, z1, z2)
-    equation: sp.Expr                           # polynomial in v1..v4
+    forward: tuple[str, str, str]   # (w, z1, z2) in terms of chart 1
+    backward: tuple[str, str, str]  # (x, y1, y2) in terms of chart 2
+    v_chart1: tuple[str, ...]       # v1..v4 in (x, y1, y2)
+    v_chart2: tuple[str, ...]       # v1..v4 in (w, z1, z2)
+    equation: str                   # polynomial in v1..v4
     action: TorusAction | None = None
     notes: tuple[str, ...] = ()
+    k: int | None = None            # values of the names k and n in the texts
+    n: int | None = None
 
     def label(self) -> str:
         if self.parameter is None:
@@ -78,59 +74,29 @@ class GluedThreefold:
         return f"{self.name}({self.parameter[0]}={self.parameter[1]})"
 
 
-def _sympify(text: str, k=None, n=None) -> sp.Expr:
-    local = {"x": X, "y1": Y1, "y2": Y2, "w": W, "z1": Z1, "z2": Z2,
-             "v1": V1, "v2": V2, "v3": V3, "v4": V4}
-    if k is not None:
-        local["k"] = sp.Integer(k)
-    if n is not None:
-        local["n"] = sp.Integer(n)
-    try:
-        expr = sp.sympify(text, locals=local)
-    except (sp.SympifyError, TypeError) as exc:
-        raise CrepantError(f"cannot parse expression {text!r}: {exc}") from None
-    if not isinstance(expr, sp.Expr):
-        raise CrepantError(f"{text!r} is not an expression")
-    return expr
+# override key -> (field, index in the field or None, the text's coordinates)
+_OVERRIDE_SLOTS = {
+    **{key: ("forward", i, CHART1) for i, key in enumerate(CHART2)},
+    **{key: ("backward", i, CHART2) for i, key in enumerate(CHART1)},
+    **{f"v{i + 1}_xy": ("v_chart1", i, CHART1) for i in range(4)},
+    **{f"v{i + 1}_wz": ("v_chart2", i, CHART2) for i in range(4)},
+    "equation": ("equation", None, V_COORDS),
+}
 
 
-_OVERRIDE_KEYS = ("w", "z1", "z2", "x", "y1", "y2",
-                  "v1_xy", "v2_xy", "v3_xy", "v4_xy",
-                  "v1_wz", "v2_wz", "v3_wz", "v4_wz", "equation")
-
-
-def _apply_overrides(geo: GluedThreefold, overrides: dict,
-                     k=None, n=None) -> GluedThreefold:
-    forward = list(geo.forward)
-    backward = list(geo.backward)
-    v1c = list(geo.v_chart1)
-    v2c = list(geo.v_chart2)
-    equation = geo.equation
+def _apply_overrides(geo: GluedThreefold, overrides: dict) -> GluedThreefold:
+    fields = {field: getattr(geo, field) for field, _, _ in
+              _OVERRIDE_SLOTS.values()}
     notes = list(geo.notes)
     for key, text in overrides.items():
-        if key not in _OVERRIDE_KEYS:
+        if key not in _OVERRIDE_SLOTS:
             raise CrepantError(f"unknown override key {key!r}")
-        expr = _sympify(text, k=k, n=n)
-        if key in ("w", "z1", "z2"):
-            forward[("w", "z1", "z2").index(key)] = expr
-            coords = CHART1
-        elif key in ("x", "y1", "y2"):
-            backward[("x", "y1", "y2").index(key)] = expr
-            coords = CHART2
-        elif key == "equation":
-            equation = expr
-            coords = V_COORDS
-        elif key.endswith("_xy"):
-            v1c[int(key[1]) - 1] = expr
-            coords = CHART1
-        else:
-            v2c[int(key[1]) - 1] = expr
-            coords = CHART2
-        _compile(expr, coords)  # reject what exact evaluation cannot take
+        field, i, coords = _OVERRIDE_SLOTS[key]
+        _compile(text, coords, geo.k, geo.n)  # reject what cannot be evaluated
+        old = fields[field]
+        fields[field] = text if i is None else old[:i] + (text,) + old[i + 1:]
         notes.append(f"override {key} = {text}")
-    return GluedThreefold(geo.name, geo.parameter, tuple(forward),
-                          tuple(backward), tuple(v1c), tuple(v2c), equation,
-                          geo.action, tuple(notes))
+    return replace(geo, notes=tuple(notes), **fields)
 
 
 def builtin_geometry(name: str, k: int | None = None, n: int | None = None,
@@ -146,13 +112,14 @@ def builtin_geometry(name: str, k: int | None = None, n: int | None = None,
         geo = GluedThreefold(
             name="conifold",
             parameter=None,
-            forward=(1 / X, X * Y1, X * Y2),
-            backward=(1 / W, W * Z1, W * Z2),
-            v_chart1=(X * Y1, X * Y2, Y1, Y2),
-            v_chart2=(Z1, Z2, W * Z1, W * Z2),
-            equation=V1 * V4 - V2 * V3,
+            forward=("1/x", "x*y1", "x*y2"),
+            backward=("1/w", "w*z1", "w*z2"),
+            v_chart1=("x*y1", "x*y2", "y1", "y2"),
+            v_chart2=("z1", "z2", "w*z1", "w*z2"),
+            equation="v1*v4 - v2*v3",
             action=None,
             notes=(),
+            k=k, n=n,
         )
     elif name == "laufer1":
         if k is None or k < 1:
@@ -160,11 +127,11 @@ def builtin_geometry(name: str, k: int | None = None, n: int | None = None,
         geo = GluedThreefold(
             name="laufer1",
             parameter=("k", k),
-            forward=(1 / X, X ** 2 * Y1 + X * Y2 ** k, Y2),
-            backward=(1 / W, W ** 2 * Z1 - W * Z2 ** k, Z2),
-            v_chart1=(Y2, X ** 2 * Y1 + X * Y2 ** k, X * Y1 + Y2 ** k, Y1),
-            v_chart2=(Z2, Z1, W * Z1, W ** 2 * Z1 - W * Z2 ** k),
-            equation=V2 * V4 - V3 ** 2 + V3 * V1 ** k,
+            forward=("1/x", "x**2*y1 + x*y2**k", "y2"),
+            backward=("1/w", "w**2*z1 - w*z2**k", "z2"),
+            v_chart1=("y2", "x**2*y1 + x*y2**k", "x*y1 + y2**k", "y1"),
+            v_chart2=("z2", "z1", "w*z1", "w**2*z1 - w*z2**k"),
+            equation="v2*v4 - v3**2 + v3*v1**k",
             action=TorusAction(
                 rank=2,
                 chart1_weights=((-1, k), (1, 0), (0, 1)),
@@ -177,31 +144,31 @@ def builtin_geometry(name: str, k: int | None = None, n: int | None = None,
                 " verbatim for reference only (one repeated term as printed);"
                 " the change of coordinates to it is not implemented",
             ),
+            k=k, n=n,
         )
     elif name == "laufer2":
         if n is None or n < 1:
             raise CrepantError("laufer2 needs an integer parameter n >= 1")
-        z1_glue = X ** 3 * Y1 + Y2 ** 2 + X ** 2 * Y2 ** (2 * n + 1)
+        z1_glue = "x**3*y1 + y2**2 + x**2*y2**(2*n+1)"
         geo = GluedThreefold(
             name="laufer2",
             parameter=("n", n),
-            forward=(1 / X, z1_glue, Y2 / X),
-            backward=(1 / W,
-                      W ** 3 * Z1 - W * Z2 ** 2 - Z2 ** (2 * n + 1) * W ** (-2 * n),
-                      Z2 / W),
+            forward=("1/x", z1_glue, "y2/x"),
+            backward=("1/w", "w**3*z1 - w*z2**2 - z2**(2*n+1)*w**(-2*n)",
+                      "z2/w"),
             v_chart1=(
-                X ** 3 * Y1 + X * Y2 ** (2 * n + 1),
-                X * Y1 + Y2 ** (2 * n + 1),
-                Y1 + (Y2 ** (2 * n + 1) - Y2 * z1_glue ** n) / X,
-                Y1 * Y2 + (Y2 ** (2 * n + 2) - z1_glue ** (n + 1)) / X,
+                "x**3*y1 + x*y2**(2*n+1)",
+                "x*y1 + y2**(2*n+1)",
+                f"y1 + (y2**(2*n+1) - y2*({z1_glue})**n)/x",
+                f"y1*y2 + (y2**(2*n+2) - ({z1_glue})**(n+1))/x",
             ),
             v_chart2=(
-                Z1,
-                W ** 2 * Z1 - Z2 ** 2,
-                W ** 3 * Z1 - W * Z2 ** 2 - Z1 ** n * Z2,
-                W ** 2 * Z1 * Z2 - Z2 ** 3 - W * Z2 ** (n + 1),
+                "z1",
+                "w**2*z1 - z2**2",
+                "w**3*z1 - w*z2**2 - z1**n*z2",
+                "w**2*z1*z2 - z2**3 - w*z2**(n+1)",
             ),
-            equation=V4 ** 2 + V2 ** 3 - V1 * V3 - V1 ** (2 * n + 1) * V2,
+            equation="v4**2 + v2**3 - v1*v3 - v1**(2*n+1)*v2",
             action=TorusAction(
                 rank=1,
                 chart1_weights=((1 - 2 * n,), (6 * n + 1,), (2,)),
@@ -218,11 +185,12 @@ def builtin_geometry(name: str, k: int | None = None, n: int | None = None,
                 " equation with v4**2 + v2**3 - v1*v3**2 - v1**(2*n+1)*v2"
                 " verifies identically on chart 2",
             ),
+            k=k, n=n,
         )
     else:
         raise CrepantError(f"unknown geometry {name!r}")
     if overrides:
-        geo = _apply_overrides(geo, overrides, k=k, n=n)
+        geo = _apply_overrides(geo, overrides)
     return geo
 
 
@@ -291,33 +259,68 @@ def _points(rng: random.Random, symbols, trials: int, nonzero=()) -> list[tuple]
             for _ in range(trials)]
 
 
+_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+           ast.Mult: operator.mul, ast.Div: operator.truediv,
+           ast.Pow: operator.pow}
+_MAX_DEPTH = 500  # at one frame per level, well below the recursion limit
+
+
 @lru_cache(maxsize=4096)
-def _compile(expr: sp.Expr, coords: tuple):
+def _compile(text: str, coords: tuple, k=None, n=None):
     """A closure mapping a tuple of Fraction values of ``coords`` to the
-    exact value of ``expr``; memoized, so a subtree shared between the
-    expressions of a geometry compiles once."""
-    if expr.is_Symbol:
-        if expr not in coords:
-            raise CrepantError(f"{expr} is not one of the coordinates"
-                               f" {', '.join(map(str, coords))}")
-        return itemgetter(coords.index(expr))
-    if expr.is_Rational:
-        value = Fraction(int(expr.p), int(expr.q))
-        return lambda _: value
-    if expr.is_Add or expr.is_Mul:
-        terms = tuple(_compile(arg, coords) for arg in expr.args)
-        if expr.is_Add:
-            return lambda vals: sum(term(vals) for term in terms)
-        return lambda vals: math.prod(term(vals) for term in terms)
-    if expr.is_Pow and expr.exp.is_Integer:
-        base, exp = _compile(expr.base, coords), int(expr.exp)
-        return lambda vals: base(vals) ** exp
-    raise CrepantError(f"cannot evaluate {expr} exactly: only rational numbers,"
-                       " sums, products and integer powers are supported")
+    exact value of ``text``, evaluated as written; memoized, so a text
+    used by several identities compiles once."""
+    try:
+        tree = ast.parse(text.strip().replace("^", "**"), mode="eval")
+        value = _walk(tree.body, coords, {"k": k, "n": n}, 0)
+    except ZeroDivisionError:
+        raise CrepantError(f"{text!r} divides by zero") from None
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+        raise CrepantError(f"cannot parse expression {text!r}:"
+                           f" {exc or 'nested too deeply'}") from None
+    return value if callable(value) else lambda _: value
 
 
-def _compile_all(exprs, coords):
-    fns = tuple(_compile(e, coords) for e in exprs)
+def _walk(node, coords, params, depth):
+    """The Fraction value of a constant subtree, else a closure."""
+    if depth > _MAX_DEPTH:
+        raise CrepantError(f"expression nested deeper than {_MAX_DEPTH}")
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return Fraction(node.value)
+    if isinstance(node, ast.Name):
+        if node.id in coords:
+            return operator.itemgetter(coords.index(node.id))
+        if params.get(node.id) is not None:
+            return Fraction(params[node.id])
+        raise CrepantError(f"{node.id} is not one of the coordinates"
+                           f" {', '.join(coords)}")
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        op, args = _UNARY[type(node.op)], (node.operand,)
+    elif isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        op, args = _BINARY[type(node.op)], (node.left, node.right)
+    else:
+        raise CrepantError(f"cannot evaluate {ast.unparse(node)} exactly: only"
+                           " integers, + - * / and integer powers are allowed")
+    parts = []
+    for arg in args:  # a loop, not a comprehension: one frame per level
+        parts.append(_walk(arg, coords, params, depth + 1))
+    if op is operator.pow:
+        if callable(parts[1]) or parts[1].denominator != 1:
+            raise CrepantError(f"cannot evaluate {ast.unparse(node)} exactly:"
+                               " the exponent is not an integer")
+        parts[1] = parts[1].numerator
+    if not any(map(callable, parts)):
+        return op(*parts)
+    fns = [p if callable(p) else (lambda _, c=p: c) for p in parts]
+    if len(fns) == 1:
+        return lambda vals: op(fns[0](vals))
+    left, right = fns
+    return lambda vals: op(left(vals), right(vals))
+
+
+def _compile_all(geo: GluedThreefold, texts, coords):
+    fns = tuple(_compile(t, coords, geo.k, geo.n) for t in texts)
     return lambda vals: tuple(fn(vals) for fn in fns)
 
 
@@ -325,28 +328,28 @@ def _compile_all(exprs, coords):
 # function from a sampled point to the list of residuals
 
 def _transition_residual(geo: GluedThreefold):
-    forward = _compile_all(geo.forward, CHART1)
-    backward = _compile_all(geo.backward, CHART2)
+    forward = _compile_all(geo, geo.forward, CHART1)
+    backward = _compile_all(geo, geo.backward, CHART2)
     return lambda p: [b - a for a, b in zip(p, backward(forward(p)))]
 
 
 def _agreement_residual(geo: GluedThreefold, i: int):
-    forward = _compile_all(geo.forward, CHART1)
-    wz = _compile(geo.v_chart2[i], CHART2)
-    xy = _compile(geo.v_chart1[i], CHART1)
+    forward = _compile_all(geo, geo.forward, CHART1)
+    wz = _compile(geo.v_chart2[i], CHART2, geo.k, geo.n)
+    xy = _compile(geo.v_chart1[i], CHART1, geo.k, geo.n)
     return lambda p: [wz(forward(p)) - xy(p)]
 
 
 def _equation_residual(geo: GluedThreefold, chart: int):
-    vs = (_compile_all(geo.v_chart1, CHART1) if chart == 1
-          else _compile_all(geo.v_chart2, CHART2))
-    equation = _compile(geo.equation, V_COORDS)
+    vs = (_compile_all(geo, geo.v_chart1, CHART1) if chart == 1
+          else _compile_all(geo, geo.v_chart2, CHART2))
+    equation = _compile(geo.equation, V_COORDS, geo.k, geo.n)
     return lambda p: [equation(vs(p))]
 
 
 def _equivariance_residual(geo: GluedThreefold):
     act = geo.action
-    forward = _compile_all(geo.forward, CHART1)
+    forward = _compile_all(geo, geo.forward, CHART1)
 
     def residual(p):
         coords, scalars = p[:3], p[3:]
@@ -357,7 +360,6 @@ def _equivariance_residual(geo: GluedThreefold):
 
 
 def _run_identity(name, residual, symbols, points) -> IdentityResult:
-    names = [str(s) for s in symbols]
     failures = []
     for point in points:
         try:
@@ -365,7 +367,7 @@ def _run_identity(name, residual, symbols, points) -> IdentityResult:
         except ZeroDivisionError:
             res = ["zoo"]
         if any(r != 0 for r in res):
-            failures.append((tuple(sorted(zip(names, map(str, point)))),
+            failures.append((tuple(sorted(zip(symbols, map(str, point)))),
                              [str(r) for r in res]))
     examples = tuple(failures[:_MAX_COUNTEREXAMPLES])
     status = "holds" if not failures else "fails"
@@ -377,7 +379,7 @@ def verify_transition(geo: GluedThreefold, trials: int,
     """Round-trip chart 1 -> chart 2 -> chart 1 at random overlap points."""
     if trials < 1:
         raise CrepantError("need at least one trial")
-    points = _points(random.Random(seed), CHART1, trials, nonzero=(X,))
+    points = _points(random.Random(seed), CHART1, trials, nonzero=("x",))
     result = _run_identity("transition_roundtrip", _transition_residual(geo),
                            CHART1, points)
     return VerificationReport(geo.label(), seed, (result,))
@@ -403,9 +405,9 @@ def verify_contraction(geo: GluedThreefold, trials: int, seed: int = 0,
 
     for i in range(4):
         run(f"v{i + 1}_chart_agreement", _agreement_residual(geo, i),
-            CHART1, (X,))
-    run("equation_chart1", _equation_residual(geo, 1), CHART1, (X,))
-    run("equation_chart2", _equation_residual(geo, 2), CHART2, (W,))
+            CHART1, ("x",))
+    run("equation_chart1", _equation_residual(geo, 1), CHART1, ("x",))
+    run("equation_chart2", _equation_residual(geo, 2), CHART2, ("w",))
     if wanted is not None and len(identities) != len(wanted):
         raise CrepantError("unknown identity name in the restriction")
     return VerificationReport(geo.label(), seed, tuple(identities))
@@ -419,9 +421,8 @@ def verify_equivariance(geo: GluedThreefold, trials: int,
     if geo.action is None:
         raise CrepantError(f"geometry {geo.name} carries no torus action")
     rng = random.Random(seed)
-    torus = (T1, T2)[:geo.action.rank] if geo.action.rank > 1 else (T,)
-    points = _points(rng, CHART1 + torus, trials,
-                     nonzero=(X,) + torus)
+    torus = ("t1", "t2")[:geo.action.rank] if geo.action.rank > 1 else ("t",)
+    points = _points(rng, CHART1 + torus, trials, nonzero=("x",) + torus)
     result = _run_identity("equivariance", _equivariance_residual(geo),
                            CHART1 + torus, points)
     return VerificationReport(geo.label(), seed, (result,))

@@ -176,9 +176,25 @@ def test_bad_input_exits_without_traceback(code, args):
 
 
 def test_import_leaves_sympy_unloaded():
+    argv = ["verify-geometry", "laufer2", "--n", "1", "--trials", "2",
+            "--report-only", "--override",
+            "v4_wz=w**2*z1*z2 - z2**3 - w*z1**(n+1)"]
     probe = ("import sys, crepant, crepant.cli; "
+             "assert 'sympy' not in sys.modules, 'sympy imported'; "
+             f"assert crepant.cli.main({argv!r}) == 0; "
              "assert 'sympy' not in sys.modules, 'sympy imported'")
-    subprocess.run([sys.executable, "-c", probe], check=True)
+    subprocess.run([sys.executable, "-c", probe], check=True,
+                   stdout=subprocess.DEVNULL)
+
+
+def test_override_text_is_never_executed(tmp_path):
+    probe = tmp_path / "probe"
+    text = f"v1_xy=__import__('pathlib').Path({str(probe)!r}).touch()"
+    code, out, err = run_main(["verify-geometry", "conifold",
+                               "--override", text])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not probe.exists()
 
 
 def test_package_attributes_are_the_modules():

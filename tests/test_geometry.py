@@ -105,12 +105,19 @@ def test_zero_trials_rejected():
         verify_transition(geo, 0)
 
 
-def test_conifold_stored_chart1_contraction():
-    import sympy as sp
+def sympy_parse(geo, text):
+    """The stored text as a sympy object: the independent parse."""
+    params = {name: sp.Integer(value)
+              for name, value in (("k", geo.k), ("n", geo.n))
+              if value is not None}
+    return sp.sympify(text, locals=params)
 
+
+def test_conifold_stored_chart1_contraction():
     geo = builtin_geometry("conifold")
     x, y1, y2 = sp.symbols("x y1 y2")
-    assert list(geo.v_chart1) == [x * y1, x * y2, y1, y2]
+    assert [sympy_parse(geo, t) for t in geo.v_chart1] == [x * y1, x * y2,
+                                                            y1, y2]
 
 
 def sympy_oracle(expr, point):
@@ -118,42 +125,83 @@ def sympy_oracle(expr, point):
     return sp.together(expr.xreplace(point))
 
 
+README_OVERRIDES = {"v4_wz": "w**2*z1*z2 - z2**3 - w*z1**(n+1)",
+                    "equation": "v4**2 + v2**3 - v1*v3**2 - v1**(2*n+1)*v2"}
+
+
 @pytest.mark.parametrize("name,kw", [
     ("conifold", {}), ("laufer1", {"k": 1}), ("laufer1", {"k": 2}),
-    ("laufer1", {"k": 3}), ("laufer2", {"n": 1}), ("laufer2", {"n": 2})])
+    ("laufer1", {"k": 3}), ("laufer2", {"n": 1}), ("laufer2", {"n": 2}),
+    ("laufer2", {"n": 1, "overrides": README_OVERRIDES})])
 def test_compiled_evaluation_matches_sympy_substitution(name, kw):
     geo = builtin_geometry(name, **kw)
     slots = [(geo.forward + geo.v_chart1, CHART1, (CHART1[0],)),
              (geo.backward + geo.v_chart2, CHART2, (CHART2[0],)),
              ((geo.equation,), V_COORDS, ())]
     rng = random.Random(7)
-    for exprs, coords, nonzero in slots:
+    for texts, coords, nonzero in slots:
         for values in _points(rng, coords, 10, nonzero=nonzero):
-            point = {s: sp.Rational(v.numerator, v.denominator)
+            point = {sp.Symbol(s): sp.Rational(v.numerator, v.denominator)
                      for s, v in zip(coords, values)}
-            for expr in exprs:
-                assert _compile(expr, coords)(values) == sympy_oracle(expr, point)
+            for text in texts:
+                expected = sympy_oracle(sympy_parse(geo, text), point)
+                assert _compile(text, coords, geo.k, geo.n)(values) == expected
 
 
-@pytest.mark.parametrize("text", ["sin(x)", "0.5*x", "x**y1", "w*z1"])
-def test_non_rational_overrides_rejected(text):
-    with pytest.raises(CrepantError):
-        builtin_geometry("conifold", overrides={"v1_xy": text})
+POINT = (Fraction(3), Fraction(5), Fraction(7))  # (x, y1, y2)
+REJECTED = ["sin(x)", "0.5*x", "x**y1", "x**(1/2)", "w*z1", "True", "", "(",
+            "2 x", "1/0", "k", "x**n"]
 
 
-def test_rational_override_evaluates_exactly():
-    geo = builtin_geometry("conifold", overrides={"v1_xy": "x/2"})
-    value = _compile(geo.v_chart1[0], CHART1)((Fraction(3), Fraction(0),
-                                                Fraction(0)))
-    assert type(value) is Fraction and value == Fraction(3, 2)
+# the override grammar: accepted texts with their value at POINT, and the
+# texts rejected when the geometry is built
+GRAMMAR = [
+    ("conifold", {}, "x^2+1", Fraction(10)),
+    ("conifold", {}, "x**(4/2)", Fraction(9)),
+    ("conifold", {}, "x**-1", Fraction(1, 3)),
+    ("conifold", {}, "-x**2", Fraction(-9)),
+    ("conifold", {}, "x/2", Fraction(3, 2)),
+    ("conifold", {}, " x + 1\n", Fraction(4)),
+    ("laufer2", {"n": 1}, "n", Fraction(1)),
+    *[("conifold", {}, text, CrepantError) for text in REJECTED],
+]
+
+
+@pytest.mark.parametrize("name,kw,text,expected", GRAMMAR,
+                         ids=[f"{case[0]}-{case[2]!r}" for case in GRAMMAR])
+def test_override_grammar(name, kw, text, expected):
+    if expected is CrepantError:
+        with pytest.raises(CrepantError):
+            builtin_geometry(name, overrides={"v1_xy": text}, **kw)
+        return
+    geo = builtin_geometry(name, overrides={"v1_xy": text}, **kw)
+    value = _compile(geo.v_chart1[0], CHART1, geo.k, geo.n)(POINT)
+    assert type(value) is Fraction and value == expected
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("(" * 300 + "x" + ")" * 300, Fraction(3)),
+    ("+".join(["x"] * 5000), Fraction(15000)),
+    ("+".join(["x"] * 150), Fraction(450)),
+    ("+".join(["x"] * 500), Fraction(1500)),
+    ("-" * 300 + "x", Fraction(3)),
+], ids=["parens-300", "sum-5000", "sum-150", "sum-500", "minus-300"])
+def test_deep_override_gives_a_value_or_a_domain_error(text, expected):
+    try:
+        geo = builtin_geometry("conifold", overrides={"v1_xy": text})
+    except CrepantError as exc:
+        assert "\n" not in str(exc)
+        return
+    assert _compile(geo.v_chart1[0], CHART1)(POINT) == expected
 
 
 def test_division_by_zero_is_a_failed_trial():
-    # equal to y1 wherever it is defined; seed 501 samples y1 = 0 once
-    geo = builtin_geometry(
-        "conifold", overrides={"v3_xy": "(y1**2 + x*y1)/y1 - x"})
-    result = verify_contraction(geo, 100, seed=501,
-                                only=["v3_chart_agreement"]).identities[0]
-    assert result.failures == 1
-    (point, residual), = result.counterexamples
-    assert dict(point)["y1"] == "0" and residual == ["zoo"]
+    # each equals y1 wherever it is defined; seed 501 samples y1 = 0 once,
+    # and a text is evaluated as written, without cancelling y1/y1
+    for text in ["(y1**2 + x*y1)/y1 - x", "y1*(y1/y1)"]:
+        geo = builtin_geometry("conifold", overrides={"v3_xy": text})
+        result = verify_contraction(geo, 100, seed=501,
+                                    only=["v3_chart_agreement"]).identities[0]
+        assert result.failures == 1
+        (point, residual), = result.counterexamples
+        assert dict(point)["y1"] == "0" and residual == ["zoo"]
