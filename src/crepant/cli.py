@@ -31,6 +31,17 @@ def _fraction(text: str) -> Fraction:
             f"{text!r} is not a rational number") from None
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a nonnegative integer")
+    return value
+
+
 def _fraction_list(text: str) -> list[Fraction]:
     return [_fraction(x) for x in text.split(",")]
 
@@ -437,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", type=int, default=0)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--t-order", type=int, default=24)
-    p.add_argument("--genus", type=int, default=2)
+    p.add_argument("--genus", type=_nonnegative_int, default=2)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_gv)
 

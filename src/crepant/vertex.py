@@ -3,7 +3,9 @@
 All q-series use the substitution q = t**2 so every amplitude is a Laurent
 series in t with exact coefficients.  A TSeries knows the largest exponent
 it is exact through, and arithmetic propagates that bound honestly, so a
-result is never silently less precise than reported.
+result is never silently less precise than reported.  It is stored dense,
+as an offset and a list of coefficients, and multiplies by truncated
+convolution (over t^2 when both factors are series in t^2).
 
 The principal specialization s_lambda(q^rho) is the hook product
 t^(2n(lambda)+|lambda|) / prod_cells (1 - t^(2 hook)).  Skew Schur
@@ -22,12 +24,20 @@ second node, and weights an internal edge by
 (-1)^((n+1)|lam|) t^(-n kappa(lam)) Q^|lam| with n the stored framing.
 These conventions are locked by the conifold product formula and the local
 P2 invariants (3, -6, 27 at genus 0 and -10 at genus 1, degree 3).
+
+The working t-cutoff of a gluing is planned before any coefficient is
+computed: every amplitude has nonnegative coefficients, so valuations and
+the cutoff rules of TSeries arithmetic give the precision one _glue
+reaches at a given cutoff, and the web is glued once, at the first margin
+8, 16, 32, ... past the requested precision that reaches it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
+from types import MappingProxyType
 
 from .errors import CrepantError
 from .toric import DualWeb
@@ -115,35 +125,66 @@ def subdiagrams(p: Partition) -> list[Partition]:
 # Truncated Laurent series in t
 
 class TSeries:
-    """Laurent series in t, exact through exponent ``cutoff`` (None = exact)."""
+    """Laurent series in t, exact through exponent ``cutoff`` (None = exact).
 
-    __slots__ = ("coeffs", "cutoff")
+    Stored dense: ``data[i]`` is the coefficient of t^(offset + i), the
+    first and last entries are nonzero, nothing above the cutoff is kept and
+    the zero series has no data (and offset 0).  A list is never changed
+    once it backs a series, so a shifted series shares its data.
+    """
+
+    __slots__ = ("offset", "data", "cutoff")
 
     def __init__(self, coeffs=None, cutoff=None):
+        kept = {int(e): c for e, c in (coeffs or {}).items()
+                if c and (cutoff is None or e <= cutoff)}
         self.cutoff = cutoff
-        cc = {}
-        for e, c in (coeffs or {}).items():
-            if c and (cutoff is None or e <= cutoff):
-                cc[int(e)] = c
-        self.coeffs = cc
+        self.offset = min(kept, default=0)
+        self.data = [0] * (max(kept) - self.offset + 1) if kept else []
+        for e, c in kept.items():
+            self.data[e - self.offset] = c
+
+    @classmethod
+    def _dense(cls, offset: int, data: list, cutoff) -> "TSeries":
+        """The series sum data[i] t^(offset+i), cut at the cutoff and trimmed."""
+        if cutoff is not None and len(data) > cutoff - offset + 1:
+            data = data[:max(cutoff - offset + 1, 0)]
+        lo, hi = 0, len(data)
+        while hi and not data[hi - 1]:
+            hi -= 1
+        while lo < hi and not data[lo]:
+            lo += 1
+        if lo or hi < len(data):
+            data = data[lo:hi]
+        out = cls.__new__(cls)
+        out.offset = offset + lo if data else 0
+        out.data = data
+        out.cutoff = cutoff
+        return out
 
     @classmethod
     def zero(cls, cutoff=None):
-        return cls({}, cutoff)
+        return cls._dense(0, [], cutoff)
 
     @classmethod
     def one(cls, cutoff=None):
-        return cls({0: 1}, cutoff)
+        return cls._dense(0, [1], cutoff)
 
     @classmethod
     def monomial(cls, e: int, c=1, cutoff=None):
-        return cls({e: c}, cutoff)
+        return cls._dense(e, [c], cutoff)
+
+    @property
+    def coeffs(self):
+        """Read-only {exponent: coefficient} view of the nonzero terms."""
+        o = self.offset
+        return MappingProxyType({o + i: c for i, c in enumerate(self.data) if c})
 
     def valuation(self):
-        return min(self.coeffs) if self.coeffs else None
+        return self.offset if self.data else None
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.data
 
     @staticmethod
     def _min_cutoff(a, b):
@@ -155,13 +196,27 @@ class TSeries:
 
     def __add__(self, other: "TSeries") -> "TSeries":
         cutoff = self._min_cutoff(self.cutoff, other.cutoff)
-        coeffs = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            coeffs[e] = coeffs.get(e, 0) + c
-        return TSeries(coeffs, cutoff)
+        a, b = self.data, other.data
+        o1, o2 = self.offset, other.offset
+        if not b:
+            return TSeries._dense(o1, a, cutoff)
+        if not a:
+            return TSeries._dense(o2, b, cutoff)
+        if o1 > o2:
+            a, b, o1, o2 = b, a, o2, o1
+        d = o2 - o1
+        n = max(len(a), d + len(b))
+        if cutoff is not None:
+            n = min(n, cutoff - o1 + 1)
+        out = a[:n]
+        out.extend([0] * (n - len(out)))
+        if d < n:
+            m = min(len(b), n - d)
+            out[d:d + m] = map(add, out[d:d + m], b[:m])
+        return TSeries._dense(o1, out, cutoff)
 
     def __neg__(self) -> "TSeries":
-        return TSeries({e: -c for e, c in self.coeffs.items()}, self.cutoff)
+        return TSeries._dense(self.offset, [-c for c in self.data], self.cutoff)
 
     def __sub__(self, other: "TSeries") -> "TSeries":
         return self + (-other)
@@ -169,50 +224,78 @@ class TSeries:
     def __mul__(self, other: "TSeries") -> "TSeries":
         # exactness through K1+v2 and K2+v1: errors of one factor scaled by
         # the lowest term of the other
-        if self.is_zero() or other.is_zero():
-            cutoff = self._min_cutoff(self.cutoff, other.cutoff)
-            return TSeries({}, cutoff)
-        c1 = None if self.cutoff is None else self.cutoff + other.valuation()
-        c2 = None if other.cutoff is None else other.cutoff + self.valuation()
+        a, b = self.data, other.data
+        if not a or not b:
+            return TSeries._dense(0, [], self._min_cutoff(self.cutoff,
+                                                          other.cutoff))
+        c1 = None if self.cutoff is None else self.cutoff + other.offset
+        c2 = None if other.cutoff is None else other.cutoff + self.offset
         cutoff = self._min_cutoff(c1, c2)
-        coeffs: dict[int, object] = {}
-        for e1, a in self.coeffs.items():
-            for e2, b in other.coeffs.items():
-                e = e1 + e2
-                if cutoff is None or e <= cutoff:
-                    coeffs[e] = coeffs.get(e, 0) + a * b
-        return TSeries(coeffs, cutoff)
+        offset = self.offset + other.offset
+        n = len(a) + len(b) - 1
+        if cutoff is not None:
+            n = min(n, cutoff - offset + 1)
+        return TSeries._dense(offset, _convolve(a, b, n), cutoff)
 
     def scale(self, c) -> "TSeries":
-        return TSeries({e: c * v for e, v in self.coeffs.items()}, self.cutoff)
+        return TSeries._dense(self.offset, [c * v for v in self.data],
+                              self.cutoff)
 
     def shift(self, k: int) -> "TSeries":
-        cutoff = None if self.cutoff is None else self.cutoff + k
-        return TSeries({e + k: c for e, c in self.coeffs.items()}, cutoff)
+        out = TSeries.__new__(TSeries)
+        out.offset = self.offset + k if self.data else 0
+        out.data = self.data
+        out.cutoff = None if self.cutoff is None else self.cutoff + k
+        return out
 
     def truncate(self, cutoff: int) -> "TSeries":
-        return TSeries(self.coeffs, self._min_cutoff(self.cutoff, cutoff))
+        return TSeries._dense(self.offset, self.data,
+                              self._min_cutoff(self.cutoff, cutoff))
 
     def coefficient(self, e: int):
-        return self.coeffs.get(e, 0)
+        i = e - self.offset
+        return self.data[i] if 0 <= i < len(self.data) else 0
 
     def agrees_with(self, other: "TSeries", through: int) -> bool:
         if (self.cutoff is not None and self.cutoff < through) or \
                 (other.cutoff is not None and other.cutoff < through):
             raise CrepantError("series not exact through the comparison order")
-        exps = set(self.coeffs) | set(other.coeffs)
+        lo = min(self.offset, other.offset)
+        hi = min(through, max(self.offset + len(self.data),
+                              other.offset + len(other.data)) - 1)
         return all(self.coefficient(e) == other.coefficient(e)
-                   for e in exps if e <= through)
+                   for e in range(lo, hi + 1))
 
     def __eq__(self, other):
         if not isinstance(other, TSeries):
             return NotImplemented
-        return self.cutoff == other.cutoff and self.coeffs == other.coeffs
+        return self.cutoff == other.cutoff and self.offset == other.offset \
+            and self.data == other.data
 
     def __repr__(self):
         items = sorted(self.coeffs.items())[:6]
         body = " + ".join(f"{c}*t^{e}" for e, c in items)
         return f"TSeries({body or '0'}; cutoff={self.cutoff})"
+
+
+def _convolve(a: list, b: list, n: int) -> list:
+    """The first n coefficients of the product of coefficient lists a, b."""
+    if len(a) > 1 and len(b) > 1 and not any(a[1::2]) and not any(b[1::2]):
+        # both are series in t^2 (q = t^2 makes that the common case)
+        out = [0] * n
+        out[::2] = _convolve(a[::2], b[::2], (n + 1) // 2)
+        return out
+    # add each nonzero term of one factor times the other into the window
+    # it reaches, looping over the factor that makes that cheaper
+    if (len(a) - a.count(0)) * min(len(b), n) > \
+            (len(b) - b.count(0)) * min(len(a), n):
+        a, b = b, a
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
+        if x:
+            m = min(len(b), n - i)
+            out[i:i + m] = [o + x * y for o, y in zip(out[i:i + m], b)]
+    return out
 
 
 def geometric(step: int, cutoff: int) -> TSeries:
@@ -235,6 +318,27 @@ def schur_principal(p, cutoff: int) -> TSeries:
 
 
 @lru_cache(maxsize=None)
+def _strips(mu: Partition, alpha: Partition) -> tuple:
+    """(lam, |lam| - |mu|) for every lam inside alpha with lam/mu a
+    horizontal strip."""
+    rows = len(alpha)
+    padded = tuple(mu) + (0,) * (rows - len(mu))
+    out = []
+
+    def rec(r, acc):
+        if r == rows:
+            lam = tuple(x for x in acc if x)
+            out.append((lam, psize(lam) - psize(mu)))
+            return
+        high = min(alpha[r], padded[r - 1] if r else alpha[0])
+        for v in range(padded[r], high + 1):
+            rec(r + 1, acc + [v])
+
+    rec(0, [])
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def _skew_spec(alpha: Partition, eta: Partition, nu: Partition,
                cutoff: int) -> TSeries:
     """Skew Schur s_{alpha/eta} at x_i = t^(2i - 1 - 2 nu_i), i = 1, 2, ...
@@ -244,8 +348,7 @@ def _skew_spec(alpha: Partition, eta: Partition, nu: Partition,
     achievable negativity keeps the truncation exact.  Variables beyond that
     window only contribute above the cutoff.
     """
-    rows = len(alpha)
-    if any(e > a for e, a in zip(eta, alpha)) or len(eta) > rows:
+    if any(e > a for e, a in zip(eta, alpha)) or len(eta) > len(alpha):
         return TSeries.zero(cutoff)
     if not alpha:
         return TSeries.one(cutoff)
@@ -260,27 +363,18 @@ def _skew_spec(alpha: Partition, eta: Partition, nu: Partition,
     for exp in exps:
         new: dict[Partition, TSeries] = {}
         for mu, weight in states.items():
-            padded = tuple(mu) + (0,) * (rows - len(mu))
-
-            def rec(r, acc):
-                if r == rows:
-                    yield tuple(x for x in acc if x)
-                    return
-                low = padded[r]
-                high = min(alpha[r], padded[r - 1] if r else alpha[0])
-                for v in range(low, high + 1):
-                    yield from rec(r + 1, acc + [v])
-
-            for lam in rec(0, []):
-                gained = psize(lam) - psize(mu)
-                add = weight if gained == 0 else weight * TSeries.monomial(
-                    exp * gained, 1, work)
-                if gained and add.is_zero():
-                    continue
-                if lam in new:
-                    new[lam] = new[lam] + add
+            for lam, gained in _strips(mu, alpha):
+                if gained:
+                    # weight * t^a at cutoff ``work``, as TSeries.__mul__
+                    # would cut it
+                    a = exp * gained
+                    if a > work or weight.is_zero():
+                        continue
+                    add = weight.shift(a).truncate(
+                        min(weight.cutoff + a, work + weight.offset))
                 else:
-                    new[lam] = add
+                    add = weight
+                new[lam] = new[lam] + add if lam in new else add
         states = new
     return states.get(alpha, TSeries.zero(work)).truncate(cutoff)
 
@@ -299,12 +393,14 @@ def vertex_raw(lam, mu, nu, cutoff: int) -> TSeries:
     return out.shift(kappa(lam) + kappa(nu))
 
 
+def _least_rotation(lam, mu, nu) -> tuple:
+    args = [tuple(lam), tuple(mu), tuple(nu)]
+    return min(tuple(args[i:] + args[:i]) for i in range(3))
+
+
 def vertex(lam, mu, nu, cutoff: int) -> TSeries:
     """Topological vertex amplitude, canonicalized over cyclic rotations."""
-    args = [tuple(lam), tuple(mu), tuple(nu)]
-    rotations = [tuple(args[i:] + args[:i]) for i in range(3)]
-    lam, mu, nu = min(rotations)
-    return vertex_raw(lam, mu, nu, cutoff)
+    return vertex_raw(*_least_rotation(lam, mu, nu), cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -445,36 +541,31 @@ def gw_partition_function(web: DualWeb, order: int, t_cutoff: int = 20,
     qvars = tuple(e.var for e in edges)
     if not edges:
         return GWSeries.one(qvars, order, cutoff=None)
-
-    margin = 8
-    while True:
-        cutoff = t_cutoff + margin
-        result = _glue(web, edges, qvars, order, cutoff, reverse_edges)
-        got = result.min_cutoff()
-        if got is None or got >= t_cutoff:
-            return result
-        margin *= 2
-        if margin > 16 * (t_cutoff + 8) * (order + 1) ** 2:
-            raise CrepantError("cannot reach requested t-precision")
+    summands = _summands(web, edges, qvars, order, reverse_edges)
+    cutoff = _plan_cutoff(summands, order, t_cutoff)
+    return _glue(qvars, order, summands, cutoff)
 
 
-def _glue(web, edges, qvars, order, cutoff, reverse_edges):
+def _summands(web, edges, qvars, order, reverse_edges) -> list:
+    """One entry per partition assignment to the edges: its Q-degrees, the
+    sign and t-shift of its framing factor, and the vertex arguments at each
+    node (slots counterclockwise, transposed at an edge's head)."""
+    slots = [_ccw_slots(web, node) for node in range(len(web.nodes))]
     parts_by_size = {s: list(partitions_of(s)) for s in range(order + 1)}
-    terms: dict[tuple, TSeries] = {}
+    out = []
     for sizes in _assignments(len(edges), order):
         for choice in _product_choices([parts_by_size[s] for s in sizes]):
-            factor = TSeries.one(cutoff)
-            ok = True
+            sign, shift = 1, 0
             for e, lam in zip(edges, choice):
                 n = -e.framing if reverse_edges else e.framing
-                size = psize(lam)
-                sign = -1 if ((n + 1) * size) % 2 else 1
-                factor = factor.scale(sign).shift(-n * kappa(lam))
+                if ((n + 1) * psize(lam)) % 2:
+                    sign = -sign
+                shift -= n * kappa(lam)
             assignment = dict(zip((e.var for e in edges), choice))
-            for node in range(len(web.nodes)):
-                slots = _ccw_slots(web, node)
+            nodes = []
+            for node, node_slots in enumerate(slots):
                 args = []
-                for kind, payload, _ in slots:
+                for kind, payload, _ in node_slots:
                     if kind == "leg":
                         args.append(())
                     else:
@@ -482,15 +573,128 @@ def _glue(web, edges, qvars, order, cutoff, reverse_edges):
                         head = payload.nodes[1] if not reverse_edges \
                             else payload.nodes[0]
                         args.append(transpose(lam) if node == head else lam)
-                factor = factor * vertex(args[0], args[1], args[2], cutoff)
-                if factor.is_zero():
-                    ok = False
-                    break
-            if not ok:
-                continue
+                nodes.append(tuple(args))
             exps = tuple(psize(assignment[v]) for v in qvars)
+            out.append((exps, sign, shift, nodes))
+    return out
+
+
+def _glue(qvars, order, summands, cutoff):
+    terms: dict[tuple, TSeries] = {}
+    for exps, sign, shift, nodes in summands:
+        factor = TSeries.monomial(shift, sign, cutoff + shift)
+        for lam, mu, nu in nodes:
+            factor = factor * vertex(lam, mu, nu, cutoff)
+            if factor.is_zero():
+                break
+        else:
             terms[exps] = terms[exps] + factor if exps in terms else factor
     return GWSeries(qvars, order, terms)
+
+
+# ---------------------------------------------------------------------------
+# Precision planning
+#
+# Skew Schur specializations and vertex amplitudes have nonnegative
+# coefficients, and all summands of one Q-degree carry the same framing
+# sign, so nothing cancels: valuations add under products and take the
+# minimum under sums.  With the cutoff rules of TSeries arithmetic that
+# gives the (valuation, cutoff) pair of every series _glue builds without
+# one coefficient.  A pair (v, K) is a series exact through K with lowest
+# exponent v, or the zero series when v is None.
+
+def _pair_mul(a, b):
+    (v1, k1), (v2, k2) = a, b
+    if v1 is None or v2 is None:
+        return None, min(k1, k2)
+    return v1 + v2, min(k1 + v2, k2 + v1)
+
+
+def _pair_add(a, b):
+    k = min(a[1], b[1])
+    v = min((x for x in (a[0], b[0]) if x is not None), default=None)
+    return (v if v is not None and v <= k else None), k
+
+
+@lru_cache(maxsize=None)
+def _skew_valuation(alpha: Partition, eta: Partition, nu: Partition):
+    """Valuation of s_{alpha/eta}(x_i = t^(2i - 1 - 2 nu_i)), None if zero.
+
+    The exponents increase strictly in i, so the least tableau weight is
+    the column-minimal one: cell (r, c) holds r - eta'_c (from 0).  Every
+    other path through _skew_spec's strip chain keeps its cutoff at or above
+    the requested one, so _skew_spec(..., cutoff) is this valuation (when
+    at most the cutoff) with exactly that cutoff.
+    """
+    if any(e > a for e, a in zip(eta, alpha)) or len(eta) > len(alpha):
+        return None
+    eta_t = transpose(eta)
+    total = 0
+    for r, row in enumerate(alpha):
+        for c in range(eta[r] if r < len(eta) else 0, row):
+            k = r - (eta_t[c] if c < len(eta_t) else 0)
+            total += 2 * k + 1 - 2 * (nu[k] if k < len(nu) else 0)
+    return total
+
+
+@lru_cache(maxsize=None)
+def _vertex_pair(lam, mu, nu, cutoff: int) -> tuple:
+    """(valuation, cutoff) of vertex(lam, mu, nu, cutoff), traced through
+    vertex_raw's sums and products."""
+    lam, mu, nu = _least_rotation(lam, mu, nu)
+    mu_t, nu_t = transpose(mu), transpose(nu)
+
+    def skew(alpha, eta, x):
+        v = _skew_valuation(alpha, eta, x)
+        return (v if v is not None and v <= cutoff else None), cutoff
+
+    inner = (None, cutoff)
+    for eta in subdiagrams(tuple(min(a, b) for a, b in zip(lam, mu_t))):
+        inner = _pair_add(inner, _pair_mul(skew(lam, eta, nu_t),
+                                           skew(mu_t, eta, nu)))
+    if nu:
+        # schur_principal: t^s times geometric factors of valuation 0 and
+        # the same cutoff, which leave (s, cutoff) as it is
+        s = 2 * n_stat(nu) + psize(nu)
+        inner = _pair_mul(((s if s <= cutoff else None), cutoff), inner)
+    shift = kappa(lam) + kappa(nu)
+    v, k = inner
+    return (None if v is None else v + shift), k + shift
+
+
+def _glued_precision(summands, cutoff: int):
+    """``_glue(..., summands, cutoff).min_cutoff()``, from valuations alone:
+    the least cutoff of a summand that does not truncate to zero (a sum of
+    such summands is never zero, so it keeps the least of their cutoffs)."""
+    got = None
+    for _, _, shift, nodes in summands:
+        factor = ((shift if cutoff >= 0 else None), cutoff + shift)
+        for args in nodes:
+            factor = _pair_mul(factor, _vertex_pair(*args, cutoff))
+            if factor[0] is None:
+                break
+        else:
+            got = factor[1] if got is None else min(got, factor[1])
+    return got
+
+
+def _plan_cutoff(summands, order: int, t_cutoff: int) -> int:
+    """The working cutoff at which one _glue reaches ``t_cutoff``.
+
+    Walks margins 8, 16, 32, ... past ``t_cutoff`` and stops at the first
+    whose planned precision suffices (or that yields no terms at all).  The
+    planned precision is not a fixed offset from the working cutoff, nor
+    monotone in it, because summands that truncate to zero drop out.
+    """
+    margin = 8
+    while True:
+        cutoff = t_cutoff + margin
+        got = _glued_precision(summands, cutoff)
+        if got is None or got >= t_cutoff:
+            return cutoff
+        margin *= 2
+        if margin > 16 * (t_cutoff + 8) * (order + 1) ** 2:
+            raise CrepantError("cannot reach requested t-precision")
 
 
 def _product_choices(lists):

@@ -1,7 +1,9 @@
 """Shared independent oracles and exhaustive module generators."""
 
+from crepant.errors import CrepantError
 from crepant.quiver import c3_quiver, conifold_quiver, frame, relations_from_potential
 from crepant.reps import MonomialRepresentation, check_relations
+from crepant.vertex import GWSeries, _glue, _summands
 
 
 def brute_product_one_minus_qk_inverse(order):
@@ -133,3 +135,109 @@ def framed_conifold_modules(max_gauge):
                                     act2[fr.framing_arrow] = {"fr": target}
                                 yield MonomialRepresentation(
                                     fr.quiver, vertex_of, act2, framed=fr)
+
+
+class DictTSeries:
+    """The dict-backed Laurent series the dense ``TSeries`` replaced, kept as
+    its reference: exponent -> nonzero coefficient, exact through ``cutoff``
+    (None = exact)."""
+
+    __slots__ = ("coeffs", "cutoff")
+
+    def __init__(self, coeffs=None, cutoff=None):
+        self.cutoff = cutoff
+        self.coeffs = {int(e): c for e, c in (coeffs or {}).items()
+                       if c and (cutoff is None or e <= cutoff)}
+
+    def valuation(self):
+        return min(self.coeffs) if self.coeffs else None
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @staticmethod
+    def _min_cutoff(a, b):
+        if a is None:
+            return b
+        if b is None:
+            return a
+        return min(a, b)
+
+    def __add__(self, other):
+        cutoff = self._min_cutoff(self.cutoff, other.cutoff)
+        coeffs = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            coeffs[e] = coeffs.get(e, 0) + c
+        return DictTSeries(coeffs, cutoff)
+
+    def __neg__(self):
+        return DictTSeries({e: -c for e, c in self.coeffs.items()}, self.cutoff)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if self.is_zero() or other.is_zero():
+            return DictTSeries({}, self._min_cutoff(self.cutoff, other.cutoff))
+        c1 = None if self.cutoff is None else self.cutoff + other.valuation()
+        c2 = None if other.cutoff is None else other.cutoff + self.valuation()
+        cutoff = self._min_cutoff(c1, c2)
+        coeffs = {}
+        for e1, a in self.coeffs.items():
+            for e2, b in other.coeffs.items():
+                e = e1 + e2
+                if cutoff is None or e <= cutoff:
+                    coeffs[e] = coeffs.get(e, 0) + a * b
+        return DictTSeries(coeffs, cutoff)
+
+    def scale(self, c):
+        return DictTSeries({e: c * v for e, v in self.coeffs.items()},
+                           self.cutoff)
+
+    def shift(self, k: int):
+        cutoff = None if self.cutoff is None else self.cutoff + k
+        return DictTSeries({e + k: c for e, c in self.coeffs.items()}, cutoff)
+
+    def truncate(self, cutoff: int):
+        return DictTSeries(self.coeffs, self._min_cutoff(self.cutoff, cutoff))
+
+    def coefficient(self, e: int):
+        return self.coeffs.get(e, 0)
+
+    def agrees_with(self, other, through: int) -> bool:
+        if (self.cutoff is not None and self.cutoff < through) or \
+                (other.cutoff is not None and other.cutoff < through):
+            raise CrepantError("series not exact through the comparison order")
+        exps = set(self.coeffs) | set(other.coeffs)
+        return all(self.coefficient(e) == other.coefficient(e)
+                   for e in exps if e <= through)
+
+    def __eq__(self, other):
+        if not isinstance(other, DictTSeries):
+            return NotImplemented
+        return self.cutoff == other.cutoff and self.coeffs == other.coeffs
+
+
+def retry_gluing(qvars, order, summands, t_cutoff):
+    """Glue at margins 8, 16, 32, ... past ``t_cutoff`` until the glued
+    series is exact through it, keeping only the last attempt."""
+    margin = 8
+    while True:
+        result = _glue(qvars, order, summands, t_cutoff + margin)
+        got = result.min_cutoff()
+        if got is None or got >= t_cutoff:
+            return result
+        margin *= 2
+        if margin > 16 * (t_cutoff + 8) * (order + 1) ** 2:
+            raise CrepantError("cannot reach requested t-precision")
+
+
+def retry_loop_oracle(web, order, t_cutoff=20, reverse_edges=False):
+    """``gw_partition_function`` by the retry loop its precision plan
+    replaced."""
+    edges = list(web.edges)
+    qvars = tuple(e.var for e in edges)
+    if not edges:
+        return GWSeries.one(qvars, order, cutoff=None)
+    summands = _summands(web, edges, qvars, order, reverse_edges)
+    return retry_gluing(qvars, order, summands, t_cutoff)

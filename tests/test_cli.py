@@ -167,6 +167,7 @@ def test_jobs_flag_leaves_geometry_reports_unchanged():
     (1, ("verify-geometry", "conifold", "--override", "v1_xy=sin(x)")),
     (1, ("walls", "--cartan", "[[2,-2],[-2,2]]", "--theta1=1,2,3",
          "--theta2=1,2")),
+    (2, ("gv", "--square", "--order", "2", "--genus", "-1")),
 ])
 def test_bad_input_exits_without_traceback(code, args):
     proc = run(*args, check=False)

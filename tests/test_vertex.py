@@ -1,15 +1,22 @@
 """Schur specializations, the vertex amplitude, gluing, and GV extraction."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crepant.errors import CrepantError
 from crepant.series import general_binomial
-from crepant.toric import (double_triangle, dual_web, p2_triangle, unit_square,
-                           unit_triangle, unit_triangulations)
-from crepant.vertex import (TSeries, geometric, gv_extract,
-                            gw_partition_function, kappa, partitions_of,
-                            partitions_upto, schur_principal, transpose,
-                            vertex, vertex_raw)
+from crepant.toric import (double_triangle, dual_web, p2_triangle, trapezoid,
+                           unit_square, unit_triangle, unit_triangulations,
+                           zn_triangle)
+from crepant.vertex import (TSeries, _plan_cutoff, _skew_spec,
+                            _skew_valuation, _vertex_pair, geometric,
+                            gv_extract, gw_partition_function, kappa,
+                            partitions_of, partitions_upto, schur_principal,
+                            transpose, vertex, vertex_raw)
+from support import DictTSeries, retry_gluing, retry_loop_oracle
 
 
 def ssyt_weight_oracle(shape, cutoff, variables=None):
@@ -202,3 +209,140 @@ def test_tseries_precision_tracking():
     assert a.shift(3).cutoff == 13
     with pytest.raises(CrepantError):
         a.agrees_with(geometric(2, 4), 6)
+
+
+def test_local_p2_genus_zero_through_degree_six():
+    web = dual_web(unit_triangulations(p2_triangle())[0])
+    table = gv_extract(gw_partition_function(web, 6, t_cutoff=40), genus_cap=0)
+    assert [table[(0, d)] for d in range(1, 7)] == [3, -6, 27, -192, 1695,
+                                                    -17064]
+
+
+GRID_WEBS = {
+    "square": (unit_square, 0),
+    "square flopped": (unit_square, 1),
+    "double triangle": (double_triangle, 0),
+    "zn 1": (lambda: zn_triangle(1), 0),
+    "zn 2": (lambda: zn_triangle(2), 0),
+    "trapezoid 2,1": (lambda: trapezoid(2, 1), 0),
+    "p2": (p2_triangle, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_WEBS))
+def test_planned_precision_matches_retry_loop(name):
+    """One glue at the planned cutoff returns what the retry loop returned:
+    the same coefficients and the same cutoffs (the grid includes zn 1 and
+    zn 2 at order 4, where the precision reached is not monotone in the
+    working cutoff)."""
+    polygon, index = GRID_WEBS[name]
+    web = dual_web(unit_triangulations(polygon())[index])
+    for order in range(4 if name == "p2" else 5):
+        for t_cutoff in (-8, -4, 0, 6, 12, 20, 26):
+            for reverse in (False, True):
+                try:
+                    want = retry_loop_oracle(web, order, t_cutoff, reverse)
+                except CrepantError:
+                    with pytest.raises(CrepantError):
+                        gw_partition_function(web, order, t_cutoff, reverse)
+                    continue
+                got = gw_partition_function(web, order, t_cutoff, reverse)
+                case = (order, t_cutoff, reverse)
+                assert (got.vars, got.order) == (want.vars, want.order), case
+                assert got.terms == want.terms, case
+
+
+def test_planned_pairs_match_computed_series():
+    """The valuation and cutoff the plan assigns to each skew Schur
+    specialization and vertex amplitude are those of the computed series."""
+    parts = partitions_upto(3)
+    for cutoff in range(-6, 21):
+        for alpha in parts:
+            for eta in parts:
+                for nu in partitions_upto(2):
+                    ts = _skew_spec(alpha, eta, nu, cutoff)
+                    v = _skew_valuation(alpha, eta, nu)
+                    assert ts.cutoff == cutoff
+                    assert ts.valuation() == (v if v is not None
+                                              and v <= cutoff else None)
+        for lam in parts:
+            for mu in parts:
+                for nu in partitions_upto(2):
+                    ts = vertex(lam, mu, nu, cutoff)
+                    assert _vertex_pair(lam, mu, nu, cutoff) == \
+                        (ts.valuation(), ts.cutoff), (lam, mu, nu, cutoff)
+
+
+def test_plan_gives_up_where_the_retry_loop_does():
+    # a summand t^-1000 with no vertices is never exact through t^0
+    summands = [((1,), 1, -1000, [])]
+    with pytest.raises(CrepantError, match="cannot reach"):
+        retry_gluing(("Q",), 1, summands, 0)
+    with pytest.raises(CrepantError, match="cannot reach"):
+        _plan_cutoff(summands, 1, 0)
+
+
+coefficients = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5))
+# exponents spaced 1, 2 or 4 apart, so series in t^2 (the common case the
+# kernel packs) come up as often as general ones
+laurent = st.builds(
+    lambda step, coeffs, cutoff: ({step * e: c for e, c in coeffs.items()},
+                                  cutoff),
+    st.sampled_from((1, 2, 4)),
+    st.dictionaries(st.integers(-6, 6), coefficients, max_size=8),
+    st.one_of(st.none(), st.integers(-26, 26)))
+
+
+def both(spec):
+    coeffs, cutoff = spec
+    return TSeries(coeffs, cutoff), DictTSeries(coeffs, cutoff)
+
+
+def same(dense, ref):
+    return dense.cutoff == ref.cutoff and dense.coeffs == ref.coeffs \
+        and dense.valuation() == ref.valuation() \
+        and dense.is_zero() == ref.is_zero()
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CrepantError as exc:
+        return ("error", str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(laurent, laurent, coefficients, st.integers(-6, 6),
+       st.integers(-26, 26))
+def test_dense_tseries_matches_dict_reference(x, y, c, k, through):
+    (a, ra), (b, rb) = both(x), both(y)
+    assert same(a, ra) and same(b, rb)
+    assert same(a + b, ra + rb)
+    assert same(a - b, ra - rb)
+    assert same(a * b, ra * rb)
+    assert same(a.scale(c), ra.scale(c))
+    assert same(a.shift(k), ra.shift(k))
+    assert same(a.truncate(through), ra.truncate(through))
+    for e in range(-30, 31):
+        assert a.coefficient(e) == ra.coefficient(e)
+    assert outcome(a.agrees_with, b, through) == \
+        outcome(ra.agrees_with, rb, through)
+    assert (a == b) == (ra == rb)
+    assert (a.shift(k) * b == (a * b).shift(k)) == \
+        (ra.shift(k) * rb == (ra * rb).shift(k))
+
+
+def test_dense_tseries_edge_cases():
+    zero = TSeries.zero(5)
+    assert zero.is_zero() and zero.valuation() is None and zero.coeffs == {}
+    assert zero == TSeries({3: 0}, 5) == TSeries({9: 1}, 5)
+    assert (zero * TSeries.one(None)).cutoff == 5
+    assert (TSeries({-3: 2}, None) * TSeries({1: Fraction(1, 2)}, None)
+            ).coeffs == {-2: 1}
+    assert (TSeries({0: 1, 2: 1}, None) - TSeries({0: 1}, None)).coeffs == \
+        {2: 1}
+    assert TSeries.monomial(4, 1, 3).is_zero()
+    with pytest.raises(TypeError):
+        TSeries.one(3).coeffs[0] = 2
