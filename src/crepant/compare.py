@@ -12,7 +12,7 @@ rejected by name.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .crystal import family_for, ncdt_series
@@ -26,13 +26,12 @@ from .toric import (dual_web, p2_triangle, unit_square, unit_triangle,
 from .vertex import GWSeries, TSeries, gw_partition_function
 
 
-@dataclass(frozen=True)
-class ChamberCertificate:
-    """Signs of theta against every configured root up to a height radius."""
+class ChamberCertificate(namedtuple("ChamberCertificate",
+                                    "theta radius signs")):
+    """Signs of theta against every configured root up to a height radius;
+    ``signs`` is ((root vector, kind, sign) ...)."""
 
-    theta: tuple
-    radius: int
-    signs: tuple  # ((root vector, kind, sign) ...)
+    __slots__ = ()
 
     def sign_vector(self) -> tuple:
         return tuple(s for _, _, s in self.signs)
@@ -125,18 +124,13 @@ def _map_ncdt(series: FormalSeries, variable_map: dict,
     return GWSeries(gw.vars, gw.order, terms)
 
 
-@dataclass(frozen=True)
-class ComparisonSheet:
-    geometry: str
-    order: int
-    theta: tuple
-    sign_convention: str
-    certificate: ChamberCertificate
-    ncdt: FormalSeries
-    gw: GWSeries
-    variable_map: dict | None
-    mapped_ncdt: GWSeries | None
-    diff: tuple  # ((exponents incl t, coefficient) ...)
+class ComparisonSheet(namedtuple(
+        "ComparisonSheet", "geometry order theta sign_convention certificate"
+        " ncdt gw variable_map mapped_ncdt diff")):
+    """``diff`` is ((exponents incl t, coefficient) ...); ``variable_map``
+    and ``mapped_ncdt`` are None when no map was supplied."""
+
+    __slots__ = ()
 
     def to_json(self) -> str:
         data = {

@@ -30,7 +30,7 @@ import json
 import math
 import operator
 import random
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -41,32 +41,35 @@ CHART2 = ("w", "z1", "z2")
 V_COORDS = ("v1", "v2", "v3", "v4")
 
 
-@dataclass(frozen=True)
-class TorusAction:
-    """Monomial weights per coordinate; one row per torus factor."""
+class TorusAction(namedtuple("TorusAction",
+                             "rank chart1_weights chart2_weights")):
+    """Monomial weights per coordinate; one row per torus factor.
 
-    rank: int
-    chart1_weights: tuple[tuple[int, ...], ...]  # weights of x, y1, y2
-    chart2_weights: tuple[tuple[int, ...], ...]  # weights of w, z1, z2
+    ``chart1_weights`` are the weights of x, y1, y2 and ``chart2_weights``
+    those of w, z1, z2.
+    """
+
+    __slots__ = ()
 
     def act(self, weights, scalars, values):
         return tuple(val * math.prod(s ** w for s, w in zip(scalars, wv))
                      for wv, val in zip(weights, values))
 
 
-@dataclass(frozen=True)
-class GluedThreefold:
-    name: str
-    parameter: tuple[str, int] | None
-    forward: tuple[str, str, str]   # (w, z1, z2) in terms of chart 1
-    backward: tuple[str, str, str]  # (x, y1, y2) in terms of chart 2
-    v_chart1: tuple[str, ...]       # v1..v4 in (x, y1, y2)
-    v_chart2: tuple[str, ...]       # v1..v4 in (w, z1, z2)
-    equation: str                   # polynomial in v1..v4
-    action: TorusAction | None = None
-    notes: tuple[str, ...] = ()
-    k: int | None = None            # values of the names k and n in the texts
-    n: int | None = None
+class GluedThreefold(namedtuple(
+        "GluedThreefold",
+        "name parameter forward backward v_chart1 v_chart2 equation"
+        " action notes k n", defaults=(None, (), None, None))):
+    """Two charts glued over x != 0, a contraction and a torus action.
+
+    ``parameter`` is None or (name, value); ``forward`` is (w, z1, z2) in
+    terms of chart 1 and ``backward`` (x, y1, y2) in terms of chart 2;
+    ``v_chart1``/``v_chart2`` are v1..v4 in either chart; ``equation`` is a
+    polynomial in v1..v4; ``k`` and ``n`` are the values of those names in
+    the texts.
+    """
+
+    __slots__ = ()
 
     def label(self) -> str:
         if self.parameter is None:
@@ -96,7 +99,7 @@ def _apply_overrides(geo: GluedThreefold, overrides: dict) -> GluedThreefold:
         old = fields[field]
         fields[field] = text if i is None else old[:i] + (text,) + old[i + 1:]
         notes.append(f"override {key} = {text}")
-    return replace(geo, notes=tuple(notes), **fields)
+    return geo._replace(notes=tuple(notes), **fields)
 
 
 def builtin_geometry(name: str, k: int | None = None, n: int | None = None,
@@ -197,20 +200,18 @@ def builtin_geometry(name: str, k: int | None = None, n: int | None = None,
 # ---------------------------------------------------------------------------
 # Sampling and reports
 
-@dataclass(frozen=True)
-class IdentityResult:
-    name: str
-    status: str  # "holds" or "fails"
-    trials: int
-    failures: int
-    counterexamples: tuple = ()  # ((var, value string) pairs, residual strings)
+class IdentityResult(namedtuple("IdentityResult",
+                                "name status trials failures counterexamples",
+                                defaults=((),))):
+    """``status`` is "holds" or "fails"; each counterexample is a pair of
+    (var, value string) pairs and residual strings."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    geometry: str
-    seed: int
-    identities: tuple[IdentityResult, ...]
+class VerificationReport(namedtuple("VerificationReport",
+                                    "geometry seed identities")):
+    __slots__ = ()
 
     def holds(self) -> bool:
         return all(r.status == "holds" for r in self.identities)

@@ -9,7 +9,7 @@ accepted but only constructed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import permutations, product
 
 from .errors import CrepantError
@@ -19,26 +19,27 @@ _SIGN = {(1, 2, 3): 1, (1, 3, 2): -1, (2, 1, 3): -1,
          (2, 3, 1): 1, (3, 1, 2): 1, (3, 2, 1): -1}
 
 
-@dataclass(frozen=True)
-class AbelianAction:
-    """Diagonal action of prod Z_{orders[i]} with one weight vector per z_i."""
+class AbelianAction(namedtuple("AbelianAction", "orders weights")):
+    """Diagonal action of prod Z_{orders[i]} with one weight vector per z_i.
 
-    orders: tuple[int, ...]
-    weights: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+    ``orders`` is a tuple of ints; ``weights`` holds three weight vectors,
+    each reduced mod the orders.
+    """
 
-    def __post_init__(self):
-        orders = tuple(int(n) for n in self.orders)
+    __slots__ = ()
+
+    def __new__(cls, orders, weights):
+        orders = tuple(int(n) for n in orders)
         if not orders or any(n < 1 for n in orders):
             raise CrepantError("group orders must be positive")
         weights = tuple(tuple(w % n for w, n in zip(wv, orders))
-                        for wv in self.weights)
+                        for wv in weights)
         if len(weights) != 3 or any(len(wv) != len(orders) for wv in weights):
             raise CrepantError("need three weight vectors matching the orders")
         total = tuple(sum(ws) % n for ws, n in zip(zip(*weights), orders))
         if any(total):
             raise CrepantError("weights must sum to zero (determinant-one action)")
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "weights", weights)
+        return super().__new__(cls, orders, weights)
 
     @classmethod
     def cyclic(cls, n: int, weights) -> "AbelianAction":

@@ -8,16 +8,13 @@ Coefficients are exact integers everywhere; relations are sign-sensitive.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CrepantError, json_object
 
 
-@dataclass(frozen=True)
-class Arrow:
-    name: str
-    tail: str
-    head: str
+class Arrow(namedtuple("Arrow", "name tail head")):
+    __slots__ = ()
 
 
 class Quiver:
@@ -86,13 +83,10 @@ class Quiver:
         return f"Quiver({len(self.vertices)} vertices, {len(self.arrows)} arrows)"
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(namedtuple("Path", "arrows source target")):
     """A composable arrow sequence; the empty sequence is a trivial path."""
 
-    arrows: tuple[str, ...]
-    source: str
-    target: str
+    __slots__ = ()
 
     def is_trivial(self) -> bool:
         return not self.arrows
@@ -121,17 +115,18 @@ def rotation_count(word: tuple[str, ...]) -> int:
     return len({word[i:] + word[:i] for i in range(len(word))})
 
 
-@dataclass(frozen=True)
-class CyclicWord:
-    """A closed arrow word stored under its lexicographically least rotation."""
+class CyclicWord(namedtuple("CyclicWord", "word coeff")):
+    """A closed arrow word stored under its lexicographically least rotation.
 
-    word: tuple[str, ...]
-    coeff: int
+    ``len`` counts arrows, not fields, so ``_make``/``_replace`` do not apply.
+    """
 
-    def __post_init__(self):
-        if not self.word:
+    __slots__ = ()
+
+    def __new__(cls, word, coeff):
+        if not word:
             raise CrepantError("cyclic word must be nonempty")
-        object.__setattr__(self, "word", _canonical_rotation(tuple(self.word)))
+        return super().__new__(cls, _canonical_rotation(tuple(word)), coeff)
 
     def __len__(self):
         return len(self.word)
@@ -249,27 +244,25 @@ def relations_from_potential(quiver: Quiver,
     return rels
 
 
-@dataclass(frozen=True)
-class FramedQuiver:
+class FramedQuiver(namedtuple("FramedQuiver", "quiver potential framing_vertex"
+                                              " framing_arrow base_vertex")):
     """A quiver extended by one framing vertex with a single arrow into v0.
 
     The potential is unchanged: no cycle passes through the framing vertex.
     """
 
-    quiver: Quiver
-    potential: Superpotential
-    framing_vertex: str
-    framing_arrow: str
-    base_vertex: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        q = self.quiver
-        if q.arrows_into(self.framing_vertex):
+    def __new__(cls, quiver, potential, framing_vertex, framing_arrow,
+                base_vertex):
+        if quiver.arrows_into(framing_vertex):
             raise CrepantError("framing vertex must have no incoming arrows")
-        out = q.arrows_from(self.framing_vertex)
-        if len(out) != 1 or out[0].name != self.framing_arrow \
-                or out[0].head != self.base_vertex:
+        out = quiver.arrows_from(framing_vertex)
+        if len(out) != 1 or out[0].name != framing_arrow \
+                or out[0].head != base_vertex:
             raise CrepantError("framing vertex must have the single framing arrow")
+        return super().__new__(cls, quiver, potential, framing_vertex,
+                               framing_arrow, base_vertex)
 
     def gauge_vertices(self) -> tuple[str, ...]:
         return tuple(v for v in self.quiver.vertices if v != self.framing_vertex)

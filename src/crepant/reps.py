@@ -15,7 +15,7 @@ admissibility, stable coincides with cyclic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import CrepantError, json_object
@@ -144,10 +144,10 @@ def subrep_dimension_vectors(rep: MonomialRepresentation) -> set[tuple[int, ...]
     return vectors
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    classification: str
-    violating_subset: tuple | None = None
+class StabilityReport(namedtuple("StabilityReport",
+                                 "classification violating_subset",
+                                 defaults=(None,))):
+    __slots__ = ()
 
     def to_json(self) -> str:
         data = {"classification": self.classification}

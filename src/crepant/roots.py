@@ -11,21 +11,19 @@ root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import CrepantError
 from .quiver import Quiver
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
-    vertices: tuple[str, ...]
-    rows: tuple[tuple[int, ...], ...]
+class CartanMatrix(namedtuple("CartanMatrix", "vertices rows")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.vertices)
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+    def __new__(cls, vertices, rows):
+        n = len(vertices)
+        rows = tuple(tuple(int(x) for x in row) for row in rows)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise CrepantError("Cartan matrix shape does not match the vertices")
         for i in range(n):
@@ -36,7 +34,7 @@ class CartanMatrix:
                     raise CrepantError("Cartan matrix must be symmetric")
                 if i != j and rows[i][j] > 0:
                     raise CrepantError("off-diagonal Cartan entries must be <= 0")
-        object.__setattr__(self, "rows", rows)
+        return super().__new__(cls, vertices, rows)
 
     @property
     def size(self) -> int:
@@ -77,10 +75,8 @@ def cartan_matrix(quiver: Quiver) -> CartanMatrix:
     return CartanMatrix(vs, tuple(tuple(r) for r in rows))
 
 
-@dataclass(frozen=True)
-class Root:
-    vector: tuple[int, ...]
-    kind: str  # "real" or "imaginary"
+class Root(namedtuple("Root", "vector kind")):  # kind: "real" or "imaginary"
+    __slots__ = ()
 
     @property
     def height(self) -> int:
@@ -166,10 +162,8 @@ def _positive_vectors(n: int, bound: int):
     yield from rec([], bound, n)
 
 
-@dataclass(frozen=True)
-class WallReport:
-    separating: tuple[Root, ...]
-    on_wall: tuple[Root, ...]
+class WallReport(namedtuple("WallReport", "separating on_wall")):
+    __slots__ = ()
 
 
 def _dot(theta, vector) -> Fraction:

@@ -9,7 +9,7 @@ producing the same series produce the same bytes.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .errors import CrepantError
 

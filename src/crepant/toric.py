@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CrepantError, json_object
 
@@ -39,14 +39,13 @@ def _rot90(v: Point) -> Point:
     return (-v[1], v[0])
 
 
-@dataclass(frozen=True)
-class LatticePolygon:
+class LatticePolygon(namedtuple("LatticePolygon", "vertices")):
     """A convex polygon with integral vertices in counterclockwise order."""
 
-    vertices: tuple[Point, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        vs = tuple((int(x), int(y)) for x, y in self.vertices)
+    def __new__(cls, vertices):
+        vs = tuple((int(x), int(y)) for x, y in vertices)
         if len(vs) < 3 or len(set(vs)) != len(vs):
             raise CrepantError("polygon needs at least three distinct vertices")
         n = len(vs)
@@ -55,7 +54,7 @@ class LatticePolygon:
             if _cross(_sub(b, a), _sub(c, b)) <= 0:
                 raise CrepantError(
                     "vertices must be strictly convex in counterclockwise order")
-        object.__setattr__(self, "vertices", vs)
+        return super().__new__(cls, vs)
 
     def area2(self) -> int:
         """Twice the area (an integer, by the shoelace formula)."""
@@ -111,10 +110,11 @@ def _norm_triangle(a: Point, b: Point, c: Point) -> Triangle:
     return tuple(sorted((a, b, c)))  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
-class UnitTriangulation:
-    polygon: LatticePolygon
-    triangles: frozenset
+class UnitTriangulation(namedtuple("UnitTriangulation", "polygon triangles")):
+    """``len`` counts triangles, not fields, so ``_make``/``_replace`` do not
+    apply."""
+
+    __slots__ = ()
 
     def sorted_triangles(self) -> list[Triangle]:
         return sorted(self.triangles)
@@ -187,27 +187,24 @@ def flop_adjacent(t1: UnitTriangulation, t2: UnitTriangulation) -> bool:
     return d2 == {_norm_triangle(r, s, p), _norm_triangle(r, s, q)}
 
 
-@dataclass(frozen=True)
-class WebEdge:
-    """Internal web edge between two nodes, with its Kaehler variable."""
+class WebEdge(namedtuple("WebEdge", "var nodes direction framing")):
+    """Internal web edge between two nodes, with its Kaehler variable.
 
-    var: str
-    nodes: tuple[int, int]
-    direction: Point  # outgoing at nodes[0]; the reverse at nodes[1]
-    framing: int
+    ``direction`` is outgoing at ``nodes[0]``; the reverse at ``nodes[1]``.
+    """
 
-
-@dataclass(frozen=True)
-class WebLeg:
-    node: int
-    direction: Point
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DualWeb:
-    nodes: tuple[Triangle, ...]
-    edges: tuple[WebEdge, ...]
-    legs: tuple[WebLeg, ...]
+class WebLeg(namedtuple("WebLeg", "node direction")):
+    __slots__ = ()
+
+
+class DualWeb(namedtuple("DualWeb", "nodes edges legs")):
+    """Triangles (one per node), internal ``WebEdge``s and external
+    ``WebLeg``s."""
+
+    __slots__ = ()
 
     def directions_at(self, node: int) -> list[Point]:
         out = []

@@ -1,5 +1,7 @@
 """Shared independent oracles and exhaustive module generators."""
 
+import dataclasses
+
 from crepant.errors import CrepantError
 from crepant.quiver import c3_quiver, conifold_quiver, frame, relations_from_potential
 from crepant.reps import MonomialRepresentation, check_relations
@@ -241,3 +243,15 @@ def retry_loop_oracle(web, order, t_cutoff=20, reverse_edges=False):
         return GWSeries.one(qvars, order, cutoff=None)
     summands = _summands(web, edges, qvars, order, reverse_edges)
     return retry_gluing(qvars, order, summands, t_cutoff)
+
+
+def dataclass_twin(cls):
+    """The frozen dataclass a namedtuple record class replaced: same name,
+    fields and defaults, so its repr, equality and hash are the reference
+    for the record's."""
+    return dataclasses.make_dataclass(
+        cls.__name__,
+        [(name, object, dataclasses.field(default=cls._field_defaults[name]))
+         if name in cls._field_defaults else (name, object)
+         for name in cls._fields],
+        frozen=True)

@@ -177,13 +177,16 @@ def test_bad_input_exits_without_traceback(code, args):
 
 
 def test_import_leaves_sympy_unloaded():
+    """Neither sympy nor ``dataclasses`` (with the ``inspect`` it pulls in)
+    is loaded by the import or by a crystal count or a geometry check."""
     argv = ["verify-geometry", "laufer2", "--n", "1", "--trials", "2",
             "--report-only", "--override",
             "v4_wz=w**2*z1*z2 - z2**3 - w*z1**(n+1)"]
-    probe = ("import sys, crepant, crepant.cli; "
-             "assert 'sympy' not in sys.modules, 'sympy imported'; "
-             f"assert crepant.cli.main({argv!r}) == 0; "
-             "assert 'sympy' not in sys.modules, 'sympy imported'")
+    check = ("loaded = {'sympy', 'dataclasses', 'inspect'} & set(sys.modules); "
+             "assert not loaded, loaded; ")
+    probe = ("import sys, crepant, crepant.cli; " + check +
+             "assert crepant.cli.main(['ncdt', 'c3', '--order', '2']) == 0; "
+             + check + f"assert crepant.cli.main({argv!r}) == 0; " + check)
     subprocess.run([sys.executable, "-c", probe], check=True,
                    stdout=subprocess.DEVNULL)
 
