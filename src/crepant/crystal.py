@@ -13,15 +13,16 @@ v2*B = v4*A.  Predecessor and arrow-action rules below are read off from
 those rewriting rules, so every configuration is automatically a module
 satisfying the potential relations.
 
-Counts come from a layer-profile recursion (``enumerate_configurations``):
-both families are graded by ``sort_key(atom)[0]`` with every predecessor one
-layer down, so an ideal is a chain of layer sets and only the top set and
-the atoms left matter for what can follow.  This is the transfer-matrix view
-of plane and pyramid partitions.  ``configurations`` lists the ideals
-themselves by reverse search (a configuration is grown only from its
-canonical parent, obtained by dropping the largest removable atom, so every
-order ideal is produced exactly once); it builds the modules for stability
-checks and is the oracle for the counts.
+Both families are graded by ``sort_key(atom)[0]`` with every predecessor one
+layer down, so an ideal is one chain of layer sets S0 = {apex}, S1, S2, ...,
+each S_{k+1} a nonempty set of atoms whose predecessors all lie in S_k
+(``_next_layer``).  ``configurations`` lists the ideals by a depth-first walk
+over these chains, one ideal per chain by construction.  Counts come from a
+layer-profile recursion over the same chains (``enumerate_configurations``):
+only the top set and the atoms left matter for what can follow, which is the
+transfer-matrix view of plane and pyramid partitions.  Reverse search over
+single atoms (canonical parent = drop the largest removable atom) is the
+test oracle for both, in ``tests/support.py``.
 """
 
 from __future__ import annotations
@@ -178,31 +179,39 @@ def family_for(name_or_act):
     raise CrepantError(f"unknown crystal family {name_or_act!r}")
 
 
+def _next_layer(family, top) -> tuple:
+    """The atoms one layer above ``top`` whose predecessors all lie in it,
+    in ``sort_key`` order."""
+    nxt = {s for atom in top for s in family.successors(atom)
+           if all(p in top for p in family.predecessors(s))}
+    return tuple(sorted(nxt, key=family.sort_key))
+
+
 def configurations(family, max_size: int):
     """Yield every order ideal with at most ``max_size`` atoms, exactly once.
 
-    Reverse search: an ideal is emitted from its canonical parent, obtained
-    by removing its largest removable atom in the family's atom order.
+    Depth-first over layer chains: an ideal is extended by one nonempty
+    subset of the next layer at a time, within the atom budget.  The empty
+    ideal comes first; the order of the rest is unspecified.
     """
     if max_size < 0:
         raise CrepantError("size bound must be nonnegative")
     yield frozenset()
-    stack = [frozenset()]
+    layers: dict = {}
+    stack = [(frozenset(), (family.apex,), max_size)]
     while stack:
-        ideal = stack.pop()
-        if len(ideal) >= max_size:
-            continue
-        candidates = {family.apex} if not ideal else \
-            {s for atom in ideal for s in family.successors(atom)} - ideal
-        for atom in candidates:
-            if any(p not in ideal for p in family.predecessors(atom)):
-                continue
-            child = ideal | {atom}
-            removable = [x for x in child
-                         if all(s not in child for s in family.successors(x))]
-            if max(removable, key=family.sort_key) == atom:
-                yield child
-                stack.append(child)
+        below, allowed, budget = stack.pop()
+        for k in range(1, min(budget, len(allowed)) + 1):
+            for layer in combinations(allowed, k):
+                ideal = below.union(layer)
+                yield ideal
+                if k < budget:
+                    top = frozenset(layer)
+                    nxt = layers.get(top)
+                    if nxt is None:
+                        nxt = layers[top] = _next_layer(family, top)
+                    if nxt:
+                        stack.append((ideal, nxt, budget - k))
 
 
 def dimension_vector(family, config) -> tuple[int, ...]:
@@ -246,9 +255,7 @@ def enumerate_configurations(family, max_size: int) -> dict[tuple[int, ...], int
     def above(top: frozenset, budget: int) -> dict[int, int]:
         if not budget:
             return {0: 1}
-        nxt = {s for atom in top for s in family.successors(atom)
-               if all(p in top for p in family.predecessors(s))}
-        return grow(sorted(nxt, key=family.sort_key), budget)
+        return grow(_next_layer(family, top), budget)
 
     mask = (1 << width) - 1
     ncolours = len(family.variables)

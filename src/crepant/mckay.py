@@ -32,10 +32,11 @@ class AbelianAction(namedtuple("AbelianAction", "orders weights")):
         orders = tuple(int(n) for n in orders)
         if not orders or any(n < 1 for n in orders):
             raise CrepantError("group orders must be positive")
-        weights = tuple(tuple(w % n for w, n in zip(wv, orders))
-                        for wv in weights)
+        weights = tuple(tuple(wv) for wv in weights)
         if len(weights) != 3 or any(len(wv) != len(orders) for wv in weights):
             raise CrepantError("need three weight vectors matching the orders")
+        weights = tuple(tuple(w % n for w, n in zip(wv, orders))
+                        for wv in weights)
         total = tuple(sum(ws) % n for ws, n in zip(zip(*weights), orders))
         if any(total):
             raise CrepantError("weights must sum to zero (determinant-one action)")

@@ -245,6 +245,34 @@ def retry_loop_oracle(web, order, t_cutoff=20, reverse_edges=False):
     return retry_gluing(qvars, order, summands, t_cutoff)
 
 
+def reverse_search_ideals(family, max_size: int):
+    """Yield every order ideal with at most ``max_size`` atoms, exactly once.
+
+    Reverse search: an ideal is emitted from its canonical parent, obtained
+    by removing its largest removable atom in the family's atom order.  The
+    oracle for ``crystal.configurations`` and the layer-profile counts.
+    """
+    if max_size < 0:
+        raise CrepantError("size bound must be nonnegative")
+    yield frozenset()
+    stack = [frozenset()]
+    while stack:
+        ideal = stack.pop()
+        if len(ideal) >= max_size:
+            continue
+        candidates = {family.apex} if not ideal else \
+            {s for atom in ideal for s in family.successors(atom)} - ideal
+        for atom in candidates:
+            if any(p not in ideal for p in family.predecessors(atom)):
+                continue
+            child = ideal | {atom}
+            removable = [x for x in child
+                         if all(s not in child for s in family.successors(x))]
+            if max(removable, key=family.sort_key) == atom:
+                yield child
+                stack.append(child)
+
+
 def dataclass_twin(cls):
     """The frozen dataclass a namedtuple record class replaced: same name,
     fields and defaults, so its repr, equality and hash are the reference

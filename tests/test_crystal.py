@@ -1,6 +1,9 @@
 """Crystal counts against independent order-ideal oracles and product formulas."""
 
+from functools import cache
+
 import pytest
+from support import reverse_search_ideals
 
 from crepant.crystal import (configuration_to_module, configurations,
                              enumerate_configurations, dimension_vector,
@@ -15,8 +18,8 @@ from crepant.series import product_series
 def ideal_oracle(family, max_size):
     """Breadth-first ideal enumeration deduplicated by the sets themselves.
 
-    Independent of the library's reverse search: no canonical-parent rule,
-    just set semantics.
+    Independent of the layer-chain walk and of the reverse search: no layer
+    rule and no canonical-parent rule, just set semantics.
     """
     seen = {frozenset()}
     frontier = [frozenset()]
@@ -211,14 +214,42 @@ def named_family(name):
     return family_for(parse_action(name) if ":" in name else name)
 
 
+ORACLE_TOP = 11
+
+
+@cache
+def oracle_ideals(name):
+    return frozenset(reverse_search_ideals(named_family(name), ORACLE_TOP))
+
+
 @pytest.mark.parametrize("name", FAMILIES)
 def test_layer_dp_matches_reverse_search(name):
     fam = named_family(name)
-    top = 11
-    listed = counts_by_dimension(fam, configurations(fam, top))
-    for n in range(top + 1):
+    listed = counts_by_dimension(fam, oracle_ideals(name))
+    for n in range(ORACLE_TOP + 1):
         expected = {d: c for d, c in listed.items() if sum(d) <= n}
         assert enumerate_configurations(fam, n) == expected, n
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_layer_walk_matches_reverse_search(name):
+    fam = named_family(name)
+    oracle = oracle_ideals(name)
+    for n in range(ORACLE_TOP + 1):
+        listed = list(configurations(fam, n))
+        assert listed[0] == frozenset()
+        assert len(listed) == len(set(listed)), n
+        assert set(listed) == {i for i in oracle if len(i) <= n}, n
+    assert all(p in ideal for ideal in listed for atom in ideal
+               for p in fam.predecessors(atom))
+
+
+@pytest.mark.parametrize("name", ["c3", "conifold", "3:1,1,1"])
+def test_layer_walk_matches_layer_dp_past_the_oracle(name):
+    fam = named_family(name)
+    top = 15
+    assert counts_by_dimension(fam, configurations(fam, top)) == \
+        enumerate_configurations(fam, top)
 
 
 def test_layer_dp_c3_matches_macmahon_to_order_20():
@@ -258,3 +289,5 @@ def test_negative_size_bound_is_a_domain_error():
     for fam in (family_for("c3"), family_for("conifold")):
         with pytest.raises(CrepantError, match="nonnegative"):
             enumerate_configurations(fam, -1)
+        with pytest.raises(CrepantError, match="nonnegative"):
+            next(configurations(fam, -1))

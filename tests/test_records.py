@@ -165,6 +165,8 @@ _INTO_INF = Quiver(_FRAMED.quiver.vertices,
      "need three weight vectors matching the orders"),
     (lambda: AbelianAction((3,), ((1,), (1,), ())),
      "need three weight vectors matching the orders"),
+    (lambda: AbelianAction((3,), ((1,), (1,), (1, 0))),
+     "need three weight vectors matching the orders"),
     (lambda: AbelianAction((3,), ((1,), (1,), (2,))),
      "weights must sum to zero (determinant-one action)"),
     (lambda: CyclicWord((), 1), "cyclic word must be nonempty"),

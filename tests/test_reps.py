@@ -128,7 +128,7 @@ def test_is_cyclic_requires_framing():
 
 def test_rep_json_round_trip():
     fam = family_for("conifold")
-    config = max(configurations(fam, 3), key=len)
+    config = max(configurations(fam, 3), key=lambda c: (len(c), sorted(c)))
     rep = configuration_to_module(fam, config)
     text = rep_to_json(rep)
     # atoms are stringified on serialization, so compare the JSON form
