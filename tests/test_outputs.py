@@ -1,8 +1,9 @@
 """Every benchmark op prints the bytes recorded in perfbench/digests.json,
 and the stability-sweep population is the one the benchmark was recorded on.
 
-The ops and their digests belong to the benchmark harness; this test only
-reads them and replays each op in-process through ``crepant.cli.main``.
+The ops, their digests and the population belong to the benchmark harness;
+these tests only read them, replay each op in-process through
+``crepant.cli.main`` and rebuild the population for seeds 1 and 2.
 """
 
 import hashlib

@@ -220,7 +220,7 @@ small_theta = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
 @given(small_theta, st.integers(1, 9))
 def test_scaling_preserves_classification_property(theta, scale):
     fam = family_for("conifold")
-    config = sorted(configurations(fam, 3), key=lambda c: (len(c), str(c)))[-1]
+    config = max(configurations(fam, 3), key=lambda c: (len(c), sorted(c)))
     rep = configuration_to_module(fam, config)
     alpha = rep.dimension_vector()
     gauge = {"0": theta[0], "1": theta[1]}
