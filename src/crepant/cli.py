@@ -132,14 +132,9 @@ def _load_quiver(args):
 
 
 def _polygon_from_args(args) -> toric.LatticePolygon:
-    if args.square:
-        return toric.unit_square()
-    if args.triangle:
-        return toric.unit_triangle()
-    if args.triangle2:
-        return toric.double_triangle()
-    if args.p2:
-        return toric.p2_triangle()
+    for name, build in toric.BUILTIN_POLYGONS.items():
+        if getattr(args, name):
+            return build()
     if args.trapezoid:
         return toric.trapezoid(*args.trapezoid)
     if args.zn is not None:
@@ -245,12 +240,7 @@ def cmd_walls(args) -> int:
 
 
 def cmd_ncdt(args) -> int:
-    if args.family in ("c3", "conifold"):
-        family = crystal.family_for(args.family)
-    elif args.family.startswith("mckay:"):
-        family = crystal.family_for(mckay.parse_action(args.family[6:]))
-    else:
-        raise CrepantError(f"unknown family {args.family!r}")
+    family = crystal.family_for(args.family)
     series = crystal.ncdt_series(family, args.order, sign=args.sign)
     if args.json:
         data = {"vars": list(series.vars), "order": series.order,

@@ -31,7 +31,8 @@ from functools import cache
 from itertools import combinations
 
 from .errors import CrepantError
-from .mckay import AbelianAction, mckay_quiver, mckay_superpotential
+from .mckay import (AbelianAction, mckay_quiver, mckay_superpotential,
+                    parse_action)
 from .quiver import conifold_quiver, frame
 from .reps import MonomialRepresentation
 from .series import FormalSeries
@@ -169,13 +170,16 @@ class PyramidFamily:
 
 
 def family_for(name_or_act):
-    """Resolve "c3", "conifold", an action descriptor object, into a family."""
+    """Resolve "c3", "conifold", "mckay:n:w1,w2,w3" or an ``AbelianAction``
+    into a family."""
     if isinstance(name_or_act, AbelianAction):
         return BoxFamily(name_or_act)
     if name_or_act == "conifold":
         return PyramidFamily()
     if name_or_act == "c3":
         return BoxFamily(AbelianAction.cyclic(1, (0, 0, 0)))
+    if isinstance(name_or_act, str) and name_or_act.startswith("mckay:"):
+        return BoxFamily(parse_action(name_or_act[6:]))
     raise CrepantError(f"unknown crystal family {name_or_act!r}")
 
 

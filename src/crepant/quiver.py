@@ -43,9 +43,6 @@ class Quiver:
         except KeyError:
             raise CrepantError(f"unknown arrow {name!r}") from None
 
-    def has_vertex(self, v: str) -> bool:
-        return v in self.vertices
-
     def arrows_from(self, v: str) -> tuple[Arrow, ...]:
         return tuple(a for a in self.arrows if a.tail == v)
 
@@ -87,9 +84,6 @@ class Path(namedtuple("Path", "arrows source target")):
     """A composable arrow sequence; the empty sequence is a trivial path."""
 
     __slots__ = ()
-
-    def is_trivial(self) -> bool:
-        return not self.arrows
 
     def __str__(self):
         if not self.arrows:

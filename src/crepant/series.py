@@ -1,9 +1,12 @@
-"""Truncated multivariate power series with exact integer coefficients.
+"""Truncated multivariate power series over an exact coefficient ring.
 
-Everything is exact: coefficients are Python ints, truncation is by total
-degree, and a term dropped at the truncation never reappears.  The text
-format (one term per line, graded-lex order) is byte-stable, so two runs
-producing the same series produce the same bytes.
+Everything is exact: truncation is by total degree, and a term dropped at
+the truncation never reappears.  Coefficients are Python ints for crystal
+counts, and any exact ring element with ``+``, ``*``, unary ``-``, a truth
+value that is false for zero and left multiplication by a scalar otherwise
+(``vertex.GWSeries`` takes Laurent series in t).  The text format (one term
+per line, graded-lex order) is byte-stable, so two runs producing the same
+series produce the same bytes.
 """
 
 from __future__ import annotations
@@ -27,18 +30,19 @@ class FormalSeries:
     """A power series in named variables, truncated at a fixed total degree.
 
     ``terms`` maps exponent tuples (one entry per variable, all >= 0) to
-    nonzero integer coefficients.  Arithmetic stays inside the truncation.
+    nonzero coefficients.  Arithmetic stays inside the truncation and
+    returns the class of its left operand.
     """
 
     __slots__ = ("vars", "order", "terms")
 
     def __init__(self, vars: Iterable[str], order: int,
-                 terms: Mapping[tuple, int] | None = None):
+                 terms: Mapping[tuple, object] | None = None):
         self.vars = tuple(vars)
         if order < 0:
             raise CrepantError("truncation order must be nonnegative")
         self.order = order
-        clean: dict[tuple, int] = {}
+        clean: dict[tuple, object] = {}
         for exps, coeff in (terms or {}).items():
             exps = tuple(int(e) for e in exps)
             if len(exps) != len(self.vars):
@@ -47,7 +51,7 @@ class FormalSeries:
             if any(e < 0 for e in exps):
                 raise CrepantError(f"negative exponent in {exps}")
             if coeff and sum(exps) <= order:
-                clean[exps] = clean.get(exps, 0) + int(coeff)
+                clean[exps] = clean[exps] + coeff if exps in clean else coeff
         self.terms = {e: c for e, c in clean.items() if c}
 
     @classmethod
@@ -68,7 +72,7 @@ class FormalSeries:
         if self.vars != other.vars or self.order != other.order:
             raise CrepantError("series have different variables or truncation")
 
-    def coefficient(self, exps: tuple) -> int:
+    def coefficient(self, exps: tuple):
         return self.terms.get(tuple(exps), 0)
 
     def is_one(self) -> bool:
@@ -87,40 +91,45 @@ class FormalSeries:
         self._check_compatible(other)
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            terms[exps] = terms.get(exps, 0) + coeff
-        return FormalSeries(self.vars, self.order, terms)
+            terms[exps] = terms[exps] + coeff if exps in terms else coeff
+        return type(self)(self.vars, self.order, terms)
 
     def __neg__(self) -> "FormalSeries":
-        return FormalSeries(self.vars, self.order,
-                            {e: -c for e, c in self.terms.items()})
+        return type(self)(self.vars, self.order,
+                          {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "FormalSeries") -> "FormalSeries":
         return self + (-other)
 
+    def scale(self, c) -> "FormalSeries":
+        """Every coefficient multiplied on the left by the scalar ``c``."""
+        return type(self)(self.vars, self.order,
+                          {e: c * v for e, v in self.terms.items()})
+
     def __mul__(self, other):
         if isinstance(other, int):
-            return FormalSeries(self.vars, self.order,
-                                {e: c * other for e, c in self.terms.items()})
+            return self.scale(other)
         self._check_compatible(other)
-        terms: dict[tuple, int] = {}
+        terms: dict[tuple, object] = {}
         for e1, c1 in self.terms.items():
             d1 = sum(e1)
             for e2, c2 in other.terms.items():
                 if d1 + sum(e2) > self.order:
                     continue
                 e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return FormalSeries(self.vars, self.order, terms)
+                prod = c1 * c2
+                terms[e] = terms[e] + prod if e in terms else prod
+        return type(self)(self.vars, self.order, terms)
 
     __rmul__ = __mul__
 
     def collapse(self, var: str = "q") -> "FormalSeries":
         """Forget the variable refinement: send every variable to ``var``."""
-        terms: dict[tuple, int] = {}
+        terms: dict[tuple, object] = {}
         for exps, coeff in self.terms.items():
             e = (sum(exps),)
-            terms[e] = terms.get(e, 0) + coeff
-        return FormalSeries((var,), self.order, terms)
+            terms[e] = terms[e] + coeff if e in terms else coeff
+        return type(self)((var,), self.order, terms)
 
     def sorted_terms(self) -> list[tuple[tuple, int]]:
         """Terms in graded lexicographic order of the exponent vectors."""
@@ -147,8 +156,8 @@ class FormalSeries:
         return cls(vars, int(order), terms)
 
     def __repr__(self):
-        n = len(self.terms)
-        return f"FormalSeries(vars={self.vars}, order={self.order}, {n} terms)"
+        return (f"{type(self).__name__}(vars={self.vars}, order={self.order},"
+                f" {len(self.terms)} terms)")
 
 
 def product_series(vars: Iterable[str], order: int,

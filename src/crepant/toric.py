@@ -207,14 +207,7 @@ class DualWeb(namedtuple("DualWeb", "nodes edges legs")):
     __slots__ = ()
 
     def directions_at(self, node: int) -> list[Point]:
-        out = []
-        for e in self.edges:
-            if e.nodes[0] == node:
-                out.append(e.direction)
-            elif e.nodes[1] == node:
-                out.append((-e.direction[0], -e.direction[1]))
-        out.extend(leg.direction for leg in self.legs if leg.node == node)
-        return out
+        return [d for _, _, d in self.slots_at(node)]
 
     def is_balanced(self) -> bool:
         for i in range(len(self.nodes)):

@@ -36,10 +36,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from operator import add
 from types import MappingProxyType
 
 from .errors import CrepantError
+from .series import FormalSeries
 from .toric import DualWeb
 
 Partition = tuple[int, ...]
@@ -186,6 +188,9 @@ class TSeries:
     def is_zero(self) -> bool:
         return not self.data
 
+    def __bool__(self) -> bool:
+        return bool(self.data)
+
     @staticmethod
     def _min_cutoff(a, b):
         if a is None:
@@ -240,6 +245,8 @@ class TSeries:
     def scale(self, c) -> "TSeries":
         return TSeries._dense(self.offset, [c * v for v in self.data],
                               self.cutoff)
+
+    __rmul__ = scale
 
     def shift(self, k: int) -> "TSeries":
         out = TSeries.__new__(TSeries)
@@ -406,23 +413,12 @@ def vertex(lam, mu, nu, cutoff: int) -> TSeries:
 # ---------------------------------------------------------------------------
 # GW series: Q-graded with TSeries coefficients
 
-class GWSeries:
-    """Series in Kaehler variables, coefficients Laurent in t."""
+class GWSeries(FormalSeries):
+    """A ``FormalSeries`` in Kaehler variables whose coefficients are
+    ``TSeries`` (Laurent in t); its text format flattens t into one more
+    exponent column."""
 
-    __slots__ = ("vars", "order", "terms")
-
-    def __init__(self, vars, order: int, terms=None):
-        self.vars = tuple(vars)
-        if order < 0:
-            raise CrepantError("Q-truncation must be nonnegative")
-        self.order = order
-        self.terms = {}
-        for exps, ts in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != len(self.vars) or any(e < 0 for e in exps):
-                raise CrepantError(f"bad exponent vector {exps}")
-            if sum(exps) <= order and not ts.is_zero():
-                self.terms[exps] = ts
+    __slots__ = ()
 
     @classmethod
     def one(cls, vars, order: int, cutoff=None):
@@ -432,54 +428,11 @@ class GWSeries:
     def coefficient(self, exps) -> TSeries:
         return self.terms.get(tuple(exps), TSeries.zero())
 
-    def __add__(self, other: "GWSeries") -> "GWSeries":
-        if self.vars != other.vars or self.order != other.order:
-            raise CrepantError("GW series are incompatible")
-        terms = dict(self.terms)
-        for e, ts in other.terms.items():
-            terms[e] = terms[e] + ts if e in terms else ts
-        return GWSeries(self.vars, self.order, terms)
-
-    def __neg__(self) -> "GWSeries":
-        return GWSeries(self.vars, self.order,
-                        {e: -ts for e, ts in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other: "GWSeries") -> "GWSeries":
-        if self.vars != other.vars or self.order != other.order:
-            raise CrepantError("GW series are incompatible")
-        terms: dict[tuple, TSeries] = {}
-        for e1, a in self.terms.items():
-            for e2, b in other.terms.items():
-                if sum(e1) + sum(e2) > self.order:
-                    continue
-                e = tuple(x + y for x, y in zip(e1, e2))
-                prod = a * b
-                terms[e] = terms[e] + prod if e in terms else prod
-        return GWSeries(self.vars, self.order, terms)
-
-    def scale(self, c) -> "GWSeries":
-        return GWSeries(self.vars, self.order,
-                        {e: ts.scale(c) for e, ts in self.terms.items()})
-
     def min_cutoff(self):
         cuts = [ts.cutoff for ts in self.terms.values()]
         if not cuts or any(c is None for c in cuts):
             return None
         return min(cuts)
-
-    def collapse(self, weights=None, var: str = "Q") -> "GWSeries":
-        """Map Q_e to Q**w_e; default weight one for every variable."""
-        weights = tuple(weights) if weights is not None else (1,) * len(self.vars)
-        if len(weights) != len(self.vars):
-            raise CrepantError("one weight per variable required")
-        terms: dict[tuple, TSeries] = {}
-        for exps, ts in self.terms.items():
-            e = (sum(w * x for w, x in zip(weights, exps)),)
-            terms[e] = terms[e] + ts if e in terms else ts
-        return GWSeries((var,), self.order, terms)
 
     def log(self) -> "GWSeries":
         """log of a series with constant term 1; rational t-coefficients."""
@@ -511,9 +464,6 @@ class GWSeries:
                 raise CrepantError("text format needs integer coefficients")
             lines.append(" ".join(str(e) for e in exps) + "\t" + str(int(coeff)))
         return "\n".join(lines) + "\n"
-
-    def __repr__(self):
-        return f"GWSeries(vars={self.vars}, order={self.order}, {len(self.terms)} terms)"
 
 
 def _assignments(slots: int, budget: int):
@@ -554,7 +504,7 @@ def _summands(web, edges, qvars, order, reverse_edges) -> list:
     parts_by_size = {s: list(partitions_of(s)) for s in range(order + 1)}
     out = []
     for sizes in _assignments(len(edges), order):
-        for choice in _product_choices([parts_by_size[s] for s in sizes]):
+        for choice in product(*(parts_by_size[s] for s in sizes)):
             sign, shift = 1, 0
             for e, lam in zip(edges, choice):
                 n = -e.framing if reverse_edges else e.framing
@@ -697,15 +647,6 @@ def _plan_cutoff(summands, order: int, t_cutoff: int) -> int:
             raise CrepantError("cannot reach requested t-precision")
 
 
-def _product_choices(lists):
-    if not lists:
-        yield ()
-        return
-    for first in lists[0]:
-        for rest in _product_choices(lists[1:]):
-            yield (first,) + rest
-
-
 def _angle_key(d):
     """Total order on primitive directions by counterclockwise angle from +x."""
     x, y = d
@@ -783,7 +724,7 @@ def gv_extract(series: GWSeries, genus_cap: int = 2) -> GVTable:
     cannot certify the requested genus range instead of truncating silently.
     """
     if len(series.vars) != 1:
-        series = series.collapse()
+        series = series.collapse("Q")
     if not series.coefficient((0,)).coeffs == {0: 1}:
         raise CrepantError("GV extraction needs constant term exactly 1")
     free = series.log()

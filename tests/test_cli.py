@@ -128,6 +128,7 @@ def test_domain_errors_exit_1():
     assert "error:" in proc.stderr
     proc = run("ncdt", "nosuch", "--order", "2", check=False)
     assert proc.returncode == 1
+    assert proc.stderr == "error: unknown crystal family 'nosuch'\n"
 
 
 @pytest.mark.parametrize("args", [

@@ -96,6 +96,16 @@ def test_z3_counts_small():
     assert enumerate_configurations(fam, 4) == oracle
 
 
+def test_family_for_resolves_mckay_descriptors():
+    by_text = family_for("mckay:3:1,1,1")
+    assert by_text.act == AbelianAction.cyclic(3, (1, 1, 1))
+    for bad in ("3:1,1,1", "C3", None):
+        with pytest.raises(CrepantError, match="unknown crystal family"):
+            family_for(bad)
+    with pytest.raises(CrepantError, match="bad action descriptor"):
+        family_for("mckay:3:1,1")
+
+
 def test_enumeration_has_no_duplicates():
     fam = family_for("conifold")
     seen = list(configurations(fam, 4))

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crepant.errors import CrepantError
-from crepant.series import general_binomial
+from crepant.series import FormalSeries, general_binomial
 from crepant.toric import (double_triangle, dual_web, p2_triangle, trapezoid,
                            unit_square, unit_triangle, unit_triangulations,
                            zn_triangle)
-from crepant.vertex import (TSeries, _plan_cutoff, _skew_spec,
+from crepant.vertex import (GWSeries, TSeries, _plan_cutoff, _skew_spec,
                             _skew_valuation, _vertex_pair, geometric,
                             gv_extract, gw_partition_function, kappa,
                             partitions_of, partitions_upto, schur_principal,
@@ -346,3 +346,41 @@ def test_dense_tseries_edge_cases():
     assert TSeries.monomial(4, 1, 3).is_zero()
     with pytest.raises(TypeError):
         TSeries.one(3).coeffs[0] = 2
+
+
+def lift(series: FormalSeries) -> GWSeries:
+    """The int series with every coefficient c a constant TSeries c*t^0."""
+    return GWSeries(series.vars, series.order,
+                    {e: TSeries.monomial(0, c, None)
+                     for e, c in series.terms.items()})
+
+
+@st.composite
+def int_series_pairs(draw):
+    order = draw(st.integers(0, 5))
+    terms = st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                            st.integers(-3, 3), max_size=8)
+    return (FormalSeries(("Q1", "Q2"), order, draw(terms)),
+            FormalSeries(("Q1", "Q2"), order, draw(terms)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_series_pairs(), st.integers(-3, 3))
+def test_gw_series_shares_formal_series_arithmetic(pair, c):
+    """GWSeries arithmetic is FormalSeries arithmetic over TSeries: lifting
+    int coefficients to constant t-series commutes with every operation."""
+    a, b = pair
+    cases = {"+": (a + b, lift(a) + lift(b)),
+             "-": (a - b, lift(a) - lift(b)),
+             "*": (a * b, lift(a) * lift(b)),
+             "neg": (-a, -lift(a)),
+             "scale": (a.scale(c), lift(a).scale(c)),
+             "mul int": (a * c, lift(a) * c),
+             "rmul int": (c * a, c * lift(a)),
+             "collapse": (a.collapse("Q"), lift(a).collapse("Q"))}
+    for name, (plain, lifted) in cases.items():
+        assert type(plain) is FormalSeries, name
+        assert type(lifted) is GWSeries, name
+        assert lifted == lift(plain), name
+        assert lifted.sorted_terms() == [
+            (e + (0,), v) for e, v in plain.sorted_terms()], name
