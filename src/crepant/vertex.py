@@ -4,14 +4,18 @@ All q-series use the substitution q = t**2 so every amplitude is a Laurent
 series in t with exact coefficients.  A TSeries knows the largest exponent
 it is exact through, and arithmetic propagates that bound honestly, so a
 result is never silently less precise than reported.  It is stored dense,
-as an offset and a list of coefficients, and multiplies by truncated
-convolution (over t^2 when both factors are series in t^2).
+as an offset and a list of coefficients.  A product is one big-integer
+multiply (Kronecker substitution): each factor, cleared to integers over a
+common denominator, is packed into one int with a slot per coefficient wide
+enough for any coefficient of the product, and the slots of the truncated
+product are read back (over t^2 when both factors are series in t^2).
 
 The principal specialization s_lambda(q^rho) is the hook product
 t^(2n(lambda)+|lambda|) / prod_cells (1 - t^(2 hook)).  Skew Schur
 specializations at staircases shifted down by a partition are evaluated by
-the horizontal-strip chain expansion over finitely many variables.  The
-vertex amplitude is
+the horizontal-strip chain expansion over finitely many variables, each
+state of the chain one packed nonnegative int over a fixed window of
+exponents, so a step is a shift, a mask and an add.  The vertex amplitude is
 
     C(lam, mu, nu) = t^(kappa(lam)+kappa(nu)) * s_nu(q^rho)
         * sum_eta s_{lam/eta}(x_i = t^(2i-1-2nu'_i))
@@ -34,10 +38,12 @@ reaches at a given cutoff, and the web is glued once, at the first margin
 
 from __future__ import annotations
 
+import math
+import struct
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from operator import add
+from itertools import product, repeat
+from operator import add, and_, attrgetter, lshift, or_, rshift, sub
 from types import MappingProxyType
 
 from .errors import CrepantError
@@ -286,23 +292,103 @@ class TSeries:
 
 
 def _convolve(a: list, b: list, n: int) -> list:
-    """The first n coefficients of the product of coefficient lists a, b."""
+    """The first n coefficients of the product of coefficient lists a, b.
+
+    Kronecker substitution: both lists, cleared to integers over a common
+    denominator each, are packed into one int apiece with a slot of k bytes
+    per coefficient, multiplied once, and the first n slots of the product
+    are read back.  A product coefficient is a sum of at most
+    min(len(a), len(b)) terms, so |c| < 2**(bits - 1) with bits as computed
+    below, the least width that always holds it as a signed slot; k rounds
+    bits up to 1, 2, 4, 8, 16, ... bytes.  Adding half a slot to every
+    coefficient makes the slots nonnegative, so each is read on its own.
+    """
+    if n <= 0:
+        return []
     if len(a) > 1 and len(b) > 1 and not any(a[1::2]) and not any(b[1::2]):
         # both are series in t^2 (q = t^2 makes that the common case)
         out = [0] * n
         out[::2] = _convolve(a[::2], b[::2], (n + 1) // 2)
         return out
-    # add each nonzero term of one factor times the other into the window
-    # it reaches, looping over the factor that makes that cheaper
-    if (len(a) - a.count(0)) * min(len(b), n) > \
-            (len(b) - b.count(0)) * min(len(a), n):
-        a, b = b, a
-    out = [0] * n
-    for i, x in enumerate(a[:n]):
-        if x:
-            m = min(len(b), n - i)
-            out[i:i + m] = [o + x * y for o, y in zip(out[i:i + m], b)]
-    return out
+    a, da = _cleared(a[:n])
+    b, db = _cleared(b[:n])
+    bits = _magnitude_bits(a) + _magnitude_bits(b) + \
+        min(len(a), len(b)).bit_length() + 1
+    k = _slot_bytes(bits)
+    packed = _pack_signed(a, k) * _pack_signed(b, k)
+    out = list(map(sub, _unpack(packed + _halves(k, n), k, n),
+                   repeat(1 << (8 * k - 1))))
+    d = da * db
+    return out if d == 1 else [Fraction(c, d) for c in out]
+
+
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
+
+
+def _cleared(coeffs: list) -> tuple:
+    """(ints, d) with coeffs[i] == ints[i] / d; an int has denominator 1."""
+    d = math.lcm(*map(_denominator, coeffs))
+    if d == 1:
+        return list(map(_numerator, coeffs)), 1
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _magnitude_bits(ints: list) -> int:
+    return max(max(ints), -min(ints)).bit_length()
+
+
+# Packed ints are read and written in words of 1, 2, 4 or 8 bytes; a slot
+# wider than 8 bytes is several 8-byte words, least significant first.
+_WORD_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_WORD_MASK = (1 << 64) - 1
+
+
+def _slot_bytes(bits: int) -> int:
+    """The least of 1, 2, 4, 8, 16, ... bytes that holds ``bits`` bits."""
+    k = 1
+    while 8 * k < bits:
+        k *= 2
+    return k
+
+
+def _halves(k: int, n: int) -> int:
+    """n slots of k bytes, each holding half a slot, 2**(8k - 1)."""
+    return int.from_bytes((1 << (8 * k - 1)).to_bytes(k, "little") * n,
+                          "little")
+
+
+def _pack_signed(ints: list, k: int) -> int:
+    """sum ints[i] * 256**(k*i), for |ints[i]| < 2**(8k - 1)."""
+    half = 1 << (8 * k - 1)
+    return _pack(list(map(add, ints, repeat(half))), k) - _halves(k, len(ints))
+
+
+def _pack(values: list, k: int) -> int:
+    """sum values[i] * 256**(k*i), for 0 <= values[i] < 256**k."""
+    size = min(k, 8)
+    w = k // size
+    words = values
+    if w > 1:
+        words = [0] * (w * len(values))
+        for j in range(w):
+            words[j::w] = map(and_, map(rshift, values, repeat(64 * j)),
+                              repeat(_WORD_MASK))
+    return int.from_bytes(
+        struct.pack(f"<{len(words)}{_WORD_FORMAT[size]}", *words), "little")
+
+
+def _unpack(x: int, k: int, n: int) -> list:
+    """The first n base-256**k digits of x (two's complement if negative)."""
+    size = min(k, 8)
+    w = k // size
+    x &= (1 << (8 * k * n)) - 1
+    words = struct.unpack(f"<{w * n}{_WORD_FORMAT[size]}",
+                          x.to_bytes(k * n, "little"))
+    out = words[w - 1::w]
+    for j in range(w - 2, -1, -1):
+        out = map(or_, map(lshift, out, repeat(64)), words[j::w])
+    return list(out)
 
 
 def geometric(step: int, cutoff: int) -> TSeries:
@@ -354,6 +440,11 @@ def _skew_spec(alpha: Partition, eta: Partition, nu: Partition,
     variable at most alpha_1 times, so working through cutoff plus the total
     achievable negativity keeps the truncation exact.  Variables beyond that
     window only contribute above the cutoff.
+
+    Each state of the strip chain is one packed int over the exponents
+    -max_neg..work, no exponent ever falling below -max_neg.  A coefficient
+    counts semistandard tableaux of a shape inside alpha/eta with entries at
+    most N, the number of variables, so N**|alpha/eta| bounds every slot.
     """
     if any(e > a for e, a in zip(eta, alpha)) or len(eta) > len(alpha):
         return TSeries.zero(cutoff)
@@ -361,29 +452,36 @@ def _skew_spec(alpha: Partition, eta: Partition, nu: Partition,
         return TSeries.one(cutoff)
     exps = [2 * i - 1 - 2 * nu[i - 1] for i in range(1, len(nu) + 1)]
     max_neg = alpha[0] * sum(-e for e in exps if e < 0)
+    if cutoff < -max_neg:
+        return TSeries.zero(cutoff)
     work = cutoff + max_neg
     i = len(nu) + 1
     while 2 * i - 1 <= work:
         exps.append(2 * i - 1)
         i += 1
-    states: dict[Partition, TSeries] = {eta: TSeries.one(work)}
+    k = _slot_bytes((len(exps) ** (psize(alpha) - psize(eta))).bit_length())
+    slot = 8 * k
+    window = (1 << ((work + max_neg + 1) * slot)) - 1
+    states: dict[Partition, int] = {eta: 1 << (max_neg * slot)}
     for exp in exps:
-        new: dict[Partition, TSeries] = {}
+        new: dict[Partition, int] = {}
         for mu, weight in states.items():
             for lam, gained in _strips(mu, alpha):
-                if gained:
-                    # weight * t^a at cutoff ``work``, as TSeries.__mul__
-                    # would cut it
-                    a = exp * gained
-                    if a > work or weight.is_zero():
-                        continue
-                    add = weight.shift(a).truncate(
-                        min(weight.cutoff + a, work + weight.offset))
+                shift = exp * gained
+                if shift > work:
+                    # past the cutoff for good: the exponents increase, so
+                    # every later one is positive
+                    continue
+                if shift > 0:
+                    shifted = (weight << (shift * slot)) & window
+                elif shift < 0:
+                    shifted = weight >> (-shift * slot)
                 else:
-                    add = weight
-                new[lam] = new[lam] + add if lam in new else add
+                    shifted = weight
+                new[lam] = new.get(lam, 0) + shifted
         states = new
-    return states.get(alpha, TSeries.zero(work)).truncate(cutoff)
+    data = _unpack(states.get(alpha, 0), k, cutoff + max_neg + 1)
+    return TSeries._dense(-max_neg, data, cutoff)
 
 
 @lru_cache(maxsize=None)
@@ -423,7 +521,18 @@ class GWSeries(FormalSeries):
     @classmethod
     def one(cls, vars, order: int, cutoff=None):
         vars = tuple(vars)
-        return cls(vars, order, {(0,) * len(vars): TSeries.one(cutoff)})
+        return cls.monomial(vars, order, (0,) * len(vars), 1, cutoff)
+
+    @classmethod
+    def monomial(cls, vars, order: int, exps, coeff=1, cutoff=None):
+        """coeff * Q^exps, its coefficient the constant series coeff * t^0."""
+        return cls(vars, order,
+                   {tuple(exps): TSeries.monomial(0, coeff, cutoff)})
+
+    def is_one(self) -> bool:
+        """True when the only term is the constant 1 (at any cutoff)."""
+        zero = (0,) * len(self.vars)
+        return list(self.terms) == [zero] and self.terms[zero].coeffs == {0: 1}
 
     def coefficient(self, exps) -> TSeries:
         return self.terms.get(tuple(exps), TSeries.zero())
@@ -464,6 +573,23 @@ class GWSeries(FormalSeries):
                 raise CrepantError("text format needs integer coefficients")
             lines.append(" ".join(str(e) for e in exps) + "\t" + str(int(coeff)))
         return "\n".join(lines) + "\n"
+
+    @classmethod
+    def from_text(cls, text: str) -> "GWSeries":
+        """The series ``to_text`` printed.  The text keeps no cutoff, so
+        every t-coefficient is read as exact."""
+        lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines:
+            raise CrepantError("empty series text")
+        head, _, order = lines[0].rpartition("\t")
+        vars = tuple(head.split())[:-1]
+        rows: dict[tuple, dict[int, int]] = {}
+        for line in lines[1:]:
+            exps_part, _, coeff = line.rpartition("\t")
+            *exps, e = (int(x) for x in exps_part.split())
+            rows.setdefault(tuple(exps), {})[e] = int(coeff)
+        return cls(vars, int(order),
+                   {exps: TSeries(coeffs) for exps, coeffs in rows.items()})
 
 
 def _assignments(slots: int, budget: int):

@@ -5,7 +5,7 @@ import dataclasses
 from crepant.errors import CrepantError
 from crepant.quiver import c3_quiver, conifold_quiver, frame, relations_from_potential
 from crepant.reps import MonomialRepresentation, check_relations
-from crepant.vertex import GWSeries, _glue, _summands
+from crepant.vertex import GWSeries, TSeries, _glue, _strips, _summands
 
 
 def brute_product_one_minus_qk_inverse(order):
@@ -218,6 +218,41 @@ class DictTSeries:
         if not isinstance(other, DictTSeries):
             return NotImplemented
         return self.cutoff == other.cutoff and self.coeffs == other.coeffs
+
+
+def strip_chain_skew_spec(alpha, eta, nu, cutoff):
+    """``vertex._skew_spec`` by the chain of ``TSeries`` states its packed
+    ints replaced: s_{alpha/eta} at x_i = t^(2i - 1 - 2 nu_i), each strip
+    step a shifted and truncated series."""
+    if any(e > a for e, a in zip(eta, alpha)) or len(eta) > len(alpha):
+        return TSeries.zero(cutoff)
+    if not alpha:
+        return TSeries.one(cutoff)
+    exps = [2 * i - 1 - 2 * nu[i - 1] for i in range(1, len(nu) + 1)]
+    max_neg = alpha[0] * sum(-e for e in exps if e < 0)
+    work = cutoff + max_neg
+    i = len(nu) + 1
+    while 2 * i - 1 <= work:
+        exps.append(2 * i - 1)
+        i += 1
+    states = {eta: TSeries.one(work)}
+    for exp in exps:
+        new = {}
+        for mu, weight in states.items():
+            for lam, gained in _strips(mu, alpha):
+                if gained:
+                    # weight * t^a at cutoff ``work``, as TSeries.__mul__
+                    # would cut it
+                    a = exp * gained
+                    if a > work or weight.is_zero():
+                        continue
+                    add = weight.shift(a).truncate(
+                        min(weight.cutoff + a, work + weight.offset))
+                else:
+                    add = weight
+                new[lam] = new[lam] + add if lam in new else add
+        states = new
+    return states.get(alpha, TSeries.zero(work)).truncate(cutoff)
 
 
 def retry_gluing(qvars, order, summands, t_cutoff):

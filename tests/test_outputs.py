@@ -1,14 +1,18 @@
 """Every benchmark op prints the bytes recorded in perfbench/digests.json,
-and the stability-sweep population is the one the benchmark was recorded on.
+the stability-sweep population is the one the benchmark was recorded on, and
+every script in scripts/ prints the bytes recorded here.
 
 The ops, their digests and the population belong to the benchmark harness;
 these tests only read them, replay each op in-process through
-``crepant.cli.main`` and rebuild the population for seeds 1 and 2.
+``crepant.cli.main`` and rebuild the population for seeds 1 and 2.  The
+scripts run as they would from a checkout, one process each.
 """
 
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -18,7 +22,8 @@ import pytest
 from crepant.cli import main
 from crepant.reps import rep_to_json
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 import sweep  # noqa: E402
 import workloads  # noqa: E402
@@ -60,3 +65,33 @@ def test_sweep_population_matches_recorded_digest(seed):
     assert len(mods) == 4320
     text = "".join(rep_to_json(m) for m in mods)
     assert hashlib.sha256(text.encode()).hexdigest() == POPULATION_DIGESTS[seed]
+
+
+# sha256 of each script's stdout, recorded with the list-convolution vertex
+# kernels that the packed-integer ones replaced
+SCRIPT_DIGESTS = {
+    "conifold_side_by_side.py":
+        "1c3728d7ab418d8eaf7936eddf5025240d1cdedf9a9fc7bf54e9ee7e8c2a6f01",
+    "laufer_report.py":
+        "90460c53f38212d540e73219becd437820eb91e9ac6f5ffc131217f16658b65e",
+    "local_p2_invariants.py":
+        "091ee3043c4e8e6fac87eca25df29c5637e07e1fcd57d5db97e99d089dbdf2bc",
+    "pyramid_counts.py":
+        "217e6099602540b3b71a852dfccef0b083ac0f18300042c3e7fd2092fb1fcec2",
+}
+
+
+def test_every_script_has_a_digest():
+    assert {p.name for p in (ROOT / "scripts").glob("*.py")} == \
+        set(SCRIPT_DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPT_DIGESTS))
+def test_script_stdout_matches_recorded_digest(name):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name)],
+                          cwd=ROOT, capture_output=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == SCRIPT_DIGESTS[name]

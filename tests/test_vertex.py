@@ -16,7 +16,8 @@ from crepant.vertex import (GWSeries, TSeries, _plan_cutoff, _skew_spec,
                             gv_extract, gw_partition_function, kappa,
                             partitions_of, partitions_upto, schur_principal,
                             transpose, vertex, vertex_raw)
-from support import DictTSeries, retry_gluing, retry_loop_oracle
+from support import (DictTSeries, retry_gluing, retry_loop_oracle,
+                     strip_chain_skew_spec)
 
 
 def ssyt_weight_oracle(shape, cutoff, variables=None):
@@ -218,6 +219,12 @@ def test_local_p2_genus_zero_through_degree_six():
                                                     -17064]
 
 
+def test_local_p2_through_genus_two_at_degree_seven():
+    web = dual_web(unit_triangulations(p2_triangle())[0])
+    table = gv_extract(gw_partition_function(web, 7, t_cutoff=54), genus_cap=2)
+    assert [table[(g, 7)] for g in range(3)] == [188454, -1438086, 5784837]
+
+
 GRID_WEBS = {
     "square": (unit_square, 0),
     "square flopped": (unit_square, 1),
@@ -253,24 +260,35 @@ def test_planned_precision_matches_retry_loop(name):
 
 
 def test_planned_pairs_match_computed_series():
-    """The valuation and cutoff the plan assigns to each skew Schur
-    specialization and vertex amplitude are those of the computed series."""
+    """The valuation and cutoff the plan assigns to each vertex amplitude
+    are those of the computed series (skew Schur specializations are
+    checked by test_packed_skew_spec_matches_strip_chain)."""
     parts = partitions_upto(3)
     for cutoff in range(-6, 21):
-        for alpha in parts:
-            for eta in parts:
-                for nu in partitions_upto(2):
-                    ts = _skew_spec(alpha, eta, nu, cutoff)
-                    v = _skew_valuation(alpha, eta, nu)
-                    assert ts.cutoff == cutoff
-                    assert ts.valuation() == (v if v is not None
-                                              and v <= cutoff else None)
         for lam in parts:
             for mu in parts:
                 for nu in partitions_upto(2):
                     ts = vertex(lam, mu, nu, cutoff)
                     assert _vertex_pair(lam, mu, nu, cutoff) == \
                         (ts.valuation(), ts.cutoff), (lam, mu, nu, cutoff)
+
+
+def test_packed_skew_spec_matches_strip_chain():
+    """The packed strip chain gives the series of the TSeries-state chain,
+    cutoff included, and the valuation and cutoff the plan assigns to each
+    skew Schur specialization are those of the computed series."""
+    parts = partitions_upto(4)
+    for alpha in parts:
+        for eta in parts:
+            for nu in parts:
+                v = _skew_valuation(alpha, eta, nu)
+                for cutoff in range(-9, 61):
+                    case = (alpha, eta, nu, cutoff)
+                    ts = _skew_spec.__wrapped__(alpha, eta, nu, cutoff)
+                    assert ts == strip_chain_skew_spec(*case), case
+                    assert (ts.valuation(), ts.cutoff) == \
+                        (v if v is not None and v <= cutoff else None,
+                         cutoff), case
 
 
 def test_plan_gives_up_where_the_retry_loop_does():
@@ -334,6 +352,42 @@ def test_dense_tseries_matches_dict_reference(x, y, c, k, through):
         (ra.shift(k) * rb == (ra * rb).shift(k))
 
 
+wide_coefficients = st.one_of(
+    st.integers(-2 ** 200, 2 ** 200),
+    st.integers(-3, 3),
+    st.fractions(min_value=-2 ** 100, max_value=2 ** 100,
+                 max_denominator=2 ** 64))
+long_laurent = st.builds(
+    lambda offset, step, coeffs, cutoff: (
+        {offset + step * i: c for i, c in enumerate(coeffs)}, cutoff),
+    st.integers(-10, 10),
+    st.sampled_from((1, 2)),
+    st.lists(wide_coefficients, max_size=60),
+    st.one_of(st.none(), st.integers(-20, 140)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(long_laurent, long_laurent)
+def test_wide_products_match_dict_reference(x, y):
+    """Products of long series with coefficients up to 2^200 in size, of
+    mixed signs, and fractions over large denominators."""
+    (a, ra), (b, rb) = both(x), both(y)
+    assert same(a * b, ra * rb)
+
+
+@pytest.mark.parametrize("bits", [29, 61, 125])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_product_at_the_packing_width(bits, sign):
+    """63 coefficients of magnitude 2^bits - 1 on each side: the middle
+    coefficient of the product needs 2 bits + 7 bits as a signed slot,
+    one more than 64, 128 or 256, so a width one bit smaller than the
+    kernel's fails here."""
+    top = 2 ** bits - 1
+    a = {e: top for e in range(63)}
+    b = {e: sign * top for e in range(63)}
+    assert same(TSeries(a) * TSeries(b), DictTSeries(a) * DictTSeries(b))
+
+
 def test_dense_tseries_edge_cases():
     zero = TSeries.zero(5)
     assert zero.is_zero() and zero.valuation() is None and zero.coeffs == {}
@@ -384,3 +438,23 @@ def test_gw_series_shares_formal_series_arithmetic(pair, c):
         assert lifted == lift(plain), name
         assert lifted.sorted_terms() == [
             (e + (0,), v) for e, v in plain.sorted_terms()], name
+
+
+def test_gw_series_one_monomial_and_is_one():
+    one = GWSeries.one(("Q1", "Q2"), 3, cutoff=8)
+    assert one.is_one() and GWSeries.one(("Q",), 2).is_one()
+    assert not (one + one).is_one()
+    assert not GWSeries.monomial(("Q",), 2, (1,)).is_one()
+    mono = GWSeries.monomial(("Q1", "Q2"), 3, (1, 2), 5, cutoff=8)
+    assert mono.terms == {(1, 2): TSeries.monomial(0, 5, 8)}
+    assert mono * one == mono
+
+
+def test_gw_series_text_round_trip():
+    web = dual_web(unit_triangulations(p2_triangle())[0])
+    series = gw_partition_function(web, 3, t_cutoff=12)
+    text = series.to_text()
+    back = GWSeries.from_text(text)
+    assert back.to_text() == text
+    assert back.vars == series.vars and back.order == series.order
+    assert GWSeries.from_text(GWSeries.one((), 2).to_text()).is_one()
