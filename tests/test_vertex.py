@@ -379,8 +379,8 @@ def test_wide_products_match_dict_reference(x, y):
 @pytest.mark.parametrize("sign", [1, -1])
 def test_product_at_the_packing_width(bits, sign):
     """63 coefficients of magnitude 2^bits - 1 on each side: the middle
-    coefficient of the product needs 2 bits + 7 bits as a signed slot,
-    one more than 64, 128 or 256, so a width one bit smaller than the
+    coefficient of the product needs 2 * bits + 7 bits as a signed slot,
+    one more than 64, 128 or 256 bits, so a width one bit smaller than the
     kernel's fails here."""
     top = 2 ** bits - 1
     a = {e: top for e in range(63)}
