@@ -14,7 +14,7 @@ from fractions import Fraction
 from . import crystal, geometry, mckay, quiver, reps, roots, toric
 from .compare import compare as run_compare
 from .errors import CrepantError
-from .vertex import gv_extract, gw_partition_function
+from .vertex import PrecisionError, gv_extract, gw_partition_function
 
 
 def _emit(text: str) -> None:
@@ -304,7 +304,11 @@ def cmd_gw(args) -> int:
 def cmd_gv(args) -> int:
     web = _selected_web(args)
     series = gw_partition_function(web, args.order, t_cutoff=args.t_order)
-    table = gv_extract(series, genus_cap=args.genus)
+    try:
+        table = gv_extract(series, genus_cap=args.genus)
+    except PrecisionError as exc:
+        raise CrepantError(f"{exc} at --t-order {args.t_order}; a larger"
+                           " --t-order reaches it") from None
     if args.json:
         data = [{"genus": g, "degree": d, "n": int(v)}
                 for (g, d), v in table.rows()]
@@ -467,17 +471,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the arguments that size a computation, in the order they are named when
+# one runs out of memory or of stack
+_SIZE_ARGS = ("t_order", "order", "height", "trials", "wall_radius")
+
+
+def _too_large(args, what: str) -> str:
+    given = [f"--{name.replace('_', '-')} {getattr(args, name)}"
+             for name in _SIZE_ARGS if getattr(args, name, None) is not None]
+    if not given:
+        return f"{what} on these arguments"
+    return f"{what}; lower {' or '.join(given)}"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CrepantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except (CrepantError, OSError) as exc:
+        message = str(exc)
+    except MemoryError:
+        message = _too_large(args, "out of memory")
+    except RecursionError:
+        message = _too_large(args, "recursion too deep")
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -4,14 +4,18 @@ All q-series use the substitution q = t**2 so every amplitude is a Laurent
 series in t with exact coefficients.  A TSeries knows the largest exponent
 it is exact through, and arithmetic propagates that bound honestly, so a
 result is never silently less precise than reported.  It is stored dense,
-as an offset and a list of coefficients.  A product is one big-integer
-multiply (Kronecker substitution): each factor, cleared to integers over a
-common denominator, is packed into one int with a slot per coefficient wide
-enough for any coefficient of the product, and the slots of the truncated
-product are read back (over t^2 when both factors are series in t^2).
+as an offset and a list of coefficients.  A product by a one-term series
+(a framing monomial, the amplitude 1, a kernel's first factor) is a scaled
+copy of the other list.  Any other product is one big-integer multiply
+(Kronecker substitution): each factor, cleared to integers over a common
+denominator, is packed into one int with a slot per coefficient wide enough
+for any coefficient of the product, and the slots of the truncated product
+are read back (over t^2 when both factors are series in t^2).
 
 The principal specialization s_lambda(q^rho) is the hook product
-t^(2n(lambda)+|lambda|) / prod_cells (1 - t^(2 hook)).  Skew Schur
+t^(2n(lambda)+|lambda|) / prod_cells (1 - t^(2 hook)), built without a
+product: dividing by 1 - t^(2h) is a running sum with stride 2h over the
+coefficient list, one per hook.  Skew Schur
 specializations at staircases shifted down by a partition are evaluated by
 the horizontal-strip chain expansion over finitely many variables, each
 state of the chain one packed nonnegative int over a fixed window of
@@ -33,7 +37,14 @@ The working t-cutoff of a gluing is planned before any coefficient is
 computed: every amplitude has nonnegative coefficients, so valuations and
 the cutoff rules of TSeries arithmetic give the precision one _glue
 reaches at a given cutoff, and the web is glued once, at the first margin
-8, 16, 32, ... past the requested precision that reaches it.
+8, 16, 32, ... past the requested precision that reaches it.  The plan
+profiles each summand once: from a threshold cutoff up, where nothing in it
+truncates to zero, it is exact through the cutoff plus a fixed offset, so a
+margin's precision is a minimum over that table, with only the summands
+still below their thresholds walked at that cutoff.
+
+The GW free energy log Z is summed over the integers, each power of Z - 1
+scaled by lcm(1..order)/k, and divided by the lcm once.
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ import math
 import struct
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product, repeat
+from itertools import accumulate, product, repeat
 from operator import add, and_, attrgetter, lshift, or_, rshift, sub
 from types import MappingProxyType
 
@@ -51,6 +62,11 @@ from .series import FormalSeries
 from .toric import DualWeb
 
 Partition = tuple[int, ...]
+
+
+class PrecisionError(CrepantError):
+    """A series is not exact through enough powers of t for the result
+    asked of it."""
 
 
 # ---------------------------------------------------------------------------
@@ -294,22 +310,34 @@ class TSeries:
 def _convolve(a: list, b: list, n: int) -> list:
     """The first n coefficients of the product of coefficient lists a, b.
 
-    Kronecker substitution: both lists, cleared to integers over a common
-    denominator each, are packed into one int apiece with a slot of k bytes
-    per coefficient, multiplied once, and the first n slots of the product
-    are read back.  A product coefficient is a sum of at most
-    min(len(a), len(b)) terms, so |c| < 2**(bits - 1) with bits as computed
-    below, the least width that always holds it as a signed slot; k rounds
-    bits up to 1, 2, 4, 8, 16, ... bytes.  Adding half a slot to every
-    coefficient makes the slots nonnegative, so each is read on its own.
+    A one-term factor scales a copy of the other list; two series in t^2
+    are multiplied over t^2; anything else is one packed product.
     """
     if n <= 0:
         return []
-    if len(a) > 1 and len(b) > 1 and not any(a[1::2]) and not any(b[1::2]):
+    if len(a) == 1 or len(b) == 1:
+        c, b = (a[0], b) if len(a) == 1 else (b[0], a)
+        return _scaled(c, b[:n])
+    if not any(a[1::2]) and not any(b[1::2]):
         # both are series in t^2 (q = t^2 makes that the common case)
         out = [0] * n
         out[::2] = _convolve(a[::2], b[::2], (n + 1) // 2)
         return out
+    return _kronecker(a, b, n)
+
+
+def _kronecker(a: list, b: list, n: int) -> list:
+    """The first n coefficients of the product, by Kronecker substitution.
+
+    Both lists, cleared to integers over a common denominator each, are
+    packed into one int apiece with a slot of k bytes per coefficient,
+    multiplied once, and the first n slots of the product are read back.  A
+    product coefficient is a sum of at most min(len(a), len(b)) terms, so
+    |c| < 2**(bits - 1) with bits as computed below, the least width that
+    always holds it as a signed slot; k rounds bits up to 1, 2, 4, 8, 16, ...
+    bytes.  Adding half a slot to every coefficient makes the slots
+    nonnegative, so each is read on its own.
+    """
     a, da = _cleared(a[:n])
     b, db = _cleared(b[:n])
     bits = _magnitude_bits(a) + _magnitude_bits(b) + \
@@ -320,6 +348,17 @@ def _convolve(a: list, b: list, n: int) -> list:
                    repeat(1 << (8 * k - 1))))
     d = da * db
     return out if d == 1 else [Fraction(c, d) for c in out]
+
+
+def _scaled(c, coeffs: list) -> list:
+    """c times every coefficient, with the types the packed product gives:
+    ints when c and the list clear to a common denominator of 1."""
+    ints, d = _cleared(coeffs)
+    d *= c.denominator
+    c = c.numerator
+    if d == 1:
+        return ints if c == 1 else [c * x for x in ints]
+    return [Fraction(c * x, d) for x in ints]
 
 
 _numerator = attrgetter("numerator")
@@ -403,11 +442,23 @@ def schur_principal(p, cutoff: int) -> TSeries:
 
     Equals t^(2 n(lambda) + |lambda|) / prod_cells (1 - t^(2 hook)).
     """
-    p = check_partition(p)
-    out = TSeries.monomial(2 * n_stat(p) + psize(p), 1, cutoff)
+    return _schur_principal(check_partition(p), cutoff)
+
+
+@lru_cache(maxsize=None)
+def _schur_principal(p: Partition, cutoff: int) -> TSeries:
+    """Dividing by 1 - t^(2h) is a running sum with stride 2h, so the series
+    is built in t^2 as one list, one strided prefix sum per hook."""
+    low = 2 * n_stat(p) + psize(p)
+    if cutoff < low:
+        return TSeries.zero(cutoff)
+    half = [1] + [0] * ((cutoff - low) // 2)
     for h in hooks(p):
-        out = out * geometric(2 * h, cutoff)
-    return out
+        for r in range(min(h, len(half))):
+            half[r::h] = accumulate(half[r::h])
+    data = [0] * (2 * len(half) - 1)
+    data[::2] = half
+    return TSeries._dense(low, data, cutoff)
 
 
 @lru_cache(maxsize=None)
@@ -544,7 +595,11 @@ class GWSeries(FormalSeries):
         return min(cuts)
 
     def log(self) -> "GWSeries":
-        """log of a series with constant term 1; rational t-coefficients."""
+        """log of a series with constant term 1; rational t-coefficients.
+
+        The sum of (-1)^(k+1) a^k / k is taken over the integers, each power
+        scaled by lcm(1..order) / k, and divided by that lcm once.
+        """
         c0 = self.coefficient((0,) * len(self.vars))
         if c0.coeffs != {0: 1}:
             raise CrepantError("log needs constant term exactly 1")
@@ -552,10 +607,11 @@ class GWSeries(FormalSeries):
                      {e: ts for e, ts in self.terms.items() if any(e)})
         out = GWSeries(self.vars, self.order)
         power = GWSeries.one(self.vars, self.order, cutoff=self.min_cutoff())
+        lcm = math.lcm(*range(1, self.order + 1))
         for k in range(1, self.order + 1):
             power = power * a
-            out = out + power.scale(Fraction((-1) ** (k + 1), k))
-        return out
+            out = out + power.scale((-1) ** (k + 1) * (lcm // k))
+        return out.scale(Fraction(1, lcm))
 
     def sorted_terms(self):
         rows = []
@@ -738,19 +794,73 @@ def _vertex_pair(lam, mu, nu, cutoff: int) -> tuple:
     return (None if v is None else v + shift), k + shift
 
 
-def _glued_precision(summands, cutoff: int):
-    """``_glue(..., summands, cutoff).min_cutoff()``, from valuations alone:
-    the least cutoff of a summand that does not truncate to zero (a sum of
-    such summands is never zero, so it keeps the least of their cutoffs)."""
-    got = None
+@lru_cache(maxsize=None)
+def _vertex_profile(lam, mu, nu) -> tuple:
+    """(valuation, offset, threshold) with _vertex_pair(lam, mu, nu, cutoff)
+    == (valuation, cutoff + offset) at every cutoff from the threshold up.
+
+    From the threshold up no piece of the amplitude truncates to zero: every
+    skew specialization that is not identically zero, the hook product and
+    the inner sum all have their lowest terms at or below their cutoffs.
+    """
+    lam, mu, nu = _least_rotation(lam, mu, nu)
+    mu_t, nu_t = transpose(mu), transpose(nu)
+    # the inner sum is (low, cutoff + offset); eta = () always contributes
+    low, offset, threshold = None, 0, 0
+    for eta in subdiagrams(tuple(min(a, b) for a, b in zip(lam, mu_t))):
+        v1 = _skew_valuation(lam, eta, nu_t)
+        v2 = _skew_valuation(mu_t, eta, nu)
+        if v1 is None or v2 is None:
+            continue
+        low = v1 + v2 if low is None else min(low, v1 + v2)
+        offset = min(offset, v1, v2)
+        threshold = max(threshold, v1, v2)
+    threshold = max(threshold, low - offset)
+    if nu:
+        s = 2 * n_stat(nu) + psize(nu)
+        low, offset, threshold = s + low, min(low, offset + s), \
+            max(threshold, s)
+    shift = kappa(lam) + kappa(nu)
+    return low + shift, offset + shift, threshold
+
+
+def _summand_precision(shift: int, nodes, cutoff: int):
+    """The cutoff of one summand glued at ``cutoff``, from valuations alone;
+    None when it truncates to zero."""
+    factor = ((shift if cutoff >= 0 else None), cutoff + shift)
+    for args in nodes:
+        factor = _pair_mul(factor, _vertex_pair(*args, cutoff))
+        if factor[0] is None:
+            return None
+    return factor[1]
+
+
+def _precision_table(summands) -> list:
+    """(threshold, offset, shift, nodes) per summand: from the threshold on,
+    the summand glues to a nonzero series exact through cutoff + offset."""
+    rows = []
     for _, _, shift, nodes in summands:
-        factor = ((shift if cutoff >= 0 else None), cutoff + shift)
+        # the framing monomial is (shift, cutoff + shift) from cutoff 0 up
+        low, offset, threshold = shift, shift, 0
         for args in nodes:
-            factor = _pair_mul(factor, _vertex_pair(*args, cutoff))
-            if factor[0] is None:
-                break
-        else:
-            got = factor[1] if got is None else min(got, factor[1])
+            v, o, t = _vertex_profile(*args)
+            low, offset, threshold = low + v, min(offset + v, o + low), \
+                max(threshold, t)
+        rows.append((threshold, offset, shift, nodes))
+    return rows
+
+
+def _glued_precision(table, cutoff: int):
+    """``_glue(..., summands, cutoff).min_cutoff()`` from the summands'
+    precision table: the least cutoff of a summand that does not truncate to
+    zero (a sum of such summands is never zero, so it keeps the least of
+    their cutoffs).  Summands below their threshold are walked exactly."""
+    got = None
+    for threshold, offset, shift, nodes in table:
+        k = cutoff + offset if cutoff >= threshold else \
+            _summand_precision(shift, nodes, cutoff)
+        if k is not None and (got is None or k < got):
+            got = k
     return got
 
 
@@ -762,10 +872,11 @@ def _plan_cutoff(summands, order: int, t_cutoff: int) -> int:
     planned precision is not a fixed offset from the working cutoff, nor
     monotone in it, because summands that truncate to zero drop out.
     """
+    table = _precision_table(summands)
     margin = 8
     while True:
         cutoff = t_cutoff + margin
-        got = _glued_precision(summands, cutoff)
+        got = _glued_precision(table, cutoff)
         if got is None or got >= t_cutoff:
             return cutoff
         margin *= 2
@@ -872,7 +983,7 @@ def gv_extract(series: GWSeries, genus_cap: int = 2) -> GVTable:
         top = max((e for e, c in peeled.coeffs.items() if c), default=None)
         avail = peeled.cutoff
         if top is not None and avail is not None and top > avail - 2:
-            raise CrepantError(
+            raise PrecisionError(
                 f"insufficient t-precision at degree {d}: top visible exponent"
                 f" {top} too close to cutoff {avail}")
         genera: dict[int, object] = {}

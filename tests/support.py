@@ -1,11 +1,13 @@
 """Shared independent oracles and exhaustive module generators."""
 
 import dataclasses
+from fractions import Fraction
 
 from crepant.errors import CrepantError
 from crepant.quiver import c3_quiver, conifold_quiver, frame, relations_from_potential
 from crepant.reps import MonomialRepresentation, check_relations
-from crepant.vertex import GWSeries, TSeries, _glue, _strips, _summands
+from crepant.vertex import (GWSeries, TSeries, _glue, _pair_mul, _strips,
+                            _summands, _vertex_pair)
 
 
 def brute_product_one_minus_qk_inverse(order):
@@ -278,6 +280,52 @@ def retry_loop_oracle(web, order, t_cutoff=20, reverse_edges=False):
         return GWSeries.one(qvars, order, cutoff=None)
     summands = _summands(web, edges, qvars, order, reverse_edges)
     return retry_gluing(qvars, order, summands, t_cutoff)
+
+
+def walked_precision(summands, cutoff):
+    """``_glue(..., summands, cutoff).min_cutoff()`` by walking every
+    summand's (valuation, cutoff) pairs at this cutoff, as the plan did
+    before it profiled each summand once."""
+    got = None
+    for _, _, shift, nodes in summands:
+        factor = ((shift if cutoff >= 0 else None), cutoff + shift)
+        for args in nodes:
+            factor = _pair_mul(factor, _vertex_pair(*args, cutoff))
+            if factor[0] is None:
+                break
+        else:
+            got = factor[1] if got is None else min(got, factor[1])
+    return got
+
+
+def margin_walk_plan(summands, order, t_cutoff):
+    """``vertex._plan_cutoff`` by walking every summand at each margin."""
+    margin = 8
+    while True:
+        cutoff = t_cutoff + margin
+        got = walked_precision(summands, cutoff)
+        if got is None or got >= t_cutoff:
+            return cutoff
+        margin *= 2
+        if margin > 16 * (t_cutoff + 8) * (order + 1) ** 2:
+            raise CrepantError("cannot reach requested t-precision")
+
+
+def fraction_log(series):
+    """``GWSeries.log`` with each power scaled by the Fraction (-1)^(k+1)/k
+    and the Fractions summed, as before the sum moved to the integers."""
+    c0 = series.coefficient((0,) * len(series.vars))
+    if c0.coeffs != {0: 1}:
+        raise CrepantError("log needs constant term exactly 1")
+    a = GWSeries(series.vars, series.order,
+                 {e: ts for e, ts in series.terms.items() if any(e)})
+    out = GWSeries(series.vars, series.order)
+    power = GWSeries.one(series.vars, series.order,
+                         cutoff=series.min_cutoff())
+    for k in range(1, series.order + 1):
+        power = power * a
+        out = out + power.scale(Fraction((-1) ** (k + 1), k))
+    return out
 
 
 def reverse_search_ideals(family, max_size: int):

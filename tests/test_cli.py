@@ -2,6 +2,7 @@
 
 import io
 import json
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -175,6 +176,35 @@ def test_bad_input_exits_without_traceback(code, args):
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     assert "error" in proc.stderr
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
+@pytest.mark.parametrize("args,flag", [
+    (("ncdt", "c3", "--order", "600"), "--order 600"),
+    (("gw", "--square", "--order", "3", "--t-order", "100000000"),
+     "--t-order 100000000"),
+])
+def test_sizes_past_the_stack_or_memory_are_one_error_line(args, flag):
+    """A recursion too deep or an allocation too large ends in one error
+    line naming the argument to lower, with 1 GiB of address space for the
+    command alone."""
+    proc = subprocess.run(BASE + list(args), capture_output=True, text=True,
+                          timeout=30, preexec_fn=_limit_address_space)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1 and flag in proc.stderr
+
+
+def test_insufficient_precision_names_the_t_order():
+    code, out, err = run_main(["gv", "--p2", "--order", "6"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: insufficient t-precision at degree 6")
+    assert err.count("\n") == 1
+    assert "at --t-order 24; a larger --t-order reaches it" in err
 
 
 def test_import_leaves_sympy_unloaded():

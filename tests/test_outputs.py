@@ -67,6 +67,43 @@ def test_sweep_population_matches_recorded_digest(seed):
     assert hashlib.sha256(text.encode()).hexdigest() == POPULATION_DIGESTS[seed]
 
 
+# sha256 of the stdout of output modes no benchmark op runs, recorded before
+# the gluing kept half its packed products; "{rep}" is UNSTABLE_REP's file
+OUTPUT_MODE_DIGESTS = {
+    ("roots", "--cartan", "[[2,-2],[-2,2]]", "--height", "7", "--json"):
+        "735da43eeb2bde90eb0cbe3238df52f7e9e0104c2115561565180aa1befa3bd1",
+    ("roots", "--mckay", "3:1,1,1", "--height", "5", "--json"):
+        "1d50d51e29af43b91091390772f1dc1dd7633a0b413056345f2b30c26220218e",
+    ("triangulate", "--triangle2", "--json"):
+        "0fe00f5e516a9b35d55d27e5473e981695852f95d5076bac7bb380fe0c3f108a",
+    ("triangulate", "--trapezoid", "2,1", "--json"):
+        "0ea97be61c1583159741a64a32a2d24f263054993294967abdd71f3c68214f09",
+    ("stability", "--builtin", "conifold", "--rep", "{rep}",
+     "--theta", "0=-1,1=1"):
+        "cad3659ac4c1c17f9101c66d88e6689d0e661acff82571624c4fef4c49d843b0",
+}
+# a conifold chain b0 -A-> b1 -C-> b2 -B-> b3, unstable at theta (-1, 1)
+# with the violating subset {b3}
+UNSTABLE_REP = json.dumps({
+    "basis": [{"id": f"b{i}", "vertex": str(i % 2)} for i in range(4)],
+    "actions": [{"arrow": "A", "pairs": [["b0", "b1"]]},
+                {"arrow": "C", "pairs": [["b1", "b2"]]},
+                {"arrow": "B", "pairs": [["b2", "b3"]]}]})
+
+
+@pytest.mark.parametrize("argv", OUTPUT_MODE_DIGESTS,
+                         ids=[" ".join(a) for a in OUTPUT_MODE_DIGESTS])
+def test_output_mode_matches_recorded_digest(argv, tmp_path):
+    rep = tmp_path / "rep.json"
+    rep.write_text(UNSTABLE_REP)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main([a.replace("{rep}", str(rep)) for a in argv])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
+        OUTPUT_MODE_DIGESTS[argv]
+
+
 # sha256 of each script's stdout, recorded with the list-convolution vertex
 # kernels that the packed-integer ones replaced
 SCRIPT_DIGESTS = {

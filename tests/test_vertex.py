@@ -1,6 +1,11 @@
 """Schur specializations, the vertex amplitude, gluing, and GV extraction."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +16,21 @@ from crepant.series import FormalSeries, general_binomial
 from crepant.toric import (double_triangle, dual_web, p2_triangle, trapezoid,
                            unit_square, unit_triangle, unit_triangulations,
                            zn_triangle)
-from crepant.vertex import (GWSeries, TSeries, _plan_cutoff, _skew_spec,
-                            _skew_valuation, _vertex_pair, geometric,
-                            gv_extract, gw_partition_function, kappa,
-                            partitions_of, partitions_upto, schur_principal,
+from crepant.vertex import (GWSeries, TSeries, _convolve, _glue,
+                            _glued_precision, _kronecker, _plan_cutoff,
+                            _precision_table, _skew_spec, _skew_valuation,
+                            _summands, _vertex_pair, _vertex_profile,
+                            geometric, gv_extract, gw_partition_function,
+                            hooks, kappa, n_stat, partitions_of,
+                            partitions_upto, psize, schur_principal,
                             transpose, vertex, vertex_raw)
-from support import (DictTSeries, retry_gluing, retry_loop_oracle,
-                     strip_chain_skew_spec)
+from support import (DictTSeries, fraction_log, margin_walk_plan,
+                     retry_gluing, retry_loop_oracle, strip_chain_skew_spec,
+                     walked_precision)
+
+SRC_PATH = os.pathsep.join(filter(None, [
+    str(Path(__file__).resolve().parents[1] / "src"),
+    os.environ.get("PYTHONPATH")]))
 
 
 def ssyt_weight_oracle(shape, cutoff, variables=None):
@@ -62,6 +75,17 @@ def test_schur_principal_matches_tableau_oracle(shape):
     series = schur_principal(shape, cutoff)
     oracle = ssyt_weight_oracle(shape, cutoff)
     assert {e: c for e, c in series.coeffs.items() if e <= cutoff} == oracle
+
+
+def test_schur_principal_matches_hook_products():
+    """The running sums give the series the product of one geometric
+    series per hook gave, cutoff included."""
+    for p in partitions_upto(6):
+        for cutoff in range(-3, 41):
+            want = TSeries.monomial(2 * n_stat(p) + psize(p), 1, cutoff)
+            for h in hooks(p):
+                want = want * geometric(2 * h, cutoff)
+            assert schur_principal(p, cutoff) == want, (p, cutoff)
 
 
 def test_schur_principal_small_values():
@@ -261,16 +285,21 @@ def test_planned_precision_matches_retry_loop(name):
 
 def test_planned_pairs_match_computed_series():
     """The valuation and cutoff the plan assigns to each vertex amplitude
-    are those of the computed series (skew Schur specializations are
-    checked by test_packed_skew_spec_matches_strip_chain)."""
+    are those of the computed series, and so are its profile's from the
+    profile's threshold up (skew Schur specializations are checked by
+    test_packed_skew_spec_matches_strip_chain)."""
     parts = partitions_upto(3)
     for cutoff in range(-6, 21):
         for lam in parts:
             for mu in parts:
                 for nu in partitions_upto(2):
                     ts = vertex(lam, mu, nu, cutoff)
-                    assert _vertex_pair(lam, mu, nu, cutoff) == \
-                        (ts.valuation(), ts.cutoff), (lam, mu, nu, cutoff)
+                    got = (ts.valuation(), ts.cutoff)
+                    case = (lam, mu, nu, cutoff)
+                    assert _vertex_pair(lam, mu, nu, cutoff) == got, case
+                    v, offset, threshold = _vertex_profile(lam, mu, nu)
+                    if cutoff >= threshold:
+                        assert got == (v, cutoff + offset), case
 
 
 def test_packed_skew_spec_matches_strip_chain():
@@ -289,6 +318,65 @@ def test_packed_skew_spec_matches_strip_chain():
                     assert (ts.valuation(), ts.cutoff) == \
                         (v if v is not None and v <= cutoff else None,
                          cutoff), case
+
+
+def _grid_summands(include_p2_orders=()):
+    """(case, qvars, summands, order) for every GRID_WEBS web, order and
+    edge orientation of the planned-precision grid, plus local P2 at the
+    given orders."""
+    for name in sorted(GRID_WEBS):
+        polygon, index = GRID_WEBS[name]
+        web = dual_web(unit_triangulations(polygon())[index])
+        edges = list(web.edges)
+        qvars = tuple(e.var for e in edges)
+        orders = list(range(4 if name == "p2" else 5))
+        if name == "p2":
+            orders += list(include_p2_orders)
+        for order in orders:
+            for reverse in (False, True):
+                yield ((name, order, reverse), qvars,
+                       _summands(web, edges, qvars, order, reverse), order)
+
+
+def test_precision_table_matches_the_walk_at_every_cutoff():
+    """From its threshold up, each summand is exact through the cutoff plus
+    its offset, as the walk finds it; the table, walked only below the
+    thresholds, gives the precision the margin-by-margin walk gave at every
+    cutoff from -10 to 120, and the plan picks the walk's cutoff (local P2
+    up to order 6)."""
+    for case, _, summands, order in _grid_summands(include_p2_orders=(5, 6)):
+        table = _precision_table(summands)
+        for threshold, offset, shift, nodes in table:
+            for cutoff in range(max(threshold, -10), 121):
+                assert walked_precision([((), 1, shift, nodes)], cutoff) == \
+                    cutoff + offset, (case, shift, nodes, cutoff)
+        for cutoff in range(-10, 121):
+            assert _glued_precision(table, cutoff) == \
+                walked_precision(summands, cutoff), (case, cutoff)
+        for t_cutoff in (-8, 0, 12, 26, 40):
+            try:
+                want = margin_walk_plan(summands, order, t_cutoff)
+            except CrepantError:
+                with pytest.raises(CrepantError, match="cannot reach"):
+                    _plan_cutoff(summands, order, t_cutoff)
+                continue
+            assert _plan_cutoff(summands, order, t_cutoff) == want, \
+                (case, t_cutoff)
+
+
+def test_log_matches_fraction_log():
+    """The log summed over the integers is the log summed in Fractions, on
+    every glued GRID_WEBS series: the same terms, cutoffs and coefficient
+    types."""
+    for case, qvars, summands, order in _grid_summands():
+        for cutoff in (4, 20):
+            series = _glue(qvars, order, summands, cutoff)
+            got, want = series.log(), fraction_log(series)
+            assert got == want, (case, cutoff)
+            assert [(e, c, type(c)) for e, c in got.sorted_terms()] == \
+                [(e, c, type(c)) for e, c in want.sorted_terms()], \
+                (case, cutoff)
+    assert GWSeries.one(("Q",), 0).log() == GWSeries(("Q",), 0)
 
 
 def test_plan_gives_up_where_the_retry_loop_does():
@@ -373,6 +461,62 @@ def test_wide_products_match_dict_reference(x, y):
     mixed signs, and fractions over large denominators."""
     (a, ra), (b, rb) = both(x), both(y)
     assert same(a * b, ra * rb)
+
+
+nonzero = coefficients.filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-6, 6), nonzero, laurent, st.sampled_from(
+    (1, 2, Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(-4, 3))))
+def test_one_term_products_match_dict_reference(e, c, y, scalar):
+    """A product by a one-term series is a scaled copy, on either side, with
+    the value of the dict reference and the coefficient types of the packed
+    product (ints exactly when every denominator clears to 1)."""
+    b, rb = both(y)
+    for coeff in (c, scalar):
+        mono, rmono = TSeries.monomial(e, coeff, None), DictTSeries({e: coeff})
+        assert same(mono * b, rmono * rb)
+        assert same(b * mono, rb * rmono)
+        cut = TSeries.monomial(e, coeff, e + 3)
+        assert same(cut * b, DictTSeries({e: coeff}, e + 3) * rb)
+        data = b.data
+        for n in range(len(data) + 1):
+            want = _kronecker([coeff], data, n) if n else []
+            for got in (_convolve([coeff], data, n),
+                        _convolve(data, [coeff], n)):
+                assert got == want
+                assert list(map(type, got)) == list(map(type, want))
+
+
+def test_cold_local_p2_product_counts():
+    """Work pin: a cold gw_partition_function(local P2, 6, 40) makes at most
+    821 packed products and 1464 TSeries products.  Before monomials were
+    scaled copies and hook products running sums, it made 1810 packed
+    products, one per TSeries product."""
+    probe = (
+        "import json, crepant.vertex as v\n"
+        "from crepant.toric import (dual_web, p2_triangle,\n"
+        "                           unit_triangulations)\n"
+        "counts = {'packed': 0, 'mul': 0}\n"
+        "kron, mul = v._kronecker, v.TSeries.__mul__\n"
+        "def packed(*args):\n"
+        "    counts['packed'] += 1\n"
+        "    return kron(*args)\n"
+        "def product(*args):\n"
+        "    counts['mul'] += 1\n"
+        "    return mul(*args)\n"
+        "v._kronecker, v.TSeries.__mul__ = packed, product\n"
+        "web = dual_web(unit_triangulations(p2_triangle())[0])\n"
+        "v.gw_partition_function(web, 6, 40)\n"
+        "print(json.dumps(counts))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=SRC_PATH))
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)
+    assert counts["packed"] <= 821, counts
+    assert counts["mul"] <= 1464, counts
 
 
 @pytest.mark.parametrize("bits", [29, 61, 125])
