@@ -5,34 +5,35 @@ glued over x != 0, a contraction given by four coordinates v1..v4 written
 in both charts, a target equation in the v's, and optionally a torus acting
 by monomial weights on each chart.
 
-Verification samples random rational points (``fractions.Fraction`` values
-with numerators and denominators bounded by 10**4) and demands exactly zero
-residuals; a report never contains a nonzero-but-small residual classified
-as holding.  Known discrepancies in the stored expressions are surfaced
-through ``notes`` and through per-identity failures, never silently
-corrected; an ``overrides`` mapping lets the caller substitute corrected
-expressions and re-verify.
+Verification samples random rational points (numerators and denominators
+bounded by 10**4) and demands exactly zero residuals; a report never
+contains a nonzero-but-small residual classified as holding.  Known
+discrepancies in the stored expressions are surfaced through ``notes`` and
+through per-identity failures, never silently corrected; an ``overrides``
+mapping lets the caller substitute corrected expressions and re-verify.
 
 Every expression, built-in or override, is text evaluated as written:
 ``_compile`` parses it with ``ast`` (``^`` reads as ``**``) and walks a
 whitelist -- integers, the chart's coordinates, ``k``/``n`` when given,
 unary ``+ -``, binary ``+ - * / **`` with an exponent that folds to an
-integer -- into a closure over ``Fraction``.  Anything else (a float, sin,
-a symbolic exponent, the other chart's coordinates, a constant division by
-zero) raises ``CrepantError``.  Nothing cancels symbolically: a trial that
-divides by zero fails with the residual ``zoo``.
+integer -- into a closure over exact rationals held as unreduced integer
+pairs ``(num, den)``: a value is zero exactly when its numerator is, and
+``Fraction`` appears only in constant folding and in the text of a kept
+counterexample.  Anything else (a float, sin, a symbolic exponent, the
+other chart's coordinates, a constant division by zero) raises
+``CrepantError``.  Nothing cancels symbolically: a trial that divides by
+zero fails with the residual ``zoo``.
 """
 
 from __future__ import annotations
 
 import ast
 import json
-import math
 import operator
 import random
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .errors import CrepantError
 
@@ -50,10 +51,6 @@ class TorusAction(namedtuple("TorusAction",
     """
 
     __slots__ = ()
-
-    def act(self, weights, scalars, values):
-        return tuple(val * math.prod(s ** w for s, w in zip(scalars, wv))
-                     for wv, val in zip(weights, values))
 
 
 class GluedThreefold(namedtuple(
@@ -246,32 +243,82 @@ class VerificationReport(namedtuple("VerificationReport",
 _MAX_COUNTEREXAMPLES = 5
 
 
-def _rational(rng: random.Random, nonzero: bool = False) -> Fraction:
+def _rational(rng: random.Random, nonzero: bool = False) -> tuple[int, int]:
     while True:
         num = rng.randint(-10 ** 4, 10 ** 4)
         if nonzero and num == 0:
             continue
-        return Fraction(num, rng.randint(1, 10 ** 4))
+        return num, rng.randint(1, 10 ** 4)
 
 
 def _points(rng: random.Random, symbols, trials: int, nonzero=()) -> list[tuple]:
-    """Points as tuples of values, one per symbol, in symbol order."""
+    """Points as tuples of (num, den) pairs, one per symbol, in symbol
+    order."""
     return [tuple(_rational(rng, nonzero=s in nonzero) for s in symbols)
             for _ in range(trials)]
 
 
-_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
-_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
-           ast.Mult: operator.mul, ast.Div: operator.truediv,
-           ast.Pow: operator.pow}
+# exact arithmetic on unreduced pairs (num, den), den != 0 of either sign;
+# dividing by a value whose numerator is 0 raises ZeroDivisionError, as
+# Fraction does
+
+def _add(p, q):
+    (a, b), (c, d) = p, q
+    return (a + c, b) if b == d else (a * d + c * b, b * d)
+
+
+def _sub(p, q):
+    (a, b), (c, d) = p, q
+    return (a - c, b) if b == d else (a * d - c * b, b * d)
+
+
+def _mul(p, q):
+    (a, b), (c, d) = p, q
+    return a * c, b * d
+
+
+def _div(p, q):
+    (a, b), (c, d) = p, q
+    if not c:
+        raise ZeroDivisionError("division by zero")
+    return a * d, b * c
+
+
+def _pow(p, e: int):
+    a, b = p
+    if e >= 0:
+        return a ** e, b ** e
+    if not a:
+        raise ZeroDivisionError("zero to a negative power")
+    return b ** -e, a ** -e
+
+
+def _neg(p):
+    return -p[0], p[1]
+
+
+def _pos(p):
+    return p
+
+
+def _text(p) -> str:
+    return str(Fraction(*p))
+
+
+# each operator as (its Fraction operation, for folding constants at compile
+# time, and its pair operation, for the compiled closure)
+_UNARY = {ast.UAdd: (operator.pos, _pos), ast.USub: (operator.neg, _neg)}
+_BINARY = {ast.Add: (operator.add, _add), ast.Sub: (operator.sub, _sub),
+           ast.Mult: (operator.mul, _mul), ast.Div: (operator.truediv, _div),
+           ast.Pow: (operator.pow, _pow)}
 _MAX_DEPTH = 500  # at one frame per level, well below the recursion limit
 
 
 @lru_cache(maxsize=4096)
 def _compile(text: str, coords: tuple, k=None, n=None):
-    """A closure mapping a tuple of Fraction values of ``coords`` to the
-    exact value of ``text``, evaluated as written; memoized, so a text
-    used by several identities compiles once."""
+    """A closure mapping a tuple of (num, den) values of ``coords`` to the
+    exact value of ``text`` as a (num, den) pair, evaluated as written;
+    memoized, so a text used by several identities compiles once."""
     try:
         tree = ast.parse(text.strip().replace("^", "**"), mode="eval")
         value = _walk(tree.body, coords, {"k": k, "n": n}, 0)
@@ -280,7 +327,12 @@ def _compile(text: str, coords: tuple, k=None, n=None):
     except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
         raise CrepantError(f"cannot parse expression {text!r}:"
                            f" {exc or 'nested too deeply'}") from None
-    return value if callable(value) else lambda _: value
+    return value if callable(value) else _constant(value)
+
+
+def _constant(value: Fraction):
+    pair = (value.numerator, value.denominator)
+    return lambda _: pair
 
 
 def _walk(node, coords, params, depth):
@@ -297,23 +349,26 @@ def _walk(node, coords, params, depth):
         raise CrepantError(f"{node.id} is not one of the coordinates"
                            f" {', '.join(coords)}")
     if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
-        op, args = _UNARY[type(node.op)], (node.operand,)
+        (fold, op), args = _UNARY[type(node.op)], (node.operand,)
     elif isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-        op, args = _BINARY[type(node.op)], (node.left, node.right)
+        (fold, op), args = _BINARY[type(node.op)], (node.left, node.right)
     else:
         raise CrepantError(f"cannot evaluate {ast.unparse(node)} exactly: only"
                            " integers, + - * / and integer powers are allowed")
     parts = []
     for arg in args:  # a loop, not a comprehension: one frame per level
         parts.append(_walk(arg, coords, params, depth + 1))
-    if op is operator.pow:
+    if op is _pow:
         if callable(parts[1]) or parts[1].denominator != 1:
             raise CrepantError(f"cannot evaluate {ast.unparse(node)} exactly:"
                                " the exponent is not an integer")
         parts[1] = parts[1].numerator
     if not any(map(callable, parts)):
-        return op(*parts)
-    fns = [p if callable(p) else (lambda _, c=p: c) for p in parts]
+        return fold(*parts)
+    if op is _pow:
+        base, exponent = parts
+        return lambda vals: _pow(base(vals), exponent)
+    fns = [p if callable(p) else _constant(p) for p in parts]
     if len(fns) == 1:
         return lambda vals: op(fns[0](vals))
     left, right = fns
@@ -322,7 +377,7 @@ def _walk(node, coords, params, depth):
 
 def _compile_all(geo: GluedThreefold, texts, coords):
     fns = tuple(_compile(t, coords, geo.k, geo.n) for t in texts)
-    return lambda vals: tuple(fn(vals) for fn in fns)
+    return lambda vals: tuple([fn(vals) for fn in fns])
 
 
 # residual builders: each compiles its expressions once and returns a
@@ -331,14 +386,14 @@ def _compile_all(geo: GluedThreefold, texts, coords):
 def _transition_residual(geo: GluedThreefold):
     forward = _compile_all(geo, geo.forward, CHART1)
     backward = _compile_all(geo, geo.backward, CHART2)
-    return lambda p: [b - a for a, b in zip(p, backward(forward(p)))]
+    return lambda p: list(map(_sub, backward(forward(p)), p))
 
 
 def _agreement_residual(geo: GluedThreefold, i: int):
     forward = _compile_all(geo, geo.forward, CHART1)
     wz = _compile(geo.v_chart2[i], CHART2, geo.k, geo.n)
     xy = _compile(geo.v_chart1[i], CHART1, geo.k, geo.n)
-    return lambda p: [wz(forward(p)) - xy(p)]
+    return lambda p: [_sub(wz(forward(p)), xy(p))]
 
 
 def _equation_residual(geo: GluedThreefold, chart: int):
@@ -348,31 +403,44 @@ def _equation_residual(geo: GluedThreefold, chart: int):
     return lambda p: [equation(vs(p))]
 
 
+def _act(weights, scalars, values):
+    """Each value times the monomial in the nonzero scalars that its
+    weight row gives."""
+    return tuple(reduce(_mul, map(_pow, scalars, wv), val)
+                 for wv, val in zip(weights, values))
+
+
 def _equivariance_residual(geo: GluedThreefold):
     act = geo.action
     forward = _compile_all(geo, geo.forward, CHART1)
 
     def residual(p):
         coords, scalars = p[:3], p[3:]
-        lhs = forward(act.act(act.chart1_weights, scalars, coords))
-        rhs = act.act(act.chart2_weights, scalars, forward(coords))
-        return [a - b for a, b in zip(lhs, rhs)]
+        lhs = forward(_act(act.chart1_weights, scalars, coords))
+        rhs = _act(act.chart2_weights, scalars, forward(coords))
+        return list(map(_sub, lhs, rhs))
     return residual
 
 
 def _run_identity(name, residual, symbols, points) -> IdentityResult:
-    failures = []
+    """Count the points with a nonzero residual; format only the first
+    ``_MAX_COUNTEREXAMPLES`` of them."""
+    failures = 0
+    examples = []
     for point in points:
         try:
             res = residual(point)
         except ZeroDivisionError:
-            res = ["zoo"]
-        if any(r != 0 for r in res):
-            failures.append((tuple(sorted(zip(symbols, map(str, point)))),
-                             [str(r) for r in res]))
-    examples = tuple(failures[:_MAX_COUNTEREXAMPLES])
+            res = None
+        if res is not None and not any(num for num, _ in res):
+            continue
+        failures += 1
+        if len(examples) < _MAX_COUNTEREXAMPLES:
+            text = ["zoo"] if res is None else list(map(_text, res))
+            examples.append((tuple(sorted(zip(symbols, map(_text, point)))),
+                             text))
     status = "holds" if not failures else "fails"
-    return IdentityResult(name, status, len(points), len(failures), examples)
+    return IdentityResult(name, status, len(points), failures, tuple(examples))
 
 
 def verify_transition(geo: GluedThreefold, trials: int,

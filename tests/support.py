@@ -1,9 +1,17 @@
 """Shared independent oracles and exhaustive module generators."""
 
+import ast
 import dataclasses
+import math
+import operator
+import random
 from fractions import Fraction
+from functools import lru_cache
 
 from crepant.errors import CrepantError
+from crepant.geometry import (CHART1, CHART2, V_COORDS, _MAX_COUNTEREXAMPLES,
+                              GluedThreefold, IdentityResult,
+                              VerificationReport)
 from crepant.quiver import c3_quiver, conifold_quiver, frame, relations_from_potential
 from crepant.reps import MonomialRepresentation, check_relations
 from crepant.vertex import (GWSeries, TSeries, _glue, _pair_mul, _strips,
@@ -366,3 +374,181 @@ def dataclass_twin(cls):
          if name in cls._field_defaults else (name, object)
          for name in cls._fields],
         frozen=True)
+
+
+# ---------------------------------------------------------------------------
+# The Fraction route through geometry verification: the closure evaluator,
+# sampler, residuals and identity runner that crepant.geometry used before
+# it evaluated over integer pairs, kept verbatim (``TorusAction.act`` as
+# ``fraction_act``) as the oracle for the pair evaluator.
+
+def _fraction_rational(rng: random.Random, nonzero: bool = False) -> Fraction:
+    while True:
+        num = rng.randint(-10 ** 4, 10 ** 4)
+        if nonzero and num == 0:
+            continue
+        return Fraction(num, rng.randint(1, 10 ** 4))
+
+
+def fraction_points(rng: random.Random, symbols, trials: int,
+                    nonzero=()) -> list[tuple]:
+    """Points as tuples of values, one per symbol, in symbol order."""
+    return [tuple(_fraction_rational(rng, nonzero=s in nonzero)
+                  for s in symbols)
+            for _ in range(trials)]
+
+
+_FRACTION_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_FRACTION_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+                    ast.Mult: operator.mul, ast.Div: operator.truediv,
+                    ast.Pow: operator.pow}
+_FRACTION_MAX_DEPTH = 500
+
+
+@lru_cache(maxsize=4096)
+def fraction_compile(text: str, coords: tuple, k=None, n=None):
+    """A closure mapping a tuple of Fraction values of ``coords`` to the
+    exact value of ``text``, evaluated as written; memoized, so a text
+    used by several identities compiles once."""
+    try:
+        tree = ast.parse(text.strip().replace("^", "**"), mode="eval")
+        value = _fraction_walk(tree.body, coords, {"k": k, "n": n}, 0)
+    except ZeroDivisionError:
+        raise CrepantError(f"{text!r} divides by zero") from None
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+        raise CrepantError(f"cannot parse expression {text!r}:"
+                           f" {exc or 'nested too deeply'}") from None
+    return value if callable(value) else lambda _: value
+
+
+def _fraction_walk(node, coords, params, depth):
+    """The Fraction value of a constant subtree, else a closure."""
+    if depth > _FRACTION_MAX_DEPTH:
+        raise CrepantError("expression nested deeper than"
+                           f" {_FRACTION_MAX_DEPTH}")
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return Fraction(node.value)
+    if isinstance(node, ast.Name):
+        if node.id in coords:
+            return operator.itemgetter(coords.index(node.id))
+        if params.get(node.id) is not None:
+            return Fraction(params[node.id])
+        raise CrepantError(f"{node.id} is not one of the coordinates"
+                           f" {', '.join(coords)}")
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _FRACTION_UNARY:
+        op, args = _FRACTION_UNARY[type(node.op)], (node.operand,)
+    elif (isinstance(node, ast.BinOp)
+          and type(node.op) in _FRACTION_BINARY):
+        op, args = _FRACTION_BINARY[type(node.op)], (node.left, node.right)
+    else:
+        raise CrepantError(f"cannot evaluate {ast.unparse(node)} exactly: only"
+                           " integers, + - * / and integer powers are allowed")
+    parts = []
+    for arg in args:  # a loop, not a comprehension: one frame per level
+        parts.append(_fraction_walk(arg, coords, params, depth + 1))
+    if op is operator.pow:
+        if callable(parts[1]) or parts[1].denominator != 1:
+            raise CrepantError(f"cannot evaluate {ast.unparse(node)} exactly:"
+                               " the exponent is not an integer")
+        parts[1] = parts[1].numerator
+    if not any(map(callable, parts)):
+        return op(*parts)
+    fns = [p if callable(p) else (lambda _, c=p: c) for p in parts]
+    if len(fns) == 1:
+        return lambda vals: op(fns[0](vals))
+    left, right = fns
+    return lambda vals: op(left(vals), right(vals))
+
+
+def fraction_act(weights, scalars, values):
+    """``TorusAction.act`` as it was: each value times its monomial in the
+    scalars, in Fraction arithmetic."""
+    return tuple(val * math.prod(s ** w for s, w in zip(scalars, wv))
+                 for wv, val in zip(weights, values))
+
+
+def _fraction_compile_all(geo: GluedThreefold, texts, coords):
+    fns = tuple(fraction_compile(t, coords, geo.k, geo.n) for t in texts)
+    return lambda vals: tuple(fn(vals) for fn in fns)
+
+
+# residual builders: each compiles its expressions once and returns a
+# function from a sampled point to the list of residuals
+
+def _fraction_transition(geo: GluedThreefold):
+    forward = _fraction_compile_all(geo, geo.forward, CHART1)
+    backward = _fraction_compile_all(geo, geo.backward, CHART2)
+    return lambda p: [b - a for a, b in zip(p, backward(forward(p)))]
+
+
+def _fraction_agreement(geo: GluedThreefold, i: int):
+    forward = _fraction_compile_all(geo, geo.forward, CHART1)
+    wz = fraction_compile(geo.v_chart2[i], CHART2, geo.k, geo.n)
+    xy = fraction_compile(geo.v_chart1[i], CHART1, geo.k, geo.n)
+    return lambda p: [wz(forward(p)) - xy(p)]
+
+
+def _fraction_equation(geo: GluedThreefold, chart: int):
+    vs = (_fraction_compile_all(geo, geo.v_chart1, CHART1) if chart == 1
+          else _fraction_compile_all(geo, geo.v_chart2, CHART2))
+    equation = fraction_compile(geo.equation, V_COORDS, geo.k, geo.n)
+    return lambda p: [equation(vs(p))]
+
+
+def _fraction_equivariance(geo: GluedThreefold):
+    act = geo.action
+    forward = _fraction_compile_all(geo, geo.forward, CHART1)
+
+    def residual(p):
+        coords, scalars = p[:3], p[3:]
+        lhs = forward(fraction_act(act.chart1_weights, scalars, coords))
+        rhs = fraction_act(act.chart2_weights, scalars, forward(coords))
+        return [a - b for a, b in zip(lhs, rhs)]
+    return residual
+
+
+def _fraction_run_identity(name, residual, symbols, points) -> IdentityResult:
+    failures = []
+    for point in points:
+        try:
+            res = residual(point)
+        except ZeroDivisionError:
+            res = ["zoo"]
+        if any(r != 0 for r in res):
+            failures.append((tuple(sorted(zip(symbols, map(str, point)))),
+                             [str(r) for r in res]))
+    examples = tuple(failures[:_MAX_COUNTEREXAMPLES])
+    status = "holds" if not failures else "fails"
+    return IdentityResult(name, status, len(points), len(failures), examples)
+
+
+def fraction_reports(geo, trials, seed):
+    """The transition, contraction and (when the geometry has an action)
+    equivariance reports of the Fraction route, each sampled as
+    ``verify_transition``, ``verify_contraction`` and
+    ``verify_equivariance`` sample."""
+    run = _fraction_run_identity
+    points = fraction_points(random.Random(seed), CHART1, trials,
+                             nonzero=("x",))
+    reports = [(run("transition_roundtrip", _fraction_transition(geo),
+                    CHART1, points),)]
+    rng = random.Random(seed)
+    identities = []
+    for i in range(4):
+        points = fraction_points(rng, CHART1, trials, nonzero=("x",))
+        identities.append(run(f"v{i + 1}_chart_agreement",
+                              _fraction_agreement(geo, i), CHART1, points))
+    for chart, coords in ((1, CHART1), (2, CHART2)):
+        points = fraction_points(rng, coords, trials, nonzero=coords[:1])
+        identities.append(run(f"equation_chart{chart}",
+                              _fraction_equation(geo, chart), coords, points))
+    reports.append(tuple(identities))
+    if geo.action is not None:
+        rank = geo.action.rank
+        torus = ("t1", "t2")[:rank] if rank > 1 else ("t",)
+        points = fraction_points(random.Random(seed), CHART1 + torus, trials,
+                                 nonzero=("x",) + torus)
+        reports.append((run("equivariance", _fraction_equivariance(geo),
+                            CHART1 + torus, points),))
+    return [VerificationReport(geo.label(), seed, identities)
+            for identities in reports]

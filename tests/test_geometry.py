@@ -1,15 +1,28 @@
 """Exact chart verification for the built-in geometries."""
 
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy as sp
 
+from support import fraction_compile, fraction_reports
+
+from crepant.cli import build_parser
 from crepant.errors import CrepantError
-from crepant.geometry import (CHART1, CHART2, V_COORDS, _compile, _points,
-                              builtin_geometry, verify_contraction,
+from crepant.geometry import (_MAX_DEPTH, CHART1, CHART2, V_COORDS, _compile,
+                              _points, builtin_geometry, verify_contraction,
                               verify_equivariance, verify_transition)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
+
+def as_fraction(pair):
+    """A (num, den) value of the pair evaluator as a Fraction."""
+    return Fraction(*pair)
 
 
 def test_unknown_geometry_and_bad_parameters():
@@ -141,14 +154,15 @@ def test_compiled_evaluation_matches_sympy_substitution(name, kw):
     rng = random.Random(7)
     for texts, coords, nonzero in slots:
         for values in _points(rng, coords, 10, nonzero=nonzero):
-            point = {sp.Symbol(s): sp.Rational(v.numerator, v.denominator)
+            point = {sp.Symbol(s): sp.Rational(*v)
                      for s, v in zip(coords, values)}
             for text in texts:
                 expected = sympy_oracle(sympy_parse(geo, text), point)
-                assert _compile(text, coords, geo.k, geo.n)(values) == expected
+                value = _compile(text, coords, geo.k, geo.n)(values)
+                assert as_fraction(value) == expected
 
 
-POINT = (Fraction(3), Fraction(5), Fraction(7))  # (x, y1, y2)
+POINT = ((3, 1), (5, 1), (7, 1))  # (x, y1, y2) = (3, 5, 7) as pairs
 REJECTED = ["sin(x)", "0.5*x", "x**y1", "x**(1/2)", "w*z1", "True", "", "(",
             "2 x", "1/0", "k", "x**n"]
 
@@ -175,7 +189,7 @@ def test_override_grammar(name, kw, text, expected):
             builtin_geometry(name, overrides={"v1_xy": text}, **kw)
         return
     geo = builtin_geometry(name, overrides={"v1_xy": text}, **kw)
-    value = _compile(geo.v_chart1[0], CHART1, geo.k, geo.n)(POINT)
+    value = as_fraction(_compile(geo.v_chart1[0], CHART1, geo.k, geo.n)(POINT))
     assert type(value) is Fraction and value == expected
 
 
@@ -192,7 +206,7 @@ def test_deep_override_gives_a_value_or_a_domain_error(text, expected):
     except CrepantError as exc:
         assert "\n" not in str(exc)
         return
-    assert _compile(geo.v_chart1[0], CHART1)(POINT) == expected
+    assert as_fraction(_compile(geo.v_chart1[0], CHART1)(POINT)) == expected
 
 
 def test_division_by_zero_is_a_failed_trial():
@@ -205,3 +219,97 @@ def test_division_by_zero_is_a_failed_trial():
         assert result.failures == 1
         (point, residual), = result.counterexamples
         assert dict(point)["y1"] == "0" and residual == ["zoo"]
+
+
+def near_depth_sum(terms):
+    """x/y1 + y2 + x/y1 + ... with ``terms`` terms, nested to the left:
+    the denominators keep changing all the way down."""
+    return "+".join((["x/y1", "y2"] * terms)[:terms])
+
+
+def test_near_depth_sum_is_legal_just_below_the_limit():
+    builtin_geometry("conifold", overrides={"v1_xy": near_depth_sum(480)})
+    with pytest.raises(CrepantError):
+        builtin_geometry("conifold",
+                         overrides={"v1_xy": near_depth_sum(_MAX_DEPTH + 2)})
+
+
+# every built-in geometry, the README overrides, the texts of the
+# division-by-zero test and a legal sum nested near _MAX_DEPTH
+ORACLE_GEOMETRIES = [
+    ("conifold", {}), *[("laufer1", {"k": k}) for k in (1, 2, 3, 4)],
+    *[("laufer2", {"n": n}) for n in (1, 2, 3)],
+    ("laufer2", {"n": 1, "overrides": README_OVERRIDES}),
+    ("conifold", {"overrides": {"v3_xy": "y1*(y1/y1)",
+                                "v4_xy": "(y1**2 + x*y1)/y1 - x"}}),
+    ("conifold", {"overrides": {"v1_xy": near_depth_sum(480)}}),
+]
+
+
+def _value_or_error(fn, values):
+    try:
+        return fn(values)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@pytest.mark.parametrize("name,kw", ORACLE_GEOMETRIES,
+                         ids=[f"{name}-{i}" for i, (name, _) in
+                              enumerate(ORACLE_GEOMETRIES)])
+def test_pair_evaluator_matches_fraction_oracle(name, kw):
+    """Every text, at 200 seeded points and at the first 25 of them with
+    each coordinate set to 0 in turn: equal values, and ZeroDivisionError
+    at exactly the same points."""
+    geo = builtin_geometry(name, **kw)
+    slots = [(geo.forward + geo.v_chart1, CHART1),
+             (geo.backward + geo.v_chart2, CHART2),
+             ((geo.equation,), V_COORDS)]
+    rng = random.Random(20)
+    divisions_by_zero = 0
+    for texts, coords in slots:
+        points = _points(rng, coords, 200)
+        points += [p[:i] + ((0, 1),) + p[i + 1:]
+                   for p in points[:25] for i in range(len(coords))]
+        for text in texts:
+            pair_fn = _compile(text, coords, geo.k, geo.n)
+            fraction_fn = fraction_compile(text, coords, geo.k, geo.n)
+            for point in points:
+                got = _value_or_error(pair_fn, point)
+                want = _value_or_error(fraction_fn, tuple(map(as_fraction,
+                                                            point)))
+                if want is ZeroDivisionError:
+                    divisions_by_zero += 1
+                    assert got is ZeroDivisionError, (text, point)
+                else:
+                    assert got is not ZeroDivisionError, (text, point)
+                    assert as_fraction(got) == want, (text, point)
+    assert divisions_by_zero  # 1/x or 1/w at x = 0 or w = 0, at least
+
+
+def _benchmark_geometry_ops():
+    """The distinct verify-geometry ops of the benchmark, as parsed
+    arguments; the ``--jobs 2`` twin is its serial op again."""
+    parser, ops = build_parser(), {}
+    for op in workloads.verify_geometry(lambda: 0):
+        args = parser.parse_args(op.args)
+        args.jobs = None
+        ops.setdefault(str(vars(args)), args)
+    return list(ops.values())
+
+
+@pytest.mark.parametrize("args", _benchmark_geometry_ops(),
+                         ids=lambda a: f"{a.geometry}-k{a.k}-n{a.n}"
+                                       f"-{len(a.override or ())}overrides")
+def test_reports_match_fraction_oracle_route(args):
+    """Each benchmark op's geometry at seeds 0-7: the pair route and the
+    Fraction route give equal reports, so equal failure counts and equal
+    first counterexamples."""
+    overrides = dict(item.split("=", 1) for item in args.override or ())
+    geo = builtin_geometry(args.geometry, k=args.k, n=args.n,
+                           overrides=overrides or None)
+    for seed in range(8):
+        reports = [verify_transition(geo, args.trials, seed=seed),
+                   verify_contraction(geo, args.trials, seed=seed)]
+        if geo.action is not None:
+            reports.append(verify_equivariance(geo, args.trials, seed=seed))
+        assert reports == fraction_reports(geo, args.trials, seed)
