@@ -115,16 +115,15 @@ def _variable_map(text: str) -> dict:
 
 
 def _load_quiver(args):
-    if getattr(args, "quiver", None):
+    if args.quiver:
         with open(args.quiver, encoding="utf-8") as fh:
             return quiver.quiver_from_json(fh.read())
-    if getattr(args, "mckay", None):
+    if args.mckay:
         act = mckay.parse_action(args.mckay)
         return mckay.mckay_quiver(act), mckay.mckay_superpotential(act)
-    name = getattr(args, "builtin", None) or "conifold"
+    name = args.builtin or "conifold"
     if name.startswith("laufer"):
-        n = getattr(args, "n", None) or 1
-        return quiver.laufer_quiver(n)
+        return quiver.laufer_quiver(1 if args.n is None else args.n)
     try:
         return quiver.BUILTIN_QUIVERS[name]()
     except KeyError:
@@ -146,15 +145,16 @@ def _polygon_from_args(args) -> toric.LatticePolygon:
 
 
 def _add_polygon_flags(p):
-    p.add_argument("--square", action="store_true")
-    p.add_argument("--triangle", action="store_true")
-    p.add_argument("--triangle2", action="store_true",
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--square", action="store_true")
+    g.add_argument("--triangle", action="store_true")
+    g.add_argument("--triangle2", action="store_true",
                    help="the (0,0),(2,0),(0,2) triangle")
-    p.add_argument("--p2", action="store_true")
-    p.add_argument("--trapezoid", type=_int_pair, metavar="N0,N1")
-    p.add_argument("--zn", type=int, metavar="N",
+    g.add_argument("--p2", action="store_true")
+    g.add_argument("--trapezoid", type=_int_pair, metavar="N0,N1")
+    g.add_argument("--zn", type=int, metavar="N",
                    help="the (1,0),(0,1),(-N,-N) triangle")
-    p.add_argument("--polygon", metavar="FILE", help="polygon JSON file")
+    g.add_argument("--polygon", metavar="FILE", help="polygon JSON file")
 
 
 def cmd_mckay(args) -> int:
@@ -368,10 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mckay)
 
     def quiver_source(p):
-        p.add_argument("--builtin", choices=["conifold", "c3", "p2", "laufer"])
-        p.add_argument("--mckay", metavar="N:W1,W2,W3")
-        p.add_argument("--quiver", metavar="FILE")
+        # the selectors exclude each other; roots and walls add --cartan
+        g = p.add_mutually_exclusive_group()
+        g.add_argument("--builtin", choices=["conifold", "c3", "p2", "laufer"])
+        g.add_argument("--mckay", metavar="N:W1,W2,W3")
+        g.add_argument("--quiver", metavar="FILE")
         p.add_argument("--n", type=int, help="parameter for the laufer quiver")
+        return g
 
     p = sub.add_parser("relations", help="cyclic-derivative relations")
     quiver_source(p)
@@ -394,15 +397,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("roots", help="positive roots of a Cartan matrix")
-    quiver_source(p)
-    p.add_argument("--cartan", type=_cartan_rows, metavar="JSON_ROWS")
+    quiver_source(p).add_argument("--cartan", type=_cartan_rows,
+                                  metavar="JSON_ROWS")
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_roots)
 
     p = sub.add_parser("walls", help="walls separating two parameters")
-    quiver_source(p)
-    p.add_argument("--cartan", type=_cartan_rows, metavar="JSON_ROWS")
+    quiver_source(p).add_argument("--cartan", type=_cartan_rows,
+                                  metavar="JSON_ROWS")
     p.add_argument("--height", type=int, default=6)
     p.add_argument("--theta1", required=True, type=_fraction_list)
     p.add_argument("--theta2", required=True, type=_fraction_list)

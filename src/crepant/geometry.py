@@ -17,9 +17,9 @@ Every expression, built-in or override, is text evaluated as written:
 whitelist -- integers, the chart's coordinates, ``k``/``n`` when given,
 unary ``+ -``, binary ``+ - * / **`` with an exponent that folds to an
 integer -- into a closure over exact rationals held as unreduced integer
-pairs ``(num, den)``: a value is zero exactly when its numerator is, and
-``Fraction`` appears only in constant folding and in the text of a kept
-counterexample.  Anything else (a float, sin, a symbolic exponent, the
+pairs ``(num, den)``: a value is zero exactly when its numerator is,
+constants fold in the same pair arithmetic, and ``Fraction`` appears only in
+the text of a kept counterexample.  Anything else (a float, sin, a symbolic exponent, the
 other chart's coordinates, a constant division by zero) raises
 ``CrepantError``.  Nothing cancels symbolically: a trial that divides by
 zero fails with the residual ``zoo``.
@@ -297,20 +297,13 @@ def _neg(p):
     return -p[0], p[1]
 
 
-def _pos(p):
-    return p
-
-
 def _text(p) -> str:
     return str(Fraction(*p))
 
 
-# each operator as (its Fraction operation, for folding constants at compile
-# time, and its pair operation, for the compiled closure)
-_UNARY = {ast.UAdd: (operator.pos, _pos), ast.USub: (operator.neg, _neg)}
-_BINARY = {ast.Add: (operator.add, _add), ast.Sub: (operator.sub, _sub),
-           ast.Mult: (operator.mul, _mul), ast.Div: (operator.truediv, _div),
-           ast.Pow: (operator.pow, _pow)}
+_UNARY = {ast.USub: _neg}
+_BINARY = {ast.Add: _add, ast.Sub: _sub, ast.Mult: _mul, ast.Div: _div,
+           ast.Pow: _pow}
 _MAX_DEPTH = 500  # at one frame per level, well below the recursion limit
 
 
@@ -330,28 +323,29 @@ def _compile(text: str, coords: tuple, k=None, n=None):
     return value if callable(value) else _constant(value)
 
 
-def _constant(value: Fraction):
-    pair = (value.numerator, value.denominator)
+def _constant(pair):
     return lambda _: pair
 
 
 def _walk(node, coords, params, depth):
-    """The Fraction value of a constant subtree, else a closure."""
+    """The (num, den) value of a constant subtree, else a closure."""
     if depth > _MAX_DEPTH:
         raise CrepantError(f"expression nested deeper than {_MAX_DEPTH}")
     if isinstance(node, ast.Constant) and type(node.value) is int:
-        return Fraction(node.value)
+        return node.value, 1
     if isinstance(node, ast.Name):
         if node.id in coords:
             return operator.itemgetter(coords.index(node.id))
         if params.get(node.id) is not None:
-            return Fraction(params[node.id])
+            return params[node.id], 1
         raise CrepantError(f"{node.id} is not one of the coordinates"
                            f" {', '.join(coords)}")
+    if isinstance(node, ast.UnaryOp) and type(node.op) is ast.UAdd:
+        return _walk(node.operand, coords, params, depth + 1)
     if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
-        (fold, op), args = _UNARY[type(node.op)], (node.operand,)
+        op, args = _UNARY[type(node.op)], (node.operand,)
     elif isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-        (fold, op), args = _BINARY[type(node.op)], (node.left, node.right)
+        op, args = _BINARY[type(node.op)], (node.left, node.right)
     else:
         raise CrepantError(f"cannot evaluate {ast.unparse(node)} exactly: only"
                            " integers, + - * / and integer powers are allowed")
@@ -359,12 +353,12 @@ def _walk(node, coords, params, depth):
     for arg in args:  # a loop, not a comprehension: one frame per level
         parts.append(_walk(arg, coords, params, depth + 1))
     if op is _pow:
-        if callable(parts[1]) or parts[1].denominator != 1:
+        if callable(parts[1]) or parts[1][0] % parts[1][1]:
             raise CrepantError(f"cannot evaluate {ast.unparse(node)} exactly:"
                                " the exponent is not an integer")
-        parts[1] = parts[1].numerator
+        parts[1] = parts[1][0] // parts[1][1]
     if not any(map(callable, parts)):
-        return fold(*parts)
+        return op(*parts)
     if op is _pow:
         base, exponent = parts
         return lambda vals: _pow(base(vals), exponent)

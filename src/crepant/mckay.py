@@ -114,7 +114,7 @@ def mckay_superpotential(act: AbelianAction) -> Superpotential:
     coefficients are divided by the word's rotation count so every cyclic
     word ends with a unit coefficient.
     """
-    raw: dict[tuple[str, ...], int] = {}
+    triangles = []
     for e in act.elements():
         for sigma in permutations((1, 2, 3)):
             word = []
@@ -122,13 +122,9 @@ def mckay_superpotential(act: AbelianAction) -> Superpotential:
             for i in sigma:
                 word.append(arrow_name(act, i, at))
                 at = act.add(at, act.weights[i - 1])
-            word = tuple(word)
-            canon = min(word[j:] + word[:j] for j in range(len(word)))
-            raw[canon] = raw.get(canon, 0) + _SIGN[sigma]
+            triangles.append((_SIGN[sigma], word))
     terms = []
-    for word, coeff in sorted(raw.items()):
-        if not coeff:
-            continue
+    for word, coeff in Superpotential(triangles).terms:
         rotations = rotation_count(word)
         if coeff % rotations:
             raise CrepantError("cycle coefficient not divisible by its rotations")

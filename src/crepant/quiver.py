@@ -148,12 +148,6 @@ class Superpotential:
             if arrows[-1].head != arrows[0].tail:
                 raise CrepantError(f"cycle {t.word} is not closed")
 
-    def arrow_names(self) -> set[str]:
-        return {n for t in self.terms for n in t.word}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other):
         if not isinstance(other, Superpotential):
             return NotImplemented

@@ -55,18 +55,9 @@ class FormalSeries:
         self.terms = {e: c for e, c in clean.items() if c}
 
     @classmethod
-    def zero(cls, vars: Iterable[str], order: int) -> "FormalSeries":
-        return cls(vars, order)
-
-    @classmethod
     def one(cls, vars: Iterable[str], order: int) -> "FormalSeries":
         vars = tuple(vars)
         return cls(vars, order, {(0,) * len(vars): 1})
-
-    @classmethod
-    def monomial(cls, vars: Iterable[str], order: int, exps: tuple,
-                 coeff: int = 1) -> "FormalSeries":
-        return cls(vars, order, {tuple(exps): coeff})
 
     def _check_compatible(self, other: "FormalSeries") -> None:
         if self.vars != other.vars or self.order != other.order:

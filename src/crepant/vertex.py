@@ -207,9 +207,6 @@ class TSeries:
     def valuation(self):
         return self.offset if self.data else None
 
-    def is_zero(self) -> bool:
-        return not self.data
-
     def __bool__(self) -> bool:
         return bool(self.data)
 
@@ -300,11 +297,6 @@ class TSeries:
             return NotImplemented
         return self.cutoff == other.cutoff and self.offset == other.offset \
             and self.data == other.data
-
-    def __repr__(self):
-        items = sorted(self.coeffs.items())[:6]
-        body = " + ".join(f"{c}*t^{e}" for e, c in items)
-        return f"TSeries({body or '0'}; cutoff={self.cutoff})"
 
 
 def _convolve(a: list, b: list, n: int) -> list:
@@ -428,13 +420,6 @@ def _unpack(x: int, k: int, n: int) -> list:
     for j in range(w - 2, -1, -1):
         out = map(or_, map(lshift, out, repeat(64)), words[j::w])
     return list(out)
-
-
-def geometric(step: int, cutoff: int) -> TSeries:
-    """1/(1 - t^step) as a truncated series; step must be positive."""
-    if step <= 0:
-        raise CrepantError("geometric step must be positive")
-    return TSeries({e: 1 for e in range(0, cutoff + 1, step)}, cutoff)
 
 
 def schur_principal(p, cutoff: int) -> TSeries:
@@ -648,16 +633,6 @@ class GWSeries(FormalSeries):
                    {exps: TSeries(coeffs) for exps, coeffs in rows.items()})
 
 
-def _assignments(slots: int, budget: int):
-    """Tuples of partition sizes, one per slot, with bounded total."""
-    if slots == 0:
-        yield ()
-        return
-    for s in range(budget + 1):
-        for rest in _assignments(slots - 1, budget - s):
-            yield (s,) + rest
-
-
 def gw_partition_function(web: DualWeb, order: int, t_cutoff: int = 20,
                           reverse_edges: bool = False) -> GWSeries:
     """Sum over partition assignments to the internal edges of a web.
@@ -685,7 +660,9 @@ def _summands(web, edges, qvars, order, reverse_edges) -> list:
     slots = [_ccw_slots(web, node) for node in range(len(web.nodes))]
     parts_by_size = {s: list(partitions_of(s)) for s in range(order + 1)}
     out = []
-    for sizes in _assignments(len(edges), order):
+    for sizes in product(range(order + 1), repeat=len(edges)):
+        if sum(sizes) > order:
+            continue
         for choice in product(*(parts_by_size[s] for s in sizes)):
             sign, shift = 1, 0
             for e, lam in zip(edges, choice):
@@ -717,7 +694,7 @@ def _glue(qvars, order, summands, cutoff):
         factor = TSeries.monomial(shift, sign, cutoff + shift)
         for lam, mu, nu in nodes:
             factor = factor * vertex(lam, mu, nu, cutoff)
-            if factor.is_zero():
+            if not factor:
                 break
         else:
             terms[exps] = terms[exps] + factor if exps in terms else factor
@@ -770,26 +747,38 @@ def _skew_valuation(alpha: Partition, eta: Partition, nu: Partition):
 
 
 @lru_cache(maxsize=None)
-def _vertex_pair(lam, mu, nu, cutoff: int) -> tuple:
-    """(valuation, cutoff) of vertex(lam, mu, nu, cutoff), traced through
-    vertex_raw's sums and products."""
+def _vertex_valuations(lam, mu, nu) -> tuple:
+    """(pairs, hook, shift) for vertex(lam, mu, nu): the valuations (v1, v2)
+    of the two skew factors of every inner-sum term that is not identically
+    zero, in vertex_raw's order; the valuation of s_nu(q^rho), None when nu
+    is empty; and the kappa shift."""
     lam, mu, nu = _least_rotation(lam, mu, nu)
     mu_t, nu_t = transpose(mu), transpose(nu)
-
-    def skew(alpha, eta, x):
-        v = _skew_valuation(alpha, eta, x)
-        return (v if v is not None and v <= cutoff else None), cutoff
-
-    inner = (None, cutoff)
+    pairs = []
     for eta in subdiagrams(tuple(min(a, b) for a, b in zip(lam, mu_t))):
-        inner = _pair_add(inner, _pair_mul(skew(lam, eta, nu_t),
-                                           skew(mu_t, eta, nu)))
-    if nu:
-        # schur_principal: t^s times geometric factors of valuation 0 and
-        # the same cutoff, which leave (s, cutoff) as it is
-        s = 2 * n_stat(nu) + psize(nu)
-        inner = _pair_mul(((s if s <= cutoff else None), cutoff), inner)
-    shift = kappa(lam) + kappa(nu)
+        v1 = _skew_valuation(lam, eta, nu_t)
+        v2 = _skew_valuation(mu_t, eta, nu)
+        if v1 is not None and v2 is not None:
+            pairs.append((v1, v2))
+    hook = 2 * n_stat(nu) + psize(nu) if nu else None
+    return tuple(pairs), hook, kappa(lam) + kappa(nu)
+
+
+@lru_cache(maxsize=None)
+def _vertex_pair(lam, mu, nu, cutoff: int) -> tuple:
+    """(valuation, cutoff) of vertex(lam, mu, nu, cutoff), traced through
+    vertex_raw's sums and products.  A term that is identically zero adds
+    (None, cutoff), which changes nothing."""
+    pairs, hook, shift = _vertex_valuations(lam, mu, nu)
+    inner = (None, cutoff)
+    for v1, v2 in pairs:
+        inner = _pair_add(inner, _pair_mul(
+            ((v1 if v1 <= cutoff else None), cutoff),
+            ((v2 if v2 <= cutoff else None), cutoff)))
+    if hook is not None:
+        # schur_principal: t^hook times a 1/(1 - t^(2h)) per hook, of
+        # valuation 0 and the same cutoff, which leave (hook, cutoff) as is
+        inner = _pair_mul(((hook if hook <= cutoff else None), cutoff), inner)
     v, k = inner
     return (None if v is None else v + shift), k + shift
 
@@ -803,24 +792,17 @@ def _vertex_profile(lam, mu, nu) -> tuple:
     skew specialization that is not identically zero, the hook product and
     the inner sum all have their lowest terms at or below their cutoffs.
     """
-    lam, mu, nu = _least_rotation(lam, mu, nu)
-    mu_t, nu_t = transpose(mu), transpose(nu)
+    pairs, hook, shift = _vertex_valuations(lam, mu, nu)
     # the inner sum is (low, cutoff + offset); eta = () always contributes
     low, offset, threshold = None, 0, 0
-    for eta in subdiagrams(tuple(min(a, b) for a, b in zip(lam, mu_t))):
-        v1 = _skew_valuation(lam, eta, nu_t)
-        v2 = _skew_valuation(mu_t, eta, nu)
-        if v1 is None or v2 is None:
-            continue
+    for v1, v2 in pairs:
         low = v1 + v2 if low is None else min(low, v1 + v2)
         offset = min(offset, v1, v2)
         threshold = max(threshold, v1, v2)
     threshold = max(threshold, low - offset)
-    if nu:
-        s = 2 * n_stat(nu) + psize(nu)
-        low, offset, threshold = s + low, min(low, offset + s), \
-            max(threshold, s)
-    shift = kappa(lam) + kappa(nu)
+    if hook is not None:
+        low, offset, threshold = hook + low, min(low, offset + hook), \
+            max(threshold, hook)
     return low + shift, offset + shift, threshold
 
 
@@ -884,52 +866,38 @@ def _plan_cutoff(summands, order: int, t_cutoff: int) -> int:
             raise CrepantError("cannot reach requested t-precision")
 
 
-def _angle_key(d):
-    """Total order on primitive directions by counterclockwise angle from +x."""
-    x, y = d
-    if y == 0:
-        half = 0 if x > 0 else 2
-    elif y > 0:
-        half = 1
-    else:
-        half = 3
-    # within an open half plane, compare by slope via cross product; encode
-    # as a Fraction of the cotangent-like ratio for a strict order
-    return (half, Fraction(-x, y) if y else Fraction(0))
-
-
 def _ccw_slots(web, node):
+    """The three slots at a node in counterclockwise cyclic order.  The
+    directions of a balanced node span the plane positively, so the first
+    two are counterclockwise exactly when their cross product is positive;
+    where the cycle starts is free, as every vertex call takes the least
+    rotation."""
     slots = web.slots_at(node)
     if len(slots) != 3:
         raise CrepantError("web node is not trivalent")
-    return sorted(slots, key=lambda s: _angle_key(s[2]))
+    (x1, y1), (x2, y2) = slots[0][2], slots[1][2]
+    return slots if x1 * y2 - x2 * y1 > 0 else [slots[0], slots[2], slots[1]]
 
 
 # ---------------------------------------------------------------------------
 # Gopakumar-Vafa extraction
 
-def _u_power(g: int) -> TSeries:
-    """(t - 1/t)^(2g) as an exact Laurent polynomial."""
-    u = TSeries({2: 1, 0: -2, -2: 1}, None)
-    out = TSeries.one(None)
-    for _ in range(g):
-        out = out * u
-    return out
+def _sinh_power(k: int, m: int, cutoff=None) -> TSeries:
+    """(t^k - t^-k)^m = sum_j (-1)^j C(m, j) t^(k(m - 2j)), cut at the
+    cutoff."""
+    return TSeries({k * (m - 2 * j): (-1) ** j * math.comb(m, j)
+                    for j in range(m + 1)}, cutoff)
 
 
 def _cover_kernel(g: int, k: int, cutoff: int) -> TSeries:
     """(-1)^(g-1)/k * (t^k - t^-k)^(2g-2), expanded upward in t."""
     if g == 0:
-        # 1/(t^k - t^-k)^2 = t^(2k) / (1 - t^(2k))^2
-        base = geometric(2 * k, cutoff)
-        ts = base * base
-        ts = ts.shift(2 * k)
-        return ts.scale(Fraction(-1, k))
-    poly = TSeries({2 * k: 1, 0: -2, -2 * k: 1}, None)
-    out = TSeries.one(None)
-    for _ in range(g - 1):
-        out = out * poly
-    return out.truncate(cutoff).scale(Fraction((-1) ** (g - 1), k))
+        # 1/(t^k - t^-k)^2 = t^(2k) / (1 - t^(2k))^2 = sum_{m>=1} m t^(2km)
+        top = cutoff + 2 * k
+        return TSeries({2 * k * m: m for m in range(1, top // (2 * k) + 1)},
+                       top).scale(Fraction(-1, k))
+    return _sinh_power(k, 2 * g - 2, cutoff).scale(
+        Fraction((-1) ** (g - 1), k))
 
 
 class GVTable:
@@ -979,7 +947,7 @@ def gv_extract(series: GWSeries, genus_cap: int = 2) -> GVTable:
             for g, n in per_degree.get(d // k, {}).items():
                 if n:
                     residue = residue - _cover_kernel(g, k, cutoff).scale(n)
-        peeled = -(residue * _u_power(1))
+        peeled = -(residue * _sinh_power(1, 2))
         top = max((e for e, c in peeled.coeffs.items() if c), default=None)
         avail = peeled.cutoff
         if top is not None and avail is not None and top > avail - 2:
@@ -996,7 +964,7 @@ def gv_extract(series: GWSeries, genus_cap: int = 2) -> GVTable:
                 n_g = (-1) ** g * c
                 if n_g:
                     genera[g] = n_g
-                    peeled = peeled - _u_power(g).scale(c)
+                    peeled = peeled - _sinh_power(1, 2 * g).scale(c)
             if any(c for e, c in peeled.coeffs.items()
                    if avail is None or e <= avail):
                 raise CrepantError(

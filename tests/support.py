@@ -254,7 +254,7 @@ def strip_chain_skew_spec(alpha, eta, nu, cutoff):
                     # weight * t^a at cutoff ``work``, as TSeries.__mul__
                     # would cut it
                     a = exp * gained
-                    if a > work or weight.is_zero():
+                    if a > work or not weight:
                         continue
                     add = weight.shift(a).truncate(
                         min(weight.cutoff + a, work + weight.offset))
@@ -263,6 +263,61 @@ def strip_chain_skew_spec(alpha, eta, nu, cutoff):
                 new[lam] = new[lam] + add if lam in new else add
         states = new
     return states.get(alpha, TSeries.zero(work)).truncate(cutoff)
+
+
+def geometric(step: int, cutoff: int) -> TSeries:
+    """1/(1 - t^step) as a truncated series; step must be positive."""
+    if step <= 0:
+        raise CrepantError("geometric step must be positive")
+    return TSeries({e: 1 for e in range(0, cutoff + 1, step)}, cutoff)
+
+
+def product_u_power(g: int) -> TSeries:
+    """``vertex._sinh_power(1, 2 * g)`` by the repeated products it
+    replaced: (t - 1/t)^(2g) as an exact Laurent polynomial."""
+    u = TSeries({2: 1, 0: -2, -2: 1}, None)
+    out = TSeries.one(None)
+    for _ in range(g):
+        out = out * u
+    return out
+
+
+def product_cover_kernel(g: int, k: int, cutoff: int) -> TSeries:
+    """``vertex._cover_kernel`` by the series products it replaced:
+    (-1)^(g-1)/k * (t^k - t^-k)^(2g-2), expanded upward in t."""
+    if g == 0:
+        # 1/(t^k - t^-k)^2 = t^(2k) / (1 - t^(2k))^2
+        base = geometric(2 * k, cutoff)
+        ts = base * base
+        ts = ts.shift(2 * k)
+        return ts.scale(Fraction(-1, k))
+    poly = TSeries({2 * k: 1, 0: -2, -2 * k: 1}, None)
+    out = TSeries.one(None)
+    for _ in range(g - 1):
+        out = out * poly
+    return out.truncate(cutoff).scale(Fraction((-1) ** (g - 1), k))
+
+
+def angle_key(d):
+    """Total order on primitive directions by counterclockwise angle from +x."""
+    x, y = d
+    if y == 0:
+        half = 0 if x > 0 else 2
+    elif y > 0:
+        half = 1
+    else:
+        half = 3
+    # within an open half plane, compare by slope via cross product; encode
+    # as a Fraction of the cotangent-like ratio for a strict order
+    return (half, Fraction(-x, y) if y else Fraction(0))
+
+
+def angle_sorted_slots(web, node):
+    """``vertex._ccw_slots`` by the full angle sort it replaced."""
+    slots = web.slots_at(node)
+    if len(slots) != 3:
+        raise CrepantError("web node is not trivalent")
+    return sorted(slots, key=lambda s: angle_key(s[2]))
 
 
 def retry_gluing(qvars, order, summands, t_cutoff):

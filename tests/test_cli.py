@@ -121,6 +121,17 @@ def test_usage_errors_exit_2():
     assert proc.returncode == 2
     proc = run("ncdt", "c3", "--order", "3", "--bogus-flag", check=False)
     assert proc.returncode == 2
+    # two selectors of one family: polygons, quiver sources, and quiver
+    # sources with --cartan
+    for args in [("triangulate", "--square", "--p2"),
+                 ("gw", "--zn", "2", "--trapezoid", "2,1", "--order", "1"),
+                 ("relations", "--builtin", "c3", "--mckay", "3:1,1,1"),
+                 ("roots", "--builtin", "c3", "--cartan", "[[2]]",
+                  "--height", "2")]:
+        proc = run(*args, check=False)
+        assert proc.returncode == 2, args
+        assert "not allowed with argument" in proc.stderr, args
+        assert "Traceback" not in proc.stderr, args
 
 
 def test_domain_errors_exit_1():
@@ -130,6 +141,12 @@ def test_domain_errors_exit_1():
     proc = run("ncdt", "nosuch", "--order", "2", check=False)
     assert proc.returncode == 1
     assert proc.stderr == "error: unknown crystal family 'nosuch'\n"
+    for args in [("relations", "--builtin", "laufer", "--n", "0"),
+                 ("frame", "--builtin", "laufer", "--n", "0", "--v0", "0")]:
+        proc = run(*args, check=False)
+        assert proc.returncode == 1, args
+        assert proc.stderr == \
+            "error: loop-term exponent parameter must be >= 1\n", args
 
 
 @pytest.mark.parametrize("args", [

@@ -235,7 +235,8 @@ def test_near_depth_sum_is_legal_just_below_the_limit():
 
 
 # every built-in geometry, the README overrides, the texts of the
-# division-by-zero test and a legal sum nested near _MAX_DEPTH
+# division-by-zero test, a legal sum nested near _MAX_DEPTH and texts whose
+# constant subexpressions fold
 ORACLE_GEOMETRIES = [
     ("conifold", {}), *[("laufer1", {"k": k}) for k in (1, 2, 3, 4)],
     *[("laufer2", {"n": n}) for n in (1, 2, 3)],
@@ -243,7 +244,22 @@ ORACLE_GEOMETRIES = [
     ("conifold", {"overrides": {"v3_xy": "y1*(y1/y1)",
                                 "v4_xy": "(y1**2 + x*y1)/y1 - x"}}),
     ("conifold", {"overrides": {"v1_xy": near_depth_sum(480)}}),
+    ("conifold", {"overrides": {"v1_xy": "x**(4/2)", "v2_xy": "x**(4/-2)",
+                                "v3_xy": "x**(-6/-3)", "v4_xy": "(1/2)**2*x",
+                                "z1": "x*(3/4 - 3/4)"}}),
 ]
+
+
+@pytest.mark.parametrize("text,message", [
+    ("x**(3/-2)", "the exponent is not an integer"),
+    ("1/(2-2)", "divides by zero"),
+    ("0**-1*x", "divides by zero"),
+])
+def test_constant_folding_rejects_what_the_fraction_oracle_rejects(text,
+                                                                   message):
+    for compile_text in (_compile, fraction_compile):
+        with pytest.raises(CrepantError, match=message):
+            compile_text(text, CHART1)
 
 
 def _value_or_error(fn, values):

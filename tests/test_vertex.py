@@ -13,18 +13,19 @@ from hypothesis import strategies as st
 
 from crepant.errors import CrepantError
 from crepant.series import FormalSeries, general_binomial
-from crepant.toric import (double_triangle, dual_web, p2_triangle, trapezoid,
-                           unit_square, unit_triangle, unit_triangulations,
-                           zn_triangle)
-from crepant.vertex import (GWSeries, TSeries, _convolve, _glue,
-                            _glued_precision, _kronecker, _plan_cutoff,
-                            _precision_table, _skew_spec, _skew_valuation,
+from crepant.toric import (BUILTIN_POLYGONS, double_triangle, dual_web,
+                           p2_triangle, trapezoid, unit_square, unit_triangle,
+                           unit_triangulations, zn_triangle)
+from crepant.vertex import (GWSeries, TSeries, _ccw_slots, _convolve,
+                            _cover_kernel, _glue, _glued_precision,
+                            _kronecker, _plan_cutoff, _precision_table,
+                            _sinh_power, _skew_spec, _skew_valuation,
                             _summands, _vertex_pair, _vertex_profile,
-                            geometric, gv_extract, gw_partition_function,
-                            hooks, kappa, n_stat, partitions_of,
-                            partitions_upto, psize, schur_principal,
-                            transpose, vertex, vertex_raw)
-from support import (DictTSeries, fraction_log, margin_walk_plan,
+                            gv_extract, gw_partition_function, hooks, kappa,
+                            n_stat, partitions_of, partitions_upto, psize,
+                            schur_principal, transpose, vertex, vertex_raw)
+from support import (DictTSeries, angle_sorted_slots, fraction_log, geometric,
+                     margin_walk_plan, product_cover_kernel, product_u_power,
                      retry_gluing, retry_loop_oracle, strip_chain_skew_spec,
                      walked_precision)
 
@@ -409,7 +410,7 @@ def both(spec):
 def same(dense, ref):
     return dense.cutoff == ref.cutoff and dense.coeffs == ref.coeffs \
         and dense.valuation() == ref.valuation() \
-        and dense.is_zero() == ref.is_zero()
+        and (not dense) == ref.is_zero()
 
 
 def outcome(fn, *args):
@@ -534,14 +535,14 @@ def test_product_at_the_packing_width(bits, sign):
 
 def test_dense_tseries_edge_cases():
     zero = TSeries.zero(5)
-    assert zero.is_zero() and zero.valuation() is None and zero.coeffs == {}
+    assert not zero and zero.valuation() is None and zero.coeffs == {}
     assert zero == TSeries({3: 0}, 5) == TSeries({9: 1}, 5)
     assert (zero * TSeries.one(None)).cutoff == 5
     assert (TSeries({-3: 2}, None) * TSeries({1: Fraction(1, 2)}, None)
             ).coeffs == {-2: 1}
     assert (TSeries({0: 1, 2: 1}, None) - TSeries({0: 1}, None)).coeffs == \
         {2: 1}
-    assert TSeries.monomial(4, 1, 3).is_zero()
+    assert not TSeries.monomial(4, 1, 3)
     with pytest.raises(TypeError):
         TSeries.one(3).coeffs[0] = 2
 
@@ -560,6 +561,43 @@ def int_series_pairs(draw):
                             st.integers(-3, 3), max_size=8)
     return (FormalSeries(("Q1", "Q2"), order, draw(terms)),
             FormalSeries(("Q1", "Q2"), order, draw(terms)))
+
+
+# every built-in polygon, trapezoid N0 <= 4 and zn 1-3: 1182 web nodes
+ORIENTATION_POLYGONS = [
+    *(build() for build in BUILTIN_POLYGONS.values()),
+    *(trapezoid(n0, n1) for n0 in range(1, 5) for n1 in range(1, n0 + 1)),
+    *(zn_triangle(n) for n in (1, 2, 3)),
+]
+
+
+def test_ccw_slots_match_the_angle_sort():
+    """The cross product of the first two directions gives the cyclic order
+    the full angle sort gave, on every node of every triangulation."""
+    nodes = 0
+    for polygon in ORIENTATION_POLYGONS:
+        for tri in unit_triangulations(polygon):
+            web = dual_web(tri)
+            for node in range(len(web.nodes)):
+                got = _ccw_slots(web, node)
+                want = angle_sorted_slots(web, node)
+                assert got in [want[i:] + want[:i] for i in range(3)], \
+                    (polygon, tri, node)
+                nodes += 1
+    assert nodes == 1182
+
+
+def test_closed_form_kernels_match_the_products():
+    """The binomial expansions equal the series products they replaced, in
+    value and cutoff."""
+    for g in range(5):
+        assert _sinh_power(1, 2 * g) == product_u_power(g)
+        for k in range(1, 5):
+            for cutoff in range(-10, 41):
+                got = _cover_kernel(g, k, cutoff)
+                want = product_cover_kernel(g, k, cutoff)
+                assert got == want and got.cutoff == want.cutoff, \
+                    (g, k, cutoff)
 
 
 @settings(max_examples=100, deadline=None)
