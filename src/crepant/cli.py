@@ -17,6 +17,11 @@ from .errors import CrepantError
 from .vertex import PrecisionError, gv_extract, gw_partition_function
 
 
+class UsageError(Exception):
+    """An argument combination the parser cannot rule out: exit 2 with one
+    ``error:`` line."""
+
+
 def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -114,7 +119,13 @@ def _variable_map(text: str) -> dict:
     return out
 
 
+def _check_laufer_n(args) -> None:
+    if args.n is not None and args.builtin != "laufer":
+        raise UsageError("--n applies only to --builtin laufer")
+
+
 def _load_quiver(args):
+    _check_laufer_n(args)
     if args.quiver:
         with open(args.quiver, encoding="utf-8") as fh:
             return quiver.quiver_from_json(fh.read())
@@ -207,6 +218,7 @@ def cmd_stability(args) -> int:
 
 def _cartan_from_args(args) -> roots.CartanMatrix:
     if args.cartan:
+        _check_laufer_n(args)
         names = tuple(str(i) for i in range(len(args.cartan)))
         return roots.CartanMatrix(names, tuple(map(tuple, args.cartan)))
     q, _ = _load_quiver(args)
@@ -318,7 +330,15 @@ def cmd_gv(args) -> int:
     return 0
 
 
+# the parameter each built-in geometry takes
+_GEOMETRY_PARAMETER = {"conifold": None, "laufer1": "k", "laufer2": "n"}
+
+
 def cmd_verify_geometry(args) -> int:
+    for name in ("k", "n"):
+        if getattr(args, name) is not None and \
+                _GEOMETRY_PARAMETER[args.geometry] != name:
+            raise UsageError(f"{args.geometry} takes no --{name}")
     overrides = {}
     for item in args.override or ():
         key, _, value = item.partition("=")
@@ -451,8 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-geometry", help="exact chart verification")
     p.add_argument("geometry", choices=["conifold", "laufer1", "laufer2"])
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
+    p.add_argument("--k", type=int, help="laufer1's parameter")
+    p.add_argument("--n", type=int, help="laufer2's parameter")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--override", action="append", metavar="KEY=EXPR")
     p.add_argument("--report-only", action="store_true",
@@ -492,6 +512,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (CrepantError, OSError) as exc:
         message = str(exc)
     except MemoryError:

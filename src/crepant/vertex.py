@@ -33,6 +33,15 @@ second node, and weights an internal edge by
 These conventions are locked by the conifold product formula and the local
 P2 invariants (3, -6, 27 at genus 0 and -10 at genus 1, degree 3).
 
+A glue builds no intermediate series.  Every amplitude has nonnegative
+coefficients at exponents of one parity, so each distinct amplitude is
+packed once, over t^2, into one nonnegative int, with one slot width for
+the whole glue: nothing cancels, so a coefficient of a Q-degree is at most
+the sum over its summands of the product of their amplitudes' coefficient
+sums.  A summand is then a chain of plain int multiplies, each masked at
+the cutoff the TSeries rules give it, and each Q-degree is a shift-and-add
+of its summands, unpacked once with the framing sign they share.
+
 The working t-cutoff of a gluing is planned before any coefficient is
 computed: every amplitude has nonnegative coefficients, so valuations and
 the cutoff rules of TSeries arithmetic give the precision one _glue
@@ -689,15 +698,67 @@ def _summands(web, edges, qvars, order, reverse_edges) -> list:
 
 
 def _glue(qvars, order, summands, cutoff):
-    terms: dict[tuple, TSeries] = {}
+    """The sum of the summands at ``cutoff``, each a framing monomial
+    sign * t^shift, exact through cutoff + shift, times one amplitude per
+    node, glued over packed ints as the module docstring describes.
+
+    A summand's chain is masked after each multiply at the cutoff
+    ``_pair_mul`` gives, and the summand is dropped once its valuation
+    passes that cutoff.  A Q-degree's sum is cut at the least cutoff of its
+    summands; their valuations share a parity, as each edge partition
+    enters at both its nodes.
+    """
+    if cutoff < 0:
+        return GWSeries(qvars, order)  # every framing monomial is cut to 0
+    # [valuation, cutoff, coefficient sum, coefficients over t^2] per
+    # distinct amplitude, shared by every rotation of its arguments
+    amplitudes, distinct = {}, {}
+    chains, bounds = [], {}
     for exps, sign, shift, nodes in summands:
-        factor = TSeries.monomial(shift, sign, cutoff + shift)
-        for lam, mu, nu in nodes:
-            factor = factor * vertex(lam, mu, nu, cutoff)
-            if not factor:
+        v, k, bound, steps = shift, cutoff + shift, 1, []
+        for args in nodes:
+            amp = amplitudes.get(args)
+            if amp is None:
+                rotation = _least_rotation(*args)
+                amp = distinct.get(rotation)
+                if amp is None:
+                    ts = vertex_raw(*rotation, cutoff)
+                    amp = distinct[rotation] = [ts.valuation(), ts.cutoff,
+                                                sum(ts.data), ts.data[::2]]
+                amplitudes[args] = amp
+            av, ak, size, _ = amp
+            if av is None:
                 break
+            v, k = v + av, min(k + av, ak + v)
+            if v > k:
+                break
+            bound *= size
+            steps.append((amp, (k - v) // 2 + 1))
         else:
-            terms[exps] = terms[exps] + factor if exps in terms else factor
+            bounds[exps] = bounds.get(exps, 0) + bound
+            chains.append((exps, sign, v, k, steps))
+    if not chains:
+        return GWSeries(qvars, order)
+    width = _slot_bytes(max(bounds.values()).bit_length())
+    slot = 8 * width
+    for amp in distinct.values():
+        amp[3] = _pack(amp[3], width)
+    sums: dict[tuple, list] = {}
+    for exps, sign, v, k, steps in chains:
+        x = 1
+        for amp, n in steps:
+            x = (x * amp[3]) & ((1 << (slot * n)) - 1)
+        sums.setdefault(exps, [sign]).append((v, k, x))
+    terms = {}
+    for exps, (sign, *parts) in sums.items():
+        low = min(v for v, _, _ in parts)
+        top = min(k for _, k, _ in parts)
+        n = (top - low) // 2 + 1
+        half = _unpack(sum(x << (slot * ((v - low) // 2))
+                           for v, _, x in parts), width, n)
+        data = [0] * (2 * n - 1)
+        data[::2] = half if sign > 0 else [-c for c in half]
+        terms[exps] = TSeries._dense(low, data, top)
     return GWSeries(qvars, order, terms)
 
 
@@ -708,8 +769,8 @@ def _glue(qvars, order, summands, cutoff):
 # coefficients, and all summands of one Q-degree carry the same framing
 # sign, so nothing cancels: valuations add under products and take the
 # minimum under sums.  With the cutoff rules of TSeries arithmetic that
-# gives the (valuation, cutoff) pair of every series _glue builds without
-# one coefficient.  A pair (v, K) is a series exact through K with lowest
+# gives the (valuation, cutoff) pair of every product and sum _glue forms
+# without one coefficient.  A pair (v, K) is a series exact through K with lowest
 # exponent v, or the zero series when v is None.
 
 def _pair_mul(a, b):

@@ -15,7 +15,7 @@ from crepant.geometry import (CHART1, CHART2, V_COORDS, _MAX_COUNTEREXAMPLES,
 from crepant.quiver import c3_quiver, conifold_quiver, frame, relations_from_potential
 from crepant.reps import MonomialRepresentation, check_relations
 from crepant.vertex import (GWSeries, TSeries, _glue, _pair_mul, _strips,
-                            _summands, _vertex_pair)
+                            _summands, _vertex_pair, vertex)
 
 
 def brute_product_one_minus_qk_inverse(order):
@@ -318,6 +318,22 @@ def angle_sorted_slots(web, node):
     if len(slots) != 3:
         raise CrepantError("web node is not trivalent")
     return sorted(slots, key=lambda s: angle_key(s[2]))
+
+
+def tseries_glue(qvars, order, summands, cutoff):
+    """``vertex._glue`` by the chain of ``TSeries`` products its packed ints
+    replaced: each summand's framing monomial times its amplitudes, a
+    summand that truncates to zero dropped, the rest summed per Q-degree."""
+    terms = {}
+    for exps, sign, shift, nodes in summands:
+        factor = TSeries.monomial(shift, sign, cutoff + shift)
+        for lam, mu, nu in nodes:
+            factor = factor * vertex(lam, mu, nu, cutoff)
+            if not factor:
+                break
+        else:
+            terms[exps] = terms[exps] + factor if exps in terms else factor
+    return GWSeries(qvars, order, terms)
 
 
 def retry_gluing(qvars, order, summands, t_cutoff):

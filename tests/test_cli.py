@@ -134,6 +134,37 @@ def test_usage_errors_exit_2():
         assert "Traceback" not in proc.stderr, args
 
 
+@pytest.mark.parametrize("args, message", [
+    (("relations", "--builtin", "c3", "--n", "5"), "--n"),
+    (("relations", "--n", "2"), "--n"),
+    (("frame", "--mckay", "3:1,1,1", "--n", "2", "--v0", "0"), "--n"),
+    (("roots", "--builtin", "c3", "--n", "4", "--height", "1"), "--n"),
+    (("walls", "--cartan", "[[2]]", "--n", "1", "--theta1", "1",
+      "--theta2", "-1"), "--n"),
+    (("verify-geometry", "conifold", "--k", "3", "--trials", "2"),
+     "conifold takes no --k"),
+    (("verify-geometry", "conifold", "--n", "1", "--trials", "2"),
+     "conifold takes no --n"),
+    (("verify-geometry", "laufer1", "--k", "2", "--n", "1", "--trials", "2"),
+     "laufer1 takes no --n"),
+    (("verify-geometry", "laufer2", "--n", "1", "--k", "4", "--trials", "2"),
+     "laufer2 takes no --k"),
+])
+def test_a_parameter_the_source_does_not_take_exits_2(args, message):
+    """--n belongs to --builtin laufer alone among quiver sources, and
+    verify-geometry takes --k for laufer1 and --n for laufer2 only."""
+    if message == "--n":
+        message = "--n applies only to --builtin laufer"
+    assert run_main(list(args)) == (2, "", f"error: {message}\n")
+
+
+def test_a_foreign_parameter_exits_2_from_the_command_line():
+    proc = run("relations", "--builtin", "c3", "--n", "5", check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (2, "", "error: --n applies only to --builtin laufer\n")
+    assert run("relations", "--builtin", "laufer", "--n", "2").stdout
+
+
 def test_domain_errors_exit_1():
     proc = run("mckay", "3:1,1,2", check=False)
     assert proc.returncode == 1

@@ -27,7 +27,7 @@ from crepant.vertex import (GWSeries, TSeries, _ccw_slots, _convolve,
 from support import (DictTSeries, angle_sorted_slots, fraction_log, geometric,
                      margin_walk_plan, product_cover_kernel, product_u_power,
                      retry_gluing, retry_loop_oracle, strip_chain_skew_spec,
-                     walked_precision)
+                     tseries_glue, walked_precision)
 
 SRC_PATH = os.pathsep.join(filter(None, [
     str(Path(__file__).resolve().parents[1] / "src"),
@@ -389,6 +389,95 @@ def test_plan_gives_up_where_the_retry_loop_does():
         _plan_cutoff(summands, 1, 0)
 
 
+# the polygons of every web the CLI glues: the built-in flags, --zn 1-3 and
+# --trapezoid N0,N1 with N1 <= N0 <= 3
+CLI_POLYGONS = [
+    *(build() for build in BUILTIN_POLYGONS.values()),
+    *(zn_triangle(n) for n in (1, 2, 3)),
+    *(trapezoid(n0, n1) for n0 in range(1, 4) for n1 in range(1, n0 + 1)),
+]
+
+
+def _cli_web_summands():
+    """(case, qvars, order, summands) for every triangulation of every
+    CLI_POLYGONS polygon, at orders 0-4 and both edge orientations."""
+    for polygon in CLI_POLYGONS:
+        for index, tri in enumerate(unit_triangulations(polygon)):
+            web = dual_web(tri)
+            edges = list(web.edges)
+            qvars = tuple(e.var for e in edges)
+            for order in range(5):
+                for reverse in (False, True):
+                    yield ((polygon, index, order, reverse), qvars, order,
+                           _summands(web, edges, qvars, order, reverse))
+
+
+def test_packed_glue_matches_tseries_glue():
+    """The packed glue gives the TSeries-product glue term for term, offset,
+    data and cutoff of every Q-degree, on every web the CLI builds: at -1,
+    where every summand truncates to zero, at cutoffs where only some
+    summands have reached their thresholds, and at the planned cutoff.  The
+    walked precision the plan relies on is the glued series' least cutoff
+    at each."""
+    for case, qvars, order, summands in _cli_web_summands():
+        top = max(threshold for threshold, *_ in _precision_table(summands))
+        planned = _plan_cutoff(summands, order, 12)
+        for cutoff in sorted({-1, top // 2, top - 1, planned}):
+            got = _glue(qvars, order, summands, cutoff)
+            want = tseries_glue(qvars, order, summands, cutoff)
+            assert (got.vars, got.order) == (want.vars, want.order)
+            assert [(e, ts.offset, ts.data, ts.cutoff)
+                    for e, ts in sorted(got.terms.items())] == \
+                [(e, ts.offset, ts.data, ts.cutoff)
+                 for e, ts in sorted(want.terms.items())], (case, cutoff)
+            assert got.min_cutoff() == walked_precision(summands, cutoff), \
+                (case, cutoff)
+
+
+def _check_glue_preconditions(case, summands, cutoff):
+    """Every amplitude has nonnegative coefficients at exponents of one
+    parity; the summands of a Q-degree share their framing sign and, where
+    nonzero, the parity of their valuations.  Returns the glue's slot bound:
+    the largest sum over a Q-degree's summands of the product of their
+    amplitudes' coefficient sums."""
+    signs, parities, bounds = {}, {}, {}
+    for exps, sign, shift, nodes in summands:
+        assert signs.setdefault(exps, sign) == sign, (case, exps)
+        valuation, bound = shift, 1
+        for args in nodes:
+            ts = vertex(*args, cutoff)
+            assert all(c >= 0 for c in ts.data), (case, args)
+            assert not any(ts.data[1::2]), (case, args)
+            if not ts:
+                break
+            valuation += ts.offset
+            bound *= sum(ts.data)
+        else:
+            assert parities.setdefault(exps, valuation % 2) == \
+                valuation % 2, (case, exps)
+            bounds[exps] = bounds.get(exps, 0) + bound
+    return max(bounds.values(), default=0)
+
+
+def test_glue_preconditions_and_a_slot_wider_than_64_bits():
+    """What the packed glue assumes holds on every web the CLI builds at the
+    planned cutoff, and on local P2 at degree 7, t-order 54, where the slot
+    bound of some Q-degree needs more than 64 bits: that glue packs into
+    16-byte slots and still equals the TSeries-product glue."""
+    for case, _, order, summands in _cli_web_summands():
+        _check_glue_preconditions(case, summands,
+                                  _plan_cutoff(summands, order, 12))
+    web = dual_web(unit_triangulations(p2_triangle())[0])
+    edges = list(web.edges)
+    qvars = tuple(e.var for e in edges)
+    summands = _summands(web, edges, qvars, 7, False)
+    cutoff = _plan_cutoff(summands, 7, 54)
+    bound = _check_glue_preconditions("p2 degree 7", summands, cutoff)
+    assert bound.bit_length() > 64
+    assert _glue(qvars, 7, summands, cutoff) == \
+        tseries_glue(qvars, 7, summands, cutoff)
+
+
 coefficients = st.one_of(
     st.integers(-4, 4),
     st.fractions(min_value=-3, max_value=3, max_denominator=5))
@@ -492,22 +581,33 @@ def test_one_term_products_match_dict_reference(e, c, y, scalar):
 
 def test_cold_local_p2_product_counts():
     """Work pin: a cold gw_partition_function(local P2, 6, 40) makes at most
-    821 packed products and 1464 TSeries products.  Before monomials were
-    scaled copies and hook products running sums, it made 1810 packed
-    products, one per TSeries product."""
+    80 packed products, 219 TSeries products and 1245 glue multiplies (one
+    per node of each of the 415 summands).  Before the glue multiplied
+    packed amplitudes it made 821 packed and 1464 TSeries products, and
+    before monomials were scaled copies and hook products running sums
+    1810 packed products, one per TSeries product."""
     probe = (
         "import json, crepant.vertex as v\n"
         "from crepant.toric import (dual_web, p2_triangle,\n"
         "                           unit_triangulations)\n"
-        "counts = {'packed': 0, 'mul': 0}\n"
-        "kron, mul = v._kronecker, v.TSeries.__mul__\n"
+        "counts = {'packed': 0, 'mul': 0, 'glue': 0}\n"
+        "kron, mul, pack = v._kronecker, v.TSeries.__mul__, v._pack\n"
+        "class Counted(int):\n"
+        "    # a glue packs amplitudes with _pack and multiplies a chain's\n"
+        "    # plain int by one; _kronecker subtracts before multiplying\n"
+        "    def __rmul__(self, other):\n"
+        "        counts['glue'] += 1\n"
+        "        return other * int(self)\n"
         "def packed(*args):\n"
         "    counts['packed'] += 1\n"
         "    return kron(*args)\n"
         "def product(*args):\n"
         "    counts['mul'] += 1\n"
         "    return mul(*args)\n"
-        "v._kronecker, v.TSeries.__mul__ = packed, product\n"
+        "def counted_pack(*args):\n"
+        "    return Counted(pack(*args))\n"
+        "v._kronecker, v.TSeries.__mul__, v._pack = packed, product, \\\n"
+        "    counted_pack\n"
         "web = dual_web(unit_triangulations(p2_triangle())[0])\n"
         "v.gw_partition_function(web, 6, 40)\n"
         "print(json.dumps(counts))\n")
@@ -516,8 +616,9 @@ def test_cold_local_p2_product_counts():
                           env=dict(os.environ, PYTHONPATH=SRC_PATH))
     assert proc.returncode == 0, proc.stderr
     counts = json.loads(proc.stdout)
-    assert counts["packed"] <= 821, counts
-    assert counts["mul"] <= 1464, counts
+    assert counts["packed"] <= 80, counts
+    assert counts["mul"] <= 219, counts
+    assert 0 < counts["glue"] <= 1245, counts
 
 
 @pytest.mark.parametrize("bits", [29, 61, 125])
