@@ -726,20 +726,15 @@ def _glue(qvars, order, summands, cutoff):
                     amp = distinct[rotation] = [ts.valuation(), ts.cutoff,
                                                 sum(ts.data), ts.data[::2]]
                 amplitudes[args] = amp
-            av, ak, size, _ = amp
-            if av is None:
+            v, k = _pair_mul((v, k), amp[:2])
+            if v is None or v > k:
                 break
-            v, k = v + av, min(k + av, ak + v)
-            if v > k:
-                break
-            bound *= size
+            bound *= amp[2]
             steps.append((amp, (k - v) // 2 + 1))
         else:
             bounds[exps] = bounds.get(exps, 0) + bound
             chains.append((exps, sign, v, k, steps))
-    if not chains:
-        return GWSeries(qvars, order)
-    width = _slot_bytes(max(bounds.values()).bit_length())
+    width = _slot_bytes(max(bounds.values(), default=0).bit_length())
     slot = 8 * width
     for amp in distinct.values():
         amp[3] = _pack(amp[3], width)
@@ -770,8 +765,8 @@ def _glue(qvars, order, summands, cutoff):
 # sign, so nothing cancels: valuations add under products and take the
 # minimum under sums.  With the cutoff rules of TSeries arithmetic that
 # gives the (valuation, cutoff) pair of every product and sum _glue forms
-# without one coefficient.  A pair (v, K) is a series exact through K with lowest
-# exponent v, or the zero series when v is None.
+# without one coefficient.  A pair (v, K) is a series exact through K with
+# lowest exponent v, or the zero series when v is None.
 
 def _pair_mul(a, b):
     (v1, k1), (v2, k2) = a, b

@@ -665,11 +665,7 @@ def int_series_pairs(draw):
 
 
 # every built-in polygon, trapezoid N0 <= 4 and zn 1-3: 1182 web nodes
-ORIENTATION_POLYGONS = [
-    *(build() for build in BUILTIN_POLYGONS.values()),
-    *(trapezoid(n0, n1) for n0 in range(1, 5) for n1 in range(1, n0 + 1)),
-    *(zn_triangle(n) for n in (1, 2, 3)),
-]
+ORIENTATION_POLYGONS = CLI_POLYGONS + [trapezoid(4, n1) for n1 in range(1, 5)]
 
 
 def test_ccw_slots_match_the_angle_sort():
