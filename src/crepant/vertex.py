@@ -710,8 +710,9 @@ def _glue(qvars, order, summands, cutoff):
     """
     if cutoff < 0:
         return GWSeries(qvars, order)  # every framing monomial is cut to 0
-    # [valuation, cutoff, coefficient sum, coefficients over t^2] per
-    # distinct amplitude, shared by every rotation of its arguments
+    # [valuation, cutoff, coefficient sum, coefficients over t^2, packed
+    # once the slot width is known] per distinct amplitude, shared by every
+    # rotation of its arguments
     amplitudes, distinct = {}, {}
     chains, bounds = [], {}
     for exps, sign, shift, nodes in summands:
