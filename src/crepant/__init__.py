@@ -5,8 +5,8 @@ from .crystal import (BoxFamily, PyramidFamily, configuration_to_module,
                       configurations, enumerate_configurations, family_for,
                       ncdt_series)
 from .errors import CrepantError
-from .mckay import (AbelianAction, character_decomposition_table, mckay_quiver,
-                    mckay_superpotential, parse_action)
+from .mckay import (AbelianAction, mckay_quiver, mckay_superpotential,
+                    parse_action)
 from .quiver import (Arrow, CyclicWord, FramedQuiver, Path, PathAlgebraElement,
                      Quiver, Superpotential, c3_quiver, compose,
                      conifold_quiver, cyclic_derivative, frame, laufer_quiver,

@@ -322,7 +322,7 @@ def cmd_gv(args) -> int:
         raise CrepantError(f"{exc} at --t-order {args.t_order}; a larger"
                            " --t-order reaches it") from None
     if args.json:
-        data = [{"genus": g, "degree": d, "n": int(v)}
+        data = [{"genus": g, "degree": d, "n": v}
                 for (g, d), v in table.rows()]
         _emit(json.dumps(data, sort_keys=True, indent=2))
     else:

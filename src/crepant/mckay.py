@@ -94,19 +94,6 @@ def mckay_quiver(act: AbelianAction) -> Quiver:
     return Quiver(vertices, arrows)
 
 
-def character_decomposition_table(act: AbelianAction) -> dict:
-    """Target character of multiplication by z_i on each graded piece.
-
-    Keys are (character label, coordinate index), values are the labels of
-    the targets; this is exactly the arrow table of the McKay quiver.
-    """
-    table = {}
-    for e in act.elements():
-        for i in (1, 2, 3):
-            table[(act.label(e), i)] = act.label(act.add(e, act.weights[i - 1]))
-    return table
-
-
 def mckay_superpotential(act: AbelianAction) -> Superpotential:
     """Antisymmetrized sum of the closed z1 z2 z3 triangles at every vertex.
 

@@ -99,8 +99,13 @@ class LatticePolygon(namedtuple("LatticePolygon", "vertices")):
 
     @classmethod
     def from_json(cls, text: str) -> "LatticePolygon":
+        """The polygon ``{"vertices": [[x, y], ...]}``; every coordinate must
+        be a JSON integer, where the constructor would coerce it."""
         with json_object(text, "polygon JSON") as data:
-            return cls(tuple(tuple(v) for v in data["vertices"]))
+            vertices = tuple(tuple(v) for v in data["vertices"])
+            if not all(type(x) is int for v in vertices for x in v):
+                raise CrepantError("polygon JSON coordinates must be integers")
+            return cls(vertices)
 
 
 Triangle = tuple[Point, Point, Point]  # vertices sorted lexicographically

@@ -1,16 +1,16 @@
 """Topological vertex amplitudes and local GW partition functions.
 
 All q-series use the substitution q = t**2 so every amplitude is a Laurent
-series in t with exact coefficients.  A TSeries knows the largest exponent
-it is exact through, and arithmetic propagates that bound honestly, so a
-result is never silently less precise than reported.  It is stored dense,
-as an offset and a list of coefficients.  A product by a one-term series
-(a framing monomial, the amplitude 1, a kernel's first factor) is a scaled
-copy of the other list.  Any other product is one big-integer multiply
-(Kronecker substitution): each factor, cleared to integers over a common
-denominator, is packed into one int with a slot per coefficient wide enough
-for any coefficient of the product, and the slots of the truncated product
-are read back (over t^2 when both factors are series in t^2).
+series in t with integer coefficients.  A TSeries knows the largest
+exponent it is exact through, and arithmetic propagates that bound
+honestly, so a result is never silently less precise than reported.  It is
+stored dense, as an offset and a list of coefficients.  A product by a
+one-term series (a framing monomial, the amplitude 1, a kernel's first
+factor) is a scaled copy of the other list.  Any other product is one
+big-integer multiply (Kronecker substitution): each int factor is packed
+into one int with a slot per coefficient wide enough for any coefficient of
+the product, and the slots of the truncated product are read back (over
+t^2 when both factors are series in t^2).
 
 The principal specialization s_lambda(q^rho) is the hook product
 t^(2n(lambda)+|lambda|) / prod_cells (1 - t^(2 hook)), built without a
@@ -52,8 +52,9 @@ truncates to zero, it is exact through the cutoff plus a fixed offset, so a
 margin's precision is a minimum over that table, with only the summands
 still below their thresholds walked at that cutoff.
 
-The GW free energy log Z is summed over the integers, each power of Z - 1
-scaled by lcm(1..order)/k, and divided by the lcm once.
+The GW free energy is summed over the integers as L log Z, L =
+lcm(1..order), and GV extraction divides each invariant by L once, checking
+that the division is exact.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ import struct
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product, repeat
-from operator import add, and_, attrgetter, lshift, or_, rshift, sub
+from operator import add, and_, lshift, or_, rshift, sub
 from types import MappingProxyType
 
 from .errors import CrepantError
@@ -164,6 +165,9 @@ class TSeries:
     first and last entries are nonzero, nothing above the cutoff is kept and
     the zero series has no data (and offset 0).  A list is never changed
     once it backs a series, so a shifted series shares its data.
+    Products take int coefficients (a packed product raises TypeError on
+    any other); sums, ``scale``, ``shift`` and ``truncate`` take any exact
+    numbers.
     """
 
     __slots__ = ("offset", "data", "cutoff")
@@ -309,7 +313,7 @@ class TSeries:
 
 
 def _convolve(a: list, b: list, n: int) -> list:
-    """The first n coefficients of the product of coefficient lists a, b.
+    """The first n coefficients of the product of int coefficient lists a, b.
 
     A one-term factor scales a copy of the other list; two series in t^2
     are multiplied over t^2; anything else is one packed product.
@@ -318,7 +322,7 @@ def _convolve(a: list, b: list, n: int) -> list:
         return []
     if len(a) == 1 or len(b) == 1:
         c, b = (a[0], b) if len(a) == 1 else (b[0], a)
-        return _scaled(c, b[:n])
+        return b[:n] if c == 1 else [c * x for x in b[:n]]
     if not any(a[1::2]) and not any(b[1::2]):
         # both are series in t^2 (q = t^2 makes that the common case)
         out = [0] * n
@@ -330,52 +334,25 @@ def _convolve(a: list, b: list, n: int) -> list:
 def _kronecker(a: list, b: list, n: int) -> list:
     """The first n coefficients of the product, by Kronecker substitution.
 
-    Both lists, cleared to integers over a common denominator each, are
-    packed into one int apiece with a slot of k bytes per coefficient,
-    multiplied once, and the first n slots of the product are read back.  A
-    product coefficient is a sum of at most min(len(a), len(b)) terms, so
-    |c| < 2**(bits - 1) with bits as computed below, the least width that
-    always holds it as a signed slot; k rounds bits up to 1, 2, 4, 8, 16, ...
-    bytes.  Adding half a slot to every coefficient makes the slots
-    nonnegative, so each is read on its own.
+    Both int lists are packed into one int apiece with a slot of k bytes per
+    coefficient, multiplied once, and the first n slots of the product are
+    read back.  A product coefficient is a sum of at most min(len(a), len(b))
+    terms, so |c| < 2**(bits - 1) with bits as computed below, the least
+    width that always holds it as a signed slot; k rounds bits up to 1, 2,
+    4, 8, 16, ... bytes.  Adding half a slot to every coefficient makes the
+    slots nonnegative, so each is read on its own.
     """
-    a, da = _cleared(a[:n])
-    b, db = _cleared(b[:n])
+    a, b = a[:n], b[:n]
     bits = _magnitude_bits(a) + _magnitude_bits(b) + \
         min(len(a), len(b)).bit_length() + 1
     k = _slot_bytes(bits)
     packed = _pack_signed(a, k) * _pack_signed(b, k)
-    out = list(map(sub, _unpack(packed + _halves(k, n), k, n),
-                   repeat(1 << (8 * k - 1))))
-    d = da * db
-    return out if d == 1 else [Fraction(c, d) for c in out]
-
-
-def _scaled(c, coeffs: list) -> list:
-    """c times every coefficient, with the types the packed product gives:
-    ints when c and the list clear to a common denominator of 1."""
-    ints, d = _cleared(coeffs)
-    d *= c.denominator
-    c = c.numerator
-    if d == 1:
-        return ints if c == 1 else [c * x for x in ints]
-    return [Fraction(c * x, d) for x in ints]
-
-
-_numerator = attrgetter("numerator")
-_denominator = attrgetter("denominator")
-
-
-def _cleared(coeffs: list) -> tuple:
-    """(ints, d) with coeffs[i] == ints[i] / d; an int has denominator 1."""
-    d = math.lcm(*map(_denominator, coeffs))
-    if d == 1:
-        return list(map(_numerator, coeffs)), 1
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
+    return list(map(sub, _unpack(packed + _halves(k, n), k, n),
+                    repeat(1 << (8 * k - 1))))
 
 
 def _magnitude_bits(ints: list) -> int:
-    return max(max(ints), -min(ints)).bit_length()
+    return int.bit_length(max(max(ints), -min(ints)))
 
 
 # Packed ints are read and written in words of 1, 2, 4 or 8 bytes; a slot
@@ -414,8 +391,11 @@ def _pack(values: list, k: int) -> int:
         for j in range(w):
             words[j::w] = map(and_, map(rshift, values, repeat(64 * j)),
                               repeat(_WORD_MASK))
-    return int.from_bytes(
-        struct.pack(f"<{len(words)}{_WORD_FORMAT[size]}", *words), "little")
+    try:
+        packed = struct.pack(f"<{len(words)}{_WORD_FORMAT[size]}", *words)
+    except struct.error as exc:  # what struct raises for a value not an int
+        raise TypeError(exc) from None
+    return int.from_bytes(packed, "little")
 
 
 def _unpack(x: int, k: int, n: int) -> list:
@@ -588,12 +568,9 @@ class GWSeries(FormalSeries):
             return None
         return min(cuts)
 
-    def log(self) -> "GWSeries":
-        """log of a series with constant term 1; rational t-coefficients.
-
-        The sum of (-1)^(k+1) a^k / k is taken over the integers, each power
-        scaled by lcm(1..order) / k, and divided by that lcm once.
-        """
+    def _lcm_log(self) -> tuple:
+        """(L, L log Z) with L = lcm(1..order), for a series with constant
+        term 1: the sum of (-1)^(k+1) (L / k) a^k over the integers."""
         c0 = self.coefficient((0,) * len(self.vars))
         if c0.coeffs != {0: 1}:
             raise CrepantError("log needs constant term exactly 1")
@@ -605,6 +582,11 @@ class GWSeries(FormalSeries):
         for k in range(1, self.order + 1):
             power = power * a
             out = out + power.scale((-1) ** (k + 1) * (lcm // k))
+        return lcm, out
+
+    def log(self) -> "GWSeries":
+        """log of a series with constant term 1: ``_lcm_log`` divided by L."""
+        lcm, out = self._lcm_log()
         return out.scale(Fraction(1, lcm))
 
     def sorted_terms(self):
@@ -947,23 +929,20 @@ def _sinh_power(k: int, m: int, cutoff=None) -> TSeries:
 
 
 def _cover_kernel(g: int, k: int, cutoff: int) -> TSeries:
-    """(-1)^(g-1)/k * (t^k - t^-k)^(2g-2), expanded upward in t."""
+    """k times (-1)^(g-1)/k * (t^k - t^-k)^(2g-2), expanded upward in t."""
     if g == 0:
         # 1/(t^k - t^-k)^2 = t^(2k) / (1 - t^(2k))^2 = sum_{m>=1} m t^(2km)
         top = cutoff + 2 * k
-        return TSeries({2 * k * m: m for m in range(1, top // (2 * k) + 1)},
-                       top).scale(Fraction(-1, k))
-    return _sinh_power(k, 2 * g - 2, cutoff).scale(
-        Fraction((-1) ** (g - 1), k))
+        return TSeries({2 * k * m: -m for m in range(1, top // (2 * k) + 1)},
+                       top)
+    return _sinh_power(k, 2 * g - 2, cutoff).scale((-1) ** (g - 1))
 
 
 class GVTable:
-    """Extracted invariants n[g, d]; entries are exact."""
+    """Extracted invariants n[g, d], all ints."""
 
-    def __init__(self, entries: dict, genus_cap: int, degree_cap: int):
+    def __init__(self, entries: dict):
         self.entries = dict(entries)
-        self.genus_cap = genus_cap
-        self.degree_cap = degree_cap
 
     def __getitem__(self, key):
         return self.entries.get(tuple(key), 0)
@@ -979,19 +958,21 @@ class GVTable:
 
 
 def gv_extract(series: GWSeries, genus_cap: int = 2) -> GVTable:
-    """Invariants from the multiple-cover resummation of log Z.
+    """Integer invariants from the multiple-cover resummation of log Z.
 
     The series must have constant term 1; multivariate series are collapsed
-    to a single degree by total Q-degree first.  Raises when the t-precision
-    cannot certify the requested genus range instead of truncating silently.
+    to a single degree by total Q-degree first.  It runs over the integers
+    on L log Z, L = lcm(1..order), and divides each invariant by L once.
+    Raises when that division is not exact, and when the t-precision cannot
+    certify the requested genus range, instead of truncating silently.
     """
     if len(series.vars) != 1:
         series = series.collapse("Q")
     if not series.coefficient((0,)).coeffs == {0: 1}:
         raise CrepantError("GV extraction needs constant term exactly 1")
-    free = series.log()
-    entries: dict[tuple, object] = {}
-    per_degree: dict[int, dict[int, object]] = {}
+    lcm, free = series._lcm_log()
+    entries: dict[tuple, int] = {}
+    per_degree: dict[int, dict[int, int]] = {}
     for d in range(1, series.order + 1):
         residue = free.coefficient((d,))
         cutoff = residue.cutoff
@@ -1002,8 +983,7 @@ def gv_extract(series: GWSeries, genus_cap: int = 2) -> GVTable:
             if d % k:
                 continue
             for g, n in per_degree.get(d // k, {}).items():
-                if n:
-                    residue = residue - _cover_kernel(g, k, cutoff).scale(n)
+                residue -= _cover_kernel(g, k, cutoff).scale(n * (lcm // k))
         peeled = -(residue * _sinh_power(1, 2))
         top = max((e for e, c in peeled.coeffs.items() if c), default=None)
         avail = peeled.cutoff
@@ -1011,24 +991,24 @@ def gv_extract(series: GWSeries, genus_cap: int = 2) -> GVTable:
             raise PrecisionError(
                 f"insufficient t-precision at degree {d}: top visible exponent"
                 f" {top} too close to cutoff {avail}")
-        genera: dict[int, object] = {}
+        genera: dict[int, int] = {}
         if top is not None:
             if top % 2 or top < 0:
                 raise CrepantError(
                     f"degree {d} free energy is not a genus expansion")
             for g in range(top // 2, -1, -1):
                 c = peeled.coefficient(2 * g)
-                n_g = (-1) ** g * c
-                if n_g:
-                    genera[g] = n_g
+                if c % lcm:
+                    raise CrepantError(f"GV invariant n[{g},{d}] ="
+                                       f" {(-1) ** g * c}/{lcm} is not an"
+                                       " integer")
+                if c:
+                    genera[g] = (-1) ** g * c // lcm
                     peeled = peeled - _sinh_power(1, 2 * g).scale(c)
             if any(c for e, c in peeled.coeffs.items()
                    if avail is None or e <= avail):
                 raise CrepantError(
                     f"degree {d} residue is not polynomial in the genus kernel")
         per_degree[d] = genera
-        for g, n in genera.items():
-            if g <= genus_cap:
-                n_int = int(n) if n == int(n) else n
-                entries[(g, d)] = n_int
-    return GVTable(entries, genus_cap, series.order)
+        entries.update(((g, d), n) for g, n in genera.items() if g <= genus_cap)
+    return GVTable(entries)

@@ -6,14 +6,17 @@ import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crepant import cli
 from crepant.cli import main
 from crepant.quiver import conifold_quiver, quiver_to_json
 from crepant.series import FormalSeries
+from crepant.vertex import GWSeries, TSeries
 
 BASE = [sys.executable, "-m", "crepant"]
 
@@ -255,6 +258,22 @@ def test_insufficient_precision_names_the_t_order():
     assert "at --t-order 24; a larger --t-order reaches it" in err
 
 
+def test_gv_json_prints_no_truncated_invariant(monkeypatch):
+    """``gv --json`` prints the ints gv_extract found; a series whose
+    invariant is not an integer (n[1,2] = 1/2 for Z = 1 + Q^2/2) is one
+    error line and no JSON, never a truncated int(1/2) = 0."""
+    code, out, err = run_main(["gv", "--p2", "--order", "3", "--t-order",
+                               "26", "--json"])
+    assert (code, err) == (0, "")
+    assert all(type(row["n"]) is int for row in json.loads(out))
+    half = GWSeries(("Q",), 2, {(0,): TSeries({0: 1}, 20),
+                                (2,): TSeries({0: Fraction(1, 2)}, 20)})
+    monkeypatch.setattr(cli, "gw_partition_function", lambda *a, **k: half)
+    code, out, err = run_main(["gv", "--square", "--order", "2", "--json"])
+    assert (code, out) == (1, "")
+    assert err == "error: GV invariant n[1,2] = 1/2 is not an integer\n"
+
+
 def test_import_leaves_sympy_unloaded():
     """Neither sympy nor ``dataclasses`` (with the ``inspect`` it pulls in)
     is loaded by the import or by a crystal count or a geometry check."""
@@ -310,6 +329,17 @@ def test_malformed_input_file_is_a_one_line_domain_error(tmp_path, flag,
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert fault in err
+
+
+@pytest.mark.parametrize("coordinate", ["1.9", '"1"', "true"])
+def test_polygon_coordinates_must_be_json_integers(tmp_path, coordinate):
+    """A float, string or boolean coordinate is an error, not the unit
+    triangle its truncation would give."""
+    path = tmp_path / "polygon.json"
+    path.write_text(f'{{"vertices": [[0, 0], [{coordinate}, 0], [0, 1]]}}')
+    code, out, err = run_main(["triangulate", "--polygon", str(path)])
+    assert (code, out) == (1, "")
+    assert err == "error: polygon JSON coordinates must be integers\n"
 
 
 # A small alphabet of valid and broken tokens per subcommand, sized so that
