@@ -33,14 +33,6 @@ class ChamberCertificate(namedtuple("ChamberCertificate",
 
     __slots__ = ()
 
-    def sign_vector(self) -> tuple:
-        return tuple(s for _, _, s in self.signs)
-
-    def same_chamber(self, other: "ChamberCertificate") -> bool:
-        mine = {(v, k): s for v, k, s in self.signs}
-        theirs = {(v, k): s for v, k, s in other.signs}
-        return mine == theirs
-
 
 def chamber_certificate(theta, roots: list[Root],
                         radius: int) -> ChamberCertificate:

@@ -298,13 +298,18 @@ def quiver_to_json(quiver: Quiver, potential: Superpotential | None = None) -> s
 
 
 def quiver_from_json(text: str) -> tuple[Quiver, Superpotential | None]:
+    """The quiver and potential ``quiver_to_json`` writes; every potential
+    coefficient must be a JSON integer, where the constructor would
+    coerce it."""
     with json_object(text, "quiver JSON") as data:
         quiver = Quiver(data["vertices"],
                         [(a["id"], a["tail"], a["head"]) for a in data["arrows"]])
         potential = None
         if "potential" in data:
-            potential = Superpotential((t["coeff"], tuple(t["cycle"]))
-                                       for t in data["potential"])
+            terms = [(t["coeff"], tuple(t["cycle"])) for t in data["potential"]]
+            if not all(type(c) is int for c, _ in terms):
+                raise CrepantError("quiver JSON coefficients must be integers")
+            potential = Superpotential(terms)
             potential.validate_on(quiver)
     return quiver, potential
 

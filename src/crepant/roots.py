@@ -44,10 +44,6 @@ class CartanMatrix(namedtuple("CartanMatrix", "vertices rows")):
         """(alpha, e_i) in the symmetrized bilinear form."""
         return sum(self.rows[i][j] * a for j, a in enumerate(alpha))
 
-    def tits(self, alpha, beta=None) -> int:
-        beta = alpha if beta is None else beta
-        return sum(a * self.pairing(beta, i) for i, a in enumerate(alpha))
-
     def reflect(self, alpha, i: int) -> tuple[int, ...]:
         if self.rows[i][i] != 2:
             raise CrepantError("reflections act only at loop-free vertices")

@@ -66,9 +66,6 @@ class FormalSeries:
     def coefficient(self, exps: tuple):
         return self.terms.get(tuple(exps), 0)
 
-    def is_one(self) -> bool:
-        return self.terms == {(0,) * len(self.vars): 1}
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FormalSeries):
             return NotImplemented
@@ -131,20 +128,6 @@ class FormalSeries:
         for exps, coeff in self.sorted_terms():
             lines.append(" ".join(str(e) for e in exps) + "\t" + str(coeff))
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "FormalSeries":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise CrepantError("empty series text")
-        head, _, order = lines[0].rpartition("\t")
-        vars = tuple(head.split())
-        terms = {}
-        for line in lines[1:]:
-            exps_part, _, coeff = line.rpartition("\t")
-            exps = tuple(int(e) for e in exps_part.split())
-            terms[exps] = int(coeff)
-        return cls(vars, int(order), terms)
 
     def __repr__(self):
         return (f"{type(self).__name__}(vars={self.vars}, order={self.order},"

@@ -56,14 +56,6 @@ class LatticePolygon(namedtuple("LatticePolygon", "vertices")):
                     "vertices must be strictly convex in counterclockwise order")
         return super().__new__(cls, vs)
 
-    def area2(self) -> int:
-        """Twice the area (an integer, by the shoelace formula)."""
-        total = 0
-        n = len(self.vertices)
-        for i in range(n):
-            total += _cross(self.vertices[i], self.vertices[(i + 1) % n])
-        return total
-
     def contains(self, p: Point) -> bool:
         n = len(self.vertices)
         return all(_cross(_sub(self.vertices[(i + 1) % n], self.vertices[i]),

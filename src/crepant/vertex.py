@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import math
 import struct
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product, repeat
 from operator import add, and_, lshift, or_, rshift, sub
@@ -134,10 +133,6 @@ def partitions_of(n: int):
                 yield (first,) + rest
 
     yield from rec(n, n)
-
-
-def partitions_upto(n: int) -> list[Partition]:
-    return [p for k in range(n + 1) for p in partitions_of(k)]
 
 
 def subdiagrams(p: Partition) -> list[Partition]:
@@ -223,16 +218,8 @@ class TSeries:
     def __bool__(self) -> bool:
         return bool(self.data)
 
-    @staticmethod
-    def _min_cutoff(a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return min(a, b)
-
     def __add__(self, other: "TSeries") -> "TSeries":
-        cutoff = self._min_cutoff(self.cutoff, other.cutoff)
+        cutoff = _min_cutoff(self.cutoff, other.cutoff)
         a, b = self.data, other.data
         o1, o2 = self.offset, other.offset
         if not b:
@@ -259,15 +246,11 @@ class TSeries:
         return self + (-other)
 
     def __mul__(self, other: "TSeries") -> "TSeries":
-        # exactness through K1+v2 and K2+v1: errors of one factor scaled by
-        # the lowest term of the other
         a, b = self.data, other.data
+        cutoff = _product_cutoff((self.valuation(), self.cutoff),
+                                 (other.valuation(), other.cutoff))
         if not a or not b:
-            return TSeries._dense(0, [], self._min_cutoff(self.cutoff,
-                                                          other.cutoff))
-        c1 = None if self.cutoff is None else self.cutoff + other.offset
-        c2 = None if other.cutoff is None else other.cutoff + self.offset
-        cutoff = self._min_cutoff(c1, c2)
+            return TSeries._dense(0, [], cutoff)
         offset = self.offset + other.offset
         n = len(a) + len(b) - 1
         if cutoff is not None:
@@ -289,27 +272,48 @@ class TSeries:
 
     def truncate(self, cutoff: int) -> "TSeries":
         return TSeries._dense(self.offset, self.data,
-                              self._min_cutoff(self.cutoff, cutoff))
+                              _min_cutoff(self.cutoff, cutoff))
 
     def coefficient(self, e: int):
         i = e - self.offset
         return self.data[i] if 0 <= i < len(self.data) else 0
-
-    def agrees_with(self, other: "TSeries", through: int) -> bool:
-        if (self.cutoff is not None and self.cutoff < through) or \
-                (other.cutoff is not None and other.cutoff < through):
-            raise CrepantError("series not exact through the comparison order")
-        lo = min(self.offset, other.offset)
-        hi = min(through, max(self.offset + len(self.data),
-                              other.offset + len(other.data)) - 1)
-        return all(self.coefficient(e) == other.coefficient(e)
-                   for e in range(lo, hi + 1))
 
     def __eq__(self, other):
         if not isinstance(other, TSeries):
             return NotImplemented
         return self.cutoff == other.cutoff and self.offset == other.offset \
             and self.data == other.data
+
+
+def _min_cutoff(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
+
+
+def _product_cutoff(a, b):
+    """The cutoff of a product of two series, each given as its (valuation,
+    cutoff) pair: None for the valuation of a zero series and for an exact
+    cutoff.
+
+    The error of one factor, O(t^(K + 1)), is scaled by the lowest term of
+    the other, so the product is exact through K1 + v2 and K2 + v1.  A zero
+    series exact through K is itself O(t^(K + 1)), so it counts as lowest
+    term K + 1: zero through K times valuation v is exact through K + v,
+    and zero times zero through K1 + K2 + 1.  An exact zero factor makes the
+    product exactly zero.
+    """
+    (v1, k1), (v2, k2) = a, b
+    if (v1 is None and k1 is None) or (v2 is None and k2 is None):
+        return None
+    if v1 is None:
+        v1 = k1 + 1
+    if v2 is None:
+        v2 = k2 + 1
+    return _min_cutoff(None if k1 is None else k1 + v2,
+                       None if k2 is None else k2 + v1)
 
 
 def _convolve(a: list, b: list, n: int) -> list:
@@ -554,11 +558,6 @@ class GWSeries(FormalSeries):
         return cls(vars, order,
                    {tuple(exps): TSeries.monomial(0, coeff, cutoff)})
 
-    def is_one(self) -> bool:
-        """True when the only term is the constant 1 (at any cutoff)."""
-        zero = (0,) * len(self.vars)
-        return list(self.terms) == [zero] and self.terms[zero].coeffs == {0: 1}
-
     def coefficient(self, exps) -> TSeries:
         return self.terms.get(tuple(exps), TSeries.zero())
 
@@ -584,11 +583,6 @@ class GWSeries(FormalSeries):
             out = out + power.scale((-1) ** (k + 1) * (lcm // k))
         return lcm, out
 
-    def log(self) -> "GWSeries":
-        """log of a series with constant term 1: ``_lcm_log`` divided by L."""
-        lcm, out = self._lcm_log()
-        return out.scale(Fraction(1, lcm))
-
     def sorted_terms(self):
         rows = []
         for exps, ts in self.terms.items():
@@ -605,23 +599,6 @@ class GWSeries(FormalSeries):
                 raise CrepantError("text format needs integer coefficients")
             lines.append(" ".join(str(e) for e in exps) + "\t" + str(int(coeff)))
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "GWSeries":
-        """The series ``to_text`` printed.  The text keeps no cutoff, so
-        every t-coefficient is read as exact."""
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise CrepantError("empty series text")
-        head, _, order = lines[0].rpartition("\t")
-        vars = tuple(head.split())[:-1]
-        rows: dict[tuple, dict[int, int]] = {}
-        for line in lines[1:]:
-            exps_part, _, coeff = line.rpartition("\t")
-            *exps, e = (int(x) for x in exps_part.split())
-            rows.setdefault(tuple(exps), {})[e] = int(coeff)
-        return cls(vars, int(order),
-                   {exps: TSeries(coeffs) for exps, coeffs in rows.items()})
 
 
 def gw_partition_function(web: DualWeb, order: int, t_cutoff: int = 20,
@@ -752,10 +729,8 @@ def _glue(qvars, order, summands, cutoff):
 # lowest exponent v, or the zero series when v is None.
 
 def _pair_mul(a, b):
-    (v1, k1), (v2, k2) = a, b
-    if v1 is None or v2 is None:
-        return None, min(k1, k2)
-    return v1 + v2, min(k1 + v2, k2 + v1)
+    v = None if a[0] is None or b[0] is None else a[0] + b[0]
+    return v, _product_cutoff(a, b)
 
 
 def _pair_add(a, b):

@@ -14,8 +14,9 @@ from crepant.geometry import (CHART1, CHART2, V_COORDS, _MAX_COUNTEREXAMPLES,
                               VerificationReport)
 from crepant.quiver import c3_quiver, conifold_quiver, frame, relations_from_potential
 from crepant.reps import MonomialRepresentation, check_relations
+from crepant.series import FormalSeries
 from crepant.vertex import (GWSeries, TSeries, _glue, _pair_mul, _strips,
-                            _summands, _vertex_pair, vertex)
+                            _summands, _vertex_pair, partitions_of, vertex)
 
 
 def brute_product_one_minus_qk_inverse(order):
@@ -188,11 +189,21 @@ class DictTSeries:
     def __sub__(self, other):
         return self + (-other)
 
+    def _lowest(self):
+        """The lowest exponent the series can have a term at: a zero series
+        exact through K is O(t^(K + 1)); None for the exact zero."""
+        if self.coeffs:
+            return min(self.coeffs)
+        return None if self.cutoff is None else self.cutoff + 1
+
     def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return DictTSeries({}, self._min_cutoff(self.cutoff, other.cutoff))
-        c1 = None if self.cutoff is None else self.cutoff + other.valuation()
-        c2 = None if other.cutoff is None else other.cutoff + self.valuation()
+        # the errors of one factor, O(t^(K + 1)), scaled by the lowest term
+        # of the other; an exact zero factor makes an exact zero
+        v1, v2 = self._lowest(), other._lowest()
+        if v1 is None or v2 is None:
+            return DictTSeries({}, None)
+        c1 = None if self.cutoff is None else self.cutoff + v2
+        c2 = None if other.cutoff is None else other.cutoff + v1
         cutoff = self._min_cutoff(c1, c2)
         coeffs = {}
         for e1, a in self.coeffs.items():
@@ -216,18 +227,68 @@ class DictTSeries:
     def coefficient(self, e: int):
         return self.coeffs.get(e, 0)
 
-    def agrees_with(self, other, through: int) -> bool:
-        if (self.cutoff is not None and self.cutoff < through) or \
-                (other.cutoff is not None and other.cutoff < through):
-            raise CrepantError("series not exact through the comparison order")
-        exps = set(self.coeffs) | set(other.coeffs)
-        return all(self.coefficient(e) == other.coefficient(e)
-                   for e in exps if e <= through)
-
     def __eq__(self, other):
         if not isinstance(other, DictTSeries):
             return NotImplemented
         return self.cutoff == other.cutoff and self.coeffs == other.coeffs
+
+
+def agree_through(a, b, through: int) -> bool:
+    """Whether the t-series a and b have the same coefficient at every
+    exponent up to ``through``; both must be exact through it."""
+    if any(s.cutoff is not None and s.cutoff < through for s in (a, b)):
+        raise CrepantError("series not exact through the comparison order")
+    exps = set(a.coeffs) | set(b.coeffs)
+    return all(a.coefficient(e) == b.coefficient(e)
+               for e in exps if e <= through)
+
+
+def partitions_upto(n: int) -> list:
+    """Every partition of size at most n, by size."""
+    return [p for k in range(n + 1) for p in partitions_of(k)]
+
+
+def tits(cartan, alpha) -> int:
+    """The Tits form (alpha, alpha) of a ``CartanMatrix``."""
+    return sum(a * cartan.pairing(alpha, i) for i, a in enumerate(alpha))
+
+
+def area2(polygon) -> int:
+    """Twice the area of a ``LatticePolygon``, by the shoelace formula."""
+    vs = polygon.vertices
+    return sum(x0 * y1 - x1 * y0
+               for (x0, y0), (x1, y1) in zip(vs, vs[1:] + vs[:1]))
+
+
+def _text_rows(text: str):
+    """(variable names, order, [(exponents, int coefficient)]) of a series
+    printed by ``to_text``."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise CrepantError("empty series text")
+    head, _, order = lines[0].rpartition("\t")
+    rows = []
+    for line in lines[1:]:
+        exps, _, coeff = line.rpartition("\t")
+        rows.append((tuple(int(e) for e in exps.split()), int(coeff)))
+    return tuple(head.split()), int(order), rows
+
+
+def formal_series_from_text(text: str) -> FormalSeries:
+    """The ``FormalSeries`` that ``to_text`` printed."""
+    vars, order, rows = _text_rows(text)
+    return FormalSeries(vars, order, dict(rows))
+
+
+def gw_series_from_text(text: str) -> GWSeries:
+    """The ``GWSeries`` that ``to_text`` printed, its t-exponent the last
+    column.  The text keeps no cutoff, so every t-coefficient is exact."""
+    vars, order, rows = _text_rows(text)
+    by_degree: dict[tuple, dict[int, int]] = {}
+    for (*exps, e), coeff in rows:
+        by_degree.setdefault(tuple(exps), {})[e] = coeff
+    return GWSeries(vars[:-1], order,
+                    {exps: TSeries(row) for exps, row in by_degree.items()})
 
 
 def strip_chain_skew_spec(alpha, eta, nu, cutoff):
@@ -286,9 +347,11 @@ def product_cover_kernel(g: int, k: int, cutoff: int) -> TSeries:
     """``vertex._cover_kernel`` by the series products it replaced:
     (-1)^(g-1)/k * (t^k - t^-k)^(2g-2), expanded upward in t."""
     if g == 0:
-        # 1/(t^k - t^-k)^2 = t^(2k) / (1 - t^(2k))^2
-        base = geometric(2 * k, cutoff)
-        ts = base * base
+        # 1/(t^k - t^-k)^2 = t^(2k) / (1 - t^(2k))^2; below t^0 the
+        # geometric series would be cut to zero, which forgets its
+        # valuation 0, so square it from t^0 and cut the square
+        base = geometric(2 * k, max(cutoff, 0))
+        ts = (base * base).truncate(cutoff)
         ts = ts.shift(2 * k)
         return ts.scale(Fraction(-1, k))
     poly = TSeries({2 * k: 1, 0: -2, -2 * k: 1}, None)
@@ -391,8 +454,9 @@ def margin_walk_plan(summands, order, t_cutoff):
 
 
 def fraction_log(series):
-    """``GWSeries.log`` with each power scaled by the Fraction (-1)^(k+1)/k
-    and the Fractions summed, as before the sum moved to the integers."""
+    """log of a series with constant term 1, each power scaled by the
+    Fraction (-1)^(k+1)/k and the Fractions summed, as before the sum moved
+    to the integers (``GWSeries._lcm_log``)."""
     c0 = series.coefficient((0,) * len(series.vars))
     if c0.coeffs != {0: 1}:
         raise CrepantError("log needs constant term exactly 1")

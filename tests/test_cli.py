@@ -11,11 +11,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import formal_series_from_text
 
 from crepant import cli
 from crepant.cli import main
 from crepant.quiver import conifold_quiver, quiver_to_json
-from crepant.series import FormalSeries
 from crepant.vertex import GWSeries, TSeries
 
 BASE = [sys.executable, "-m", "crepant"]
@@ -53,7 +53,7 @@ def test_mckay_emits_quiver_json_with_potential():
 
 def test_ncdt_c3_order_6_series_text():
     out = run("ncdt", "c3", "--order", "6").stdout
-    series = FormalSeries.from_text(out)
+    series = formal_series_from_text(out)
     assert [series.coefficient((d,)) for d in range(7)] == [1, 1, 3, 6, 13, 24, 48]
 
 
@@ -114,7 +114,7 @@ def test_compare_json_reparses():
               "--map", "q0=-Q0*t,q1=Q0", "--json").stdout
     data = json.loads(out)
     assert data["geometry"] == "conifold"
-    FormalSeries.from_text(data["ncdt"])
+    formal_series_from_text(data["ncdt"])
 
 
 def test_usage_errors_exit_2():
@@ -299,12 +299,29 @@ def test_override_text_is_never_executed(tmp_path):
     assert not probe.exists()
 
 
-def test_package_attributes_are_the_modules():
-    import types
-
-    import crepant
-    assert isinstance(crepant.vertex, types.ModuleType)
-    assert isinstance(crepant.compare, types.ModuleType)
+def test_the_package_names_only_modules():
+    """The package re-exports nothing: ``import crepant`` loads only
+    ``crepant.reps`` and the layers it imports (the benchmark's stability
+    sweep reads ``crepant.reps`` after a bare import), and once the CLI
+    has loaded every layer, each public attribute of the package is a
+    module.  A fresh process, because this one has imported the layers
+    already."""
+    probe = (
+        "import json, sys, types\n"
+        "import crepant\n"
+        "bare = sorted(n for n in sys.modules if n.startswith('crepant'))\n"
+        "import crepant.cli\n"
+        "names = [n for n in dir(crepant) if not n.startswith('_')]\n"
+        "print(json.dumps({'bare': bare, 'names': names, 'not_modules': [\n"
+        "    n for n in names\n"
+        "    if not isinstance(getattr(crepant, n), types.ModuleType)]}))\n")
+    got = json.loads(subprocess.run([sys.executable, "-c", probe],
+                                    capture_output=True, text=True,
+                                    check=True).stdout)
+    assert got["bare"] == ["crepant", "crepant.errors", "crepant.quiver",
+                           "crepant.reps"]
+    assert {"cli", "compare", "vertex"} <= set(got["names"])
+    assert got["not_modules"] == []
 
 
 def _file_argv(flag, path):
@@ -340,6 +357,19 @@ def test_polygon_coordinates_must_be_json_integers(tmp_path, coordinate):
     code, out, err = run_main(["triangulate", "--polygon", str(path)])
     assert (code, out) == (1, "")
     assert err == "error: polygon JSON coordinates must be integers\n"
+
+
+@pytest.mark.parametrize("coeff", ["1.5", '"1"', "true"])
+def test_quiver_coefficients_must_be_json_integers(tmp_path, coeff):
+    """A float, string or boolean potential coefficient is an error, not
+    the integer its truncation would give."""
+    path = tmp_path / "quiver.json"
+    data = json.loads(quiver_to_json(*conifold_quiver()))
+    data["potential"][0]["coeff"] = json.loads(coeff)
+    path.write_text(json.dumps(data))
+    code, out, err = run_main(["relations", "--quiver", str(path)])
+    assert (code, out) == (1, "")
+    assert err == "error: quiver JSON coefficients must be integers\n"
 
 
 # A small alphabet of valid and broken tokens per subcommand, sized so that

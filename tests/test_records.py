@@ -10,7 +10,7 @@ import itertools
 
 import pytest
 
-from support import dataclass_twin, framed_conifold_modules
+from support import area2, dataclass_twin, framed_conifold_modules
 
 from crepant.compare import AFFINE_A1, ChamberCertificate, ComparisonSheet, compare
 from crepant.errors import CrepantError
@@ -215,5 +215,5 @@ def test_validators_normalise_as_before():
 
     poly = LatticePolygon([[0, 0], [1.0, 0], [1, 1], ["0", 1]])
     assert poly.vertices == ((0, 0), (1, 0), (1, 1), (0, 1))
-    assert poly == unit_square() and poly.area2() == 2
+    assert poly == unit_square() and area2(poly) == 2
     assert len(unit_triangulations(poly)[0]) == 2
