@@ -15,14 +15,27 @@ satisfying the potential relations.
 
 Both families are graded by ``sort_key(atom)[0]`` with every predecessor one
 layer down, so an ideal is one chain of layer sets S0 = {apex}, S1, S2, ...,
-each S_{k+1} a nonempty set of atoms whose predecessors all lie in S_k
-(``_next_layer``).  ``configurations`` lists the ideals by a depth-first walk
-over these chains, one ideal per chain by construction.  Counts come from a
+each S_{k+1} a nonempty set of atoms whose predecessors all lie in S_k.
+``configurations`` lists the ideals by a depth-first walk over these
+chains, one ideal per chain by construction.  Counts come from a
 layer-profile recursion over the same chains (``enumerate_configurations``):
 only the top set and the atoms left matter for what can follow, which is the
-transfer-matrix view of plane and pyramid partitions.  Reverse search over
-single atoms (canonical parent = drop the largest removable atom) is the
-test oracle for both, in ``tests/support.py``.
+transfer-matrix view of plane and pyramid partitions.
+
+Both run on one atom index per call (``_AtomIndex``): an atom is numbered
+when first met, and its ``sort_key``, successor numbers and predecessor
+bitmask are asked of the family once.  A layer set is a tuple of numbers in
+``sort_key`` order, and its next layer, memoized on that tuple, is the set
+of its successors whose predecessor mask lies inside it; this is the one
+next-layer rule of the module.  The recursion keeps two frames per layer
+(``above`` and ``grow``), so an order far past the stack's reach ends at
+once on the recursion limit, which the CLI reports as one error line; a DP
+without recursion would run on for minutes there unless gated by a reach
+bound computed before counting.
+
+Reverse search over single atoms (canonical parent = drop the largest
+removable atom) is the test oracle for both, and the frozenset layer DP that
+preceded the index is kept verbatim in ``tests/support.py``.
 """
 
 from __future__ import annotations
@@ -183,12 +196,61 @@ def family_for(name_or_act):
     raise CrepantError(f"unknown crystal family {name_or_act!r}")
 
 
-def _next_layer(family, top) -> tuple:
-    """The atoms one layer above ``top`` whose predecessors all lie in it,
-    in ``sort_key`` order."""
-    nxt = {s for atom in top for s in family.successors(atom)
-           if all(p in top for p in family.predecessors(s))}
-    return tuple(sorted(nxt, key=family.sort_key))
+class _AtomIndex:
+    """The atoms of one call as ints, each asked of the family once.
+
+    An atom gets its number and its ``sort_key`` when first met, as a
+    successor or as a predecessor.  Its successors, as numbers, are read
+    when it first lies in a top layer set; each of them gets its
+    predecessor bitmask then, numbering new predecessors on the way.
+    """
+
+    def __init__(self, family):
+        self.family = family
+        self.atoms: list = []
+        self.keys: list = []
+        self.succ: list = []
+        self.pmask: list = []
+        self.numbers: dict = {}
+        self.layers: dict = {}
+        self.number(family.apex)
+
+    def number(self, atom) -> int:
+        i = self.numbers.get(atom)
+        if i is None:
+            i = self.numbers[atom] = len(self.atoms)
+            self.atoms.append(atom)
+            self.keys.append(self.family.sort_key(atom))
+            self.succ.append(None)
+            self.pmask.append(None)
+        return i
+
+    def successors(self, i: int) -> tuple:
+        succ = self.succ[i]
+        if succ is None:
+            family, number, pmask = self.family, self.number, self.pmask
+            succ = tuple(map(number, family.successors(self.atoms[i])))
+            self.succ[i] = succ
+            for s in succ:
+                if pmask[s] is None:
+                    bits = 0
+                    for p in family.predecessors(self.atoms[s]):
+                        bits |= 1 << number(p)
+                    pmask[s] = bits
+        return succ
+
+    def next_layer(self, top: tuple) -> tuple:
+        """The atoms one layer above the set ``top`` whose predecessors all
+        lie in it, in ``sort_key`` order; memoized on ``top``."""
+        nxt = self.layers.get(top)
+        if nxt is None:
+            outside = ~sum(1 << i for i in top)
+            pmask = self.pmask
+            nxt = {s for i in top for s in self.successors(i)
+                   if not pmask[s] & outside}
+            nxt = tuple(sorted(nxt, key=self.keys.__getitem__))
+            self.layers[top] = nxt
+        return nxt
 
 
 def configurations(family, max_size: int):
@@ -201,19 +263,17 @@ def configurations(family, max_size: int):
     if max_size < 0:
         raise CrepantError("size bound must be nonnegative")
     yield frozenset()
-    layers: dict = {}
-    stack = [(frozenset(), (family.apex,), max_size)]
+    index = _AtomIndex(family)
+    atom = index.atoms.__getitem__
+    stack = [(frozenset(), (0,), max_size)]
     while stack:
         below, allowed, budget = stack.pop()
         for k in range(1, min(budget, len(allowed)) + 1):
             for layer in combinations(allowed, k):
-                ideal = below.union(layer)
+                ideal = below.union(map(atom, layer))
                 yield ideal
                 if k < budget:
-                    top = frozenset(layer)
-                    nxt = layers.get(top)
-                    if nxt is None:
-                        nxt = layers[top] = _next_layer(family, top)
+                    nxt = index.next_layer(layer)
                     if nxt:
                         stack.append((ideal, nxt, budget - k))
 
@@ -235,36 +295,38 @@ def enumerate_configurations(family, max_size: int) -> dict[tuple[int, ...], int
     counts of the continuations above a top layer set depend only on that
     set and the atoms left, so they are memoized on the pair; the memo lives
     for one call.  Dimension vectors are packed into one int, a field of
-    ``width`` bits per colour, so that shifting a count is one addition.
+    ``width`` bits per colour, so that shifting a count is one addition;
+    each atom's packed colour weight is computed once, by atom number.
     """
     if max_size < 0:
         raise CrepantError("size bound must be nonnegative")
     width = max_size.bit_length()
-
-    @cache
-    def weight(atom) -> int:
-        return 1 << width * family.color_index(atom)
+    index = _AtomIndex(family)
+    weights: list[int] = []
 
     def grow(allowed, budget) -> dict[int, int]:
+        weights.extend(1 << width * family.color_index(atom)
+                       for atom in index.atoms[len(weights):])
+        weight = weights.__getitem__
         counts = {0: 1}
         for k in range(1, min(budget, len(allowed)) + 1):
             for layer in combinations(allowed, k):
                 base = sum(map(weight, layer))
-                for dims, count in above(frozenset(layer), budget - k).items():
+                for dims, count in above(layer, budget - k).items():
                     key = base + dims
                     counts[key] = counts.get(key, 0) + count
         return counts
 
     @cache
-    def above(top: frozenset, budget: int) -> dict[int, int]:
+    def above(top: tuple, budget: int) -> dict[int, int]:
         if not budget:
             return {0: 1}
-        return grow(_next_layer(family, top), budget)
+        return grow(index.next_layer(top), budget)
 
     mask = (1 << width) - 1
     ncolours = len(family.variables)
     return {tuple(key >> width * i & mask for i in range(ncolours)): count
-            for key, count in grow((family.apex,), max_size).items()}
+            for key, count in grow((0,), max_size).items()}
 
 
 def configuration_to_module(family, config) -> MonomialRepresentation:

@@ -244,11 +244,20 @@ _MAX_COUNTEREXAMPLES = 5
 
 
 def _rational(rng: random.Random, nonzero: bool = False) -> tuple[int, int]:
+    """The pair (randint(-10**4, 10**4), randint(1, 10**4)), drawn as
+    ``randint`` draws it: ``getrandbits`` of the width's bit length,
+    rejected until below the width (20001 in 15 bits, 10000 in 14)."""
+    getrandbits = rng.getrandbits
     while True:
-        num = rng.randint(-10 ** 4, 10 ** 4)
-        if nonzero and num == 0:
+        num = getrandbits(15)
+        while num >= 20001:
+            num = getrandbits(15)
+        if nonzero and num == 10 ** 4:
             continue
-        return num, rng.randint(1, 10 ** 4)
+        den = getrandbits(14)
+        while den >= 10 ** 4:
+            den = getrandbits(14)
+        return num - 10 ** 4, den + 1
 
 
 def _points(rng: random.Random, symbols, trials: int, nonzero=()) -> list[tuple]:

@@ -6,7 +6,8 @@ import math
 import operator
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
+from itertools import combinations
 
 from crepant.errors import CrepantError
 from crepant.geometry import (CHART1, CHART2, V_COORDS, _MAX_COUNTEREXAMPLES,
@@ -14,7 +15,7 @@ from crepant.geometry import (CHART1, CHART2, V_COORDS, _MAX_COUNTEREXAMPLES,
                               VerificationReport)
 from crepant.quiver import c3_quiver, conifold_quiver, frame, relations_from_potential
 from crepant.reps import MonomialRepresentation, check_relations
-from crepant.series import FormalSeries
+from crepant.series import FormalSeries, product_series
 from crepant.vertex import (GWSeries, TSeries, _glue, _pair_mul, _strips,
                             _summands, _vertex_pair, partitions_of, vertex)
 
@@ -497,6 +498,93 @@ def reverse_search_ideals(family, max_size: int):
             if max(removable, key=family.sort_key) == atom:
                 yield child
                 stack.append(child)
+
+
+# The frozenset layer DP that ``crystal`` used before it numbered its
+# atoms, kept verbatim as the oracle for the indexed walk and counts.
+
+def frozenset_next_layer(family, top) -> tuple:
+    """The atoms one layer above ``top`` whose predecessors all lie in it,
+    in ``sort_key`` order."""
+    nxt = {s for atom in top for s in family.successors(atom)
+           if all(p in top for p in family.predecessors(s))}
+    return tuple(sorted(nxt, key=family.sort_key))
+
+
+def layer_walk(family, max_size: int):
+    """The ideals of ``crystal.configurations``, in the same order, from
+    frozenset layers."""
+    if max_size < 0:
+        raise CrepantError("size bound must be nonnegative")
+    yield frozenset()
+    layers: dict = {}
+    stack = [(frozenset(), (family.apex,), max_size)]
+    while stack:
+        below, allowed, budget = stack.pop()
+        for k in range(1, min(budget, len(allowed)) + 1):
+            for layer in combinations(allowed, k):
+                ideal = below.union(layer)
+                yield ideal
+                if k < budget:
+                    top = frozenset(layer)
+                    nxt = layers.get(top)
+                    if nxt is None:
+                        nxt = layers[top] = frozenset_next_layer(family, top)
+                    if nxt:
+                        stack.append((ideal, nxt, budget - k))
+
+
+def layer_profile_counts(family, max_size: int) -> dict[tuple[int, ...], int]:
+    """``crystal.enumerate_configurations`` memoized on frozenset top layers."""
+    if max_size < 0:
+        raise CrepantError("size bound must be nonnegative")
+    width = max_size.bit_length()
+
+    @cache
+    def weight(atom) -> int:
+        return 1 << width * family.color_index(atom)
+
+    def grow(allowed, budget) -> dict[int, int]:
+        counts = {0: 1}
+        for k in range(1, min(budget, len(allowed)) + 1):
+            for layer in combinations(allowed, k):
+                base = sum(map(weight, layer))
+                for dims, count in above(frozenset(layer), budget - k).items():
+                    key = base + dims
+                    counts[key] = counts.get(key, 0) + count
+        return counts
+
+    @cache
+    def above(top: frozenset, budget: int) -> dict[int, int]:
+        if not budget:
+            return {0: 1}
+        return grow(frozenset_next_layer(family, top), budget)
+
+    mask = (1 << width) - 1
+    ncolours = len(family.variables)
+    return {tuple(key >> width * i & mask for i in range(ncolours)): count
+            for key, count in grow((family.apex,), max_size).items()}
+
+
+def young_bryan_series(n: int, order: int) -> FormalSeries:
+    """Coloured box counts of C^3/Z_n with weights (1, n-1, 0), in q0..q(n-1).
+
+    Young's product (Young, with an appendix by Bryan, *Generating functions
+    for colored 3D Young diagrams and the Donaldson-Thomas invariants of
+    orbifolds*, arXiv:0802.3948):
+    M(1, q)^n prod_{0<a<=b<n} M(q_[a,b], q) M(q_[a,b]^-1, q), where
+    M(x, q) = prod_{m>=1} (1 - x q^m)^-m, q = q0 q1 ... q(n-1) and
+    q_[a,b] = q_a ... q_b.  Colour c is the box character i - j mod n.
+    """
+    factors = []
+    for m in range(1, order + 1):
+        factors.append((-1, (m,) * n, -m * n))
+        for a in range(1, n):
+            for b in range(a, n):
+                for step in (1, -1):
+                    exps = tuple(m + step if a <= c <= b else m for c in range(n))
+                    factors.append((-1, exps, -m))
+    return product_series(tuple(f"q{c}" for c in range(n)), order, factors)
 
 
 def dataclass_twin(cls):

@@ -1,9 +1,11 @@
 """Crystal counts against independent order-ideal oracles and product formulas."""
 
+from collections import Counter
 from functools import cache
 
 import pytest
-from support import reverse_search_ideals
+from support import (layer_profile_counts, layer_walk, reverse_search_ideals,
+                     young_bryan_series)
 
 from crepant.crystal import (configuration_to_module, configurations,
                              enumerate_configurations, dimension_vector,
@@ -260,6 +262,57 @@ def test_layer_walk_matches_layer_dp_past_the_oracle(name):
     top = 15
     assert counts_by_dimension(fam, configurations(fam, top)) == \
         enumerate_configurations(fam, top)
+
+
+@pytest.mark.parametrize("name, top", [(name, 15) for name in FAMILIES] +
+                         [("c3", 18), ("conifold", 18), ("3:1,1,1", 18)])
+def test_indexed_dp_matches_frozenset_dp_past_the_oracle(name, top):
+    fam = named_family(name)
+    assert enumerate_configurations(fam, top) == layer_profile_counts(fam, top)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_indexed_walk_keeps_the_frozenset_walk_order(name):
+    fam = named_family(name)
+    for n in range(ORACLE_TOP + 1):
+        assert list(configurations(fam, n)) == list(layer_walk(fam, n)), n
+
+
+@pytest.mark.parametrize("name, n", [("c3", 13), ("conifold", 14),
+                                     ("3:1,1,1", 13)])
+def test_each_atom_is_asked_of_its_family_once_per_call(name, n):
+    def walk(fam, size):
+        return list(configurations(fam, size))
+
+    for run in (enumerate_configurations, walk):
+        fam = named_family(name)
+        calls = Counter()
+        for method in ("successors", "predecessors", "color_index", "sort_key"):
+            def counted(atom, method=method, inner=getattr(fam, method)):
+                calls[method, atom] += 1
+                return inner(atom)
+            setattr(fam, method, counted)
+        run(fam, n)
+        assert {method for method, _ in calls} >= \
+            {"successors", "predecessors", "sort_key"}
+        repeated = [key for key, count in calls.items() if count > 1]
+        assert not repeated, (run.__name__, repeated[:5])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_young_bryan_colours_match_reverse_search(n):
+    name = f"{n}:1,{n - 1},0"
+    fam = named_family(name)
+    listed = counts_by_dimension(fam, oracle_ideals(name))
+    assert FormalSeries(fam.variables, ORACLE_TOP, listed) == \
+        young_bryan_series(n, ORACLE_TOP)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_layer_dp_matches_young_bryan_to_order_16(n):
+    order = 16
+    fam = named_family(f"{n}:1,{n - 1},0")
+    assert ncdt_series(fam, order) == young_bryan_series(n, order)
 
 
 def test_layer_dp_c3_matches_macmahon_to_order_20():

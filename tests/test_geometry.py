@@ -13,7 +13,8 @@ from support import fraction_compile, fraction_reports
 from crepant.cli import build_parser
 from crepant.errors import CrepantError
 from crepant.geometry import (_MAX_DEPTH, CHART1, CHART2, V_COORDS, _compile,
-                              _points, builtin_geometry, verify_contraction,
+                              _points, _rational, builtin_geometry,
+                              verify_contraction,
                               verify_equivariance, verify_transition)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -110,6 +111,21 @@ def test_reports_are_deterministic_and_seed_sensitive():
     c = verify_transition(geo, 10, seed=11)
     d = verify_transition(geo, 10, seed=12)
     assert c.to_json() != d.to_json() or c.holds() and d.holds()
+
+
+@pytest.mark.parametrize("nonzero", [False, True])
+def test_rational_draws_what_randint_draws(nonzero):
+    rejected = 0
+    for seed in range(50):
+        fast, slow = random.Random(seed), random.Random(seed)
+        for _ in range(2000):
+            num = slow.randint(-10 ** 4, 10 ** 4)
+            while nonzero and num == 0:
+                rejected += 1
+                num = slow.randint(-10 ** 4, 10 ** 4)
+            assert _rational(fast, nonzero) == (num, slow.randint(1, 10 ** 4))
+        assert fast.getstate() == slow.getstate()
+    assert rejected or not nonzero
 
 
 def test_zero_trials_rejected():
