@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
+from typing import NoReturn
 
 from . import crystal, geometry, mckay, quiver, reps, roots, toric
 from .compare import compare as run_compare
@@ -370,106 +372,90 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="crepant",
-        description="quivers with potentials, crystal counting, and the"
-                    " topological vertex")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for all sampling (default 0)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="accepted for compatibility; geometry trials"
-                             " run serially")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_quiver_source(p):
+    """The quiver selectors, which exclude each other; roots and walls add
+    ``--cartan`` to the group returned."""
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--builtin", choices=["conifold", "c3", "p2", "laufer"])
+    g.add_argument("--mckay", metavar="N:W1,W2,W3")
+    g.add_argument("--quiver", metavar="FILE")
+    p.add_argument("--n", type=int, help="parameter for the laufer quiver")
+    return g
 
-    p = sub.add_parser("mckay", help="McKay quiver of a cyclic action")
+
+def _mckay_args(p):
     p.add_argument("action", help='descriptor "n:w1,w2,w3"')
     p.add_argument("--potential", action="store_true")
-    p.set_defaults(func=cmd_mckay)
 
-    def quiver_source(p):
-        # the selectors exclude each other; roots and walls add --cartan
-        g = p.add_mutually_exclusive_group()
-        g.add_argument("--builtin", choices=["conifold", "c3", "p2", "laufer"])
-        g.add_argument("--mckay", metavar="N:W1,W2,W3")
-        g.add_argument("--quiver", metavar="FILE")
-        p.add_argument("--n", type=int, help="parameter for the laufer quiver")
-        return g
 
-    p = sub.add_parser("relations", help="cyclic-derivative relations")
-    quiver_source(p)
+def _relations_args(p):
+    _add_quiver_source(p)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_relations)
 
-    p = sub.add_parser("frame", help="attach a framing vertex")
-    quiver_source(p)
+
+def _frame_args(p):
+    _add_quiver_source(p)
     p.add_argument("--v0", required=True)
-    p.set_defaults(func=cmd_frame)
 
-    p = sub.add_parser("stability", help="classify a monomial representation")
-    quiver_source(p)
+
+def _stability_args(p):
+    _add_quiver_source(p)
     p.add_argument("--rep", required=True, metavar="FILE")
     p.add_argument("--theta", required=True, type=_theta, metavar="V=Q,...")
     p.add_argument("--framed-v0", metavar="V0",
                    help="frame the quiver at V0 before reading the"
                         " representation; theta must then include the"
                         " framing vertex")
-    p.set_defaults(func=cmd_stability)
 
-    p = sub.add_parser("roots", help="positive roots of a Cartan matrix")
-    quiver_source(p).add_argument("--cartan", type=_cartan_rows,
-                                  metavar="JSON_ROWS")
+
+def _roots_args(p):
+    _add_quiver_source(p).add_argument("--cartan", type=_cartan_rows,
+                                       metavar="JSON_ROWS")
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_roots)
 
-    p = sub.add_parser("walls", help="walls separating two parameters")
-    quiver_source(p).add_argument("--cartan", type=_cartan_rows,
-                                  metavar="JSON_ROWS")
+
+def _walls_args(p):
+    _add_quiver_source(p).add_argument("--cartan", type=_cartan_rows,
+                                       metavar="JSON_ROWS")
     p.add_argument("--height", type=int, default=6)
     p.add_argument("--theta1", required=True, type=_fraction_list)
     p.add_argument("--theta2", required=True, type=_fraction_list)
-    p.set_defaults(func=cmd_walls)
 
-    p = sub.add_parser("ncdt", help="crystal partition function")
+
+def _ncdt_args(p):
     p.add_argument("family", help='"c3", "conifold", or "mckay:n:w1,w2,w3"')
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--sign", choices=["unsigned", "dimension"],
                    default="unsigned")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_ncdt)
 
-    p = sub.add_parser("triangulate", help="unit triangulations of a polygon")
+
+def _triangulate_args(p):
     _add_polygon_flags(p)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_triangulate)
 
-    p = sub.add_parser("flops", help="flop adjacency between triangulations")
-    _add_polygon_flags(p)
-    p.set_defaults(func=cmd_flops)
 
-    p = sub.add_parser("web", help="dual web of a triangulation")
+def _web_args(p):
     _add_polygon_flags(p)
     p.add_argument("--index", type=int, default=0)
-    p.set_defaults(func=cmd_web)
 
-    p = sub.add_parser("gw", help="vertex partition function of a web")
-    _add_polygon_flags(p)
-    p.add_argument("--index", type=int, default=0)
+
+def _gw_args(p):
+    _web_args(p)
     p.add_argument("--order", type=int, required=True, help="Q truncation")
     p.add_argument("--t-order", type=int, default=16)
-    p.set_defaults(func=cmd_gw)
 
-    p = sub.add_parser("gv", help="Gopakumar-Vafa extraction")
-    _add_polygon_flags(p)
-    p.add_argument("--index", type=int, default=0)
+
+def _gv_args(p):
+    _web_args(p)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--t-order", type=int, default=24)
     p.add_argument("--genus", type=_nonnegative_int, default=2)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_gv)
 
-    p = sub.add_parser("verify-geometry", help="exact chart verification")
+
+def _verify_geometry_args(p):
     p.add_argument("geometry", choices=["conifold", "laufer1", "laufer2"])
     p.add_argument("--k", type=int, help="laufer1's parameter")
     p.add_argument("--n", type=int, help="laufer2's parameter")
@@ -477,9 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--override", action="append", metavar="KEY=EXPR")
     p.add_argument("--report-only", action="store_true",
                    help="exit 0 even when identities fail")
-    p.set_defaults(func=cmd_verify_geometry)
 
-    p = sub.add_parser("compare", help="crystal versus vertex sheet")
+
+def _compare_args(p):
     p.add_argument("geometry", help='"c3", "conifold", or "mckay:n:w1,w2,w3"')
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--theta", required=True, type=_theta, metavar="V=Q,...")
@@ -489,8 +475,75 @@ def build_parser() -> argparse.ArgumentParser:
                    default="unsigned")
     p.add_argument("--wall-radius", type=int, default=5)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_compare)
 
+
+# every subcommand: its help line, its handler and the function that adds its
+# arguments, in the order of the usage line and of --help
+_COMMANDS = {
+    "mckay": ("McKay quiver of a cyclic action", cmd_mckay, _mckay_args),
+    "relations": ("cyclic-derivative relations", cmd_relations,
+                  _relations_args),
+    "frame": ("attach a framing vertex", cmd_frame, _frame_args),
+    "stability": ("classify a monomial representation", cmd_stability,
+                  _stability_args),
+    "roots": ("positive roots of a Cartan matrix", cmd_roots, _roots_args),
+    "walls": ("walls separating two parameters", cmd_walls, _walls_args),
+    "ncdt": ("crystal partition function", cmd_ncdt, _ncdt_args),
+    "triangulate": ("unit triangulations of a polygon", cmd_triangulate,
+                    _triangulate_args),
+    "flops": ("flop adjacency between triangulations", cmd_flops,
+              _add_polygon_flags),
+    "web": ("dual web of a triangulation", cmd_web, _web_args),
+    "gw": ("vertex partition function of a web", cmd_gw, _gw_args),
+    "gv": ("Gopakumar-Vafa extraction", cmd_gv, _gv_args),
+    "verify-geometry": ("exact chart verification", cmd_verify_geometry,
+                        _verify_geometry_args),
+    "compare": ("crystal versus vertex sheet", cmd_compare, _compare_args),
+}
+
+
+def _named_command(argv) -> str | None:
+    """The subcommand the command line ``argv`` names: its first word after
+    any ``--seed N`` and ``--jobs N`` (or ``--seed=N``, ``--jobs=N``), if
+    that word is a subcommand; else None."""
+    words = iter(argv)
+    for word in words:
+        if word in ("--seed", "--jobs"):
+            next(words, None)
+        elif not word.startswith(("--seed=", "--jobs=")):
+            return word if word in _COMMANDS else None
+    return None
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of the command line ``argv``.
+
+    Only the subcommand ``argv`` names gets a subparser, since building all
+    of them costs more than most ops' own parsing; with ``argv`` None, or
+    when it names no subcommand, every subcommand gets one.  Either way the
+    parser prints the same bytes for ``argv``.
+    """
+    named = _named_command(argv or ())
+    parser = argparse.ArgumentParser(
+        prog="crepant",
+        description="quivers with potentials, crystal counting, and the"
+                    " topological vertex")
+    parser.add_argument("--seed", type=int, default=0,
+                        help="seed for all sampling (default 0)")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility; geometry trials"
+                             " run serially")
+    # with one subparser the usage line must still list every subcommand;
+    # with all of them argparse lists them itself, and names the action
+    # "command" in its errors, as a metavar would not
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if named is None else "{" + ",".join(_COMMANDS) + "}")
+    for name, (text, func, add_arguments) in _COMMANDS.items():
+        if named in (None, name):
+            p = sub.add_parser(name, help=text)
+            add_arguments(p)
+            p.set_defaults(func=func)
     return parser
 
 
@@ -508,8 +561,11 @@ def _too_large(args, what: str) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run the command line ``argv`` (default ``sys.argv[1:]``) and return
+    its exit code.  argparse's help and usage errors raise ``SystemExit``."""
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -525,5 +581,28 @@ def main(argv=None) -> int:
     return 1
 
 
+def run() -> NoReturn:
+    """The process entry of ``python -m crepant`` and of the ``crepant``
+    script: ``main`` on ``sys.argv``, then an exit that skips interpreter
+    teardown.
+
+    crepant leaves no thread, pool, atexit hook or open file behind, so
+    teardown would only garbage-collect what the import built, and flush
+    stdout.  The flush is done here instead: if it fails (a full disk, a
+    closed pipe), that is one ``error:`` line and exit 1.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:   # argparse's help (0) or usage error (2)
+        code = exc.code
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = 1
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,12 +1,15 @@
 """CLI behaviour: outputs, schemas, exit codes, determinism."""
 
+import ast
 import io
 import json
+import os
 import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -322,6 +325,115 @@ def test_the_package_names_only_modules():
                            "crepant.reps"]
     assert {"cli", "compare", "vertex"} <= set(got["names"])
     assert got["not_modules"] == []
+
+
+# The process entry and the parser it builds
+
+ROOT = Path(__file__).resolve().parents[1]
+PINS = json.loads((ROOT / "tests" / "cli_pins.json").read_text())
+
+
+def test_the_named_command_is_the_first_word_past_seed_and_jobs():
+    named = cli._named_command
+    assert named(["ncdt", "c3"]) == "ncdt"
+    assert named(["--seed", "x", "--jobs=2", "gv", "--p2"]) == "gv"
+    assert named(["--seed=3", "--jobs", "2", "verify-geometry"]) == \
+        "verify-geometry"
+    # --help before the command prints the top-level help: all are built
+    for argv in ([], ["--seed"], ["nosuch", "ncdt"], ["--help", "ncdt"],
+                 ["--se", "3", "ncdt"], ["--", "ncdt"]):
+        assert named(argv) is None, argv
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_one_subparser_prints_what_all_of_them_print(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = []
+    for parser in (cli.build_parser(), cli.build_parser([command])):
+        out = io.StringIO()
+        with redirect_stdout(out), pytest.raises(SystemExit):
+            parser.parse_args([command, "--help"])
+        texts.append(out.getvalue())
+    assert texts[0].startswith(f"usage: crepant {command} ")
+    assert texts[1] == texts[0]
+
+
+@pytest.mark.skipif(f"{sys.version_info[0]}.{sys.version_info[1]}"
+                    != PINS["python"],
+                    reason="argparse's layout differs between Python versions")
+@pytest.mark.parametrize("case", PINS["cases"],
+                         ids=lambda case: " ".join(case["argv"]) or "bare")
+def test_usage_and_help_keep_their_bytes(case, monkeypatch):
+    """Top-level usage, help and errors, with the subcommand named after
+    --seed or --jobs and without one, as the full parser printed them."""
+    monkeypatch.setenv("COLUMNS", str(PINS["columns"]))
+    assert run_main(case["argv"]) == \
+        (case["code"], case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize("code,args", [
+    (0, ["ncdt", "c3", "--order", "2"]),
+    (1, ["ncdt", "nosuch", "--order", "3"]),
+    (2, ["gv", "--p2", "--order", "2", "--genus", "-1"]),
+    (0, ["gw", "--p2", "--order", "6", "--t-order", "50"]),
+])
+def test_the_process_prints_what_main_returns(code, args, monkeypatch):
+    """Through ``python -m crepant`` and its pipes, the exit code, stdout
+    and stderr of in-process ``cli.main``; the gw op's stdout is over
+    64 KiB, past any pipe or stdio buffer."""
+    monkeypatch.setenv("COLUMNS", "80")
+    proc = run(*args, check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_main(args)
+    assert proc.returncode == code
+    if args[0] == "gw":
+        assert len(proc.stdout) > 64 * 1024
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full")
+@pytest.mark.parametrize("sink", ["full", "closed pipe"])
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("args", [["ncdt", "c3", "--order", "6"],
+                                  ["gw", "--p2", "--order", "6",
+                                   "--t-order", "50"]])
+def test_a_failed_stdout_write_is_one_error_line(args, unbuffered, sink):
+    """stdout on a full device or a pipe no one reads: exit 1 and one
+    ``error:`` line, whether the write fails inside the command (unbuffered,
+    or output past the buffer) or at the final flush."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    if sink == "full":
+        with open("/dev/full", "wb") as out:
+            proc = subprocess.run(BASE + args, stdout=out, env=env,
+                                  stderr=subprocess.PIPE, text=True)
+    else:
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(BASE + args, stdout=write, env=env,
+                                  stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith("error: [Errno ")
+
+
+def test_the_installed_script_runs_the_module_entry():
+    """``[project.scripts]`` names the function ``python -m crepant``
+    calls, so both processes end the same way."""
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())[
+        "project"]["scripts"]
+    body = ast.parse((ROOT / "src" / "crepant" / "__main__.py").read_text())
+    imported = {alias.name for node in body.body
+                if isinstance(node, ast.ImportFrom) and node.module == "cli"
+                for alias in node.names}
+    called = [ast.unparse(node.value.func) for node in body.body
+              if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)]
+    assert len(called) == 1 and called[0] in imported
+    assert scripts == {"crepant": f"crepant.cli:{called[0]}"}
 
 
 def _file_argv(flag, path):
