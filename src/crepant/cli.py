@@ -24,6 +24,18 @@ class UsageError(Exception):
     ``error:`` line."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose help raises when it cannot be written:
+    argparse's own swallows the ``OSError`` of help sent to a full device.
+    Messages to stderr keep argparse's handling, so a usage error exits 2."""
+
+    def _print_message(self, message, file=None):
+        if file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -362,12 +374,9 @@ def cmd_verify_geometry(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    geom = args.geometry
-    if geom.startswith("mckay:"):
-        geom = mckay.parse_action(geom[6:])
-    sheet = run_compare(geom, args.order, args.theta, variable_map=args.map,
-                                t_cutoff=args.t_order, sign=args.sign,
-                                wall_radius=args.wall_radius)
+    sheet = run_compare(args.geometry, args.order, args.theta,
+                        variable_map=args.map, t_cutoff=args.t_order,
+                        sign=args.sign, wall_radius=args.wall_radius)
     _emit(sheet.to_json() if args.json else sheet.to_text())
     return 0
 
@@ -524,7 +533,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     parser prints the same bytes for ``argv``.
     """
     named = _named_command(argv or ())
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crepant",
         description="quivers with potentials, crystal counting, and the"
                     " topological vertex")
@@ -565,8 +574,9 @@ def main(argv=None) -> int:
     its exit code.  argparse's help and usage errors raise ``SystemExit``."""
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    args = None
     try:
+        args = build_parser(argv).parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 
-from .crystal import family_for, ncdt_series
+from .crystal import PyramidFamily, family_for, ncdt_series
 from .errors import CrepantError
 from .mckay import AbelianAction
 from .reps import normalize_theta
@@ -55,10 +55,7 @@ def chamber_certificate(theta, roots: list[Root],
 AFFINE_A1 = CartanMatrix(("0", "1"), ((2, -2), (-2, 2)))
 
 
-def _gw_polygon(geometry):
-    if geometry == "conifold":
-        return unit_square()
-    act = geometry
+def _gw_polygon(act: AbelianAction):
     if act.size == 1:
         return unit_triangle()
     if act.is_cyclic() and act.weights[0] == (1,) and act.weights[1] == (1,):
@@ -70,13 +67,6 @@ def _gw_polygon(geometry):
     raise CrepantError(
         "no lattice polygon is shipped for this action; supported actions are"
         " the trivial one and cyclic n:1,1,n-2 with n odd")
-
-
-def _roots_for(geometry, family, radius: int):
-    if geometry == "conifold":
-        return positive_roots(AFFINE_A1, radius)
-    cartan = cartan_matrix(family.quiver)
-    return positive_roots(cartan, radius)
 
 
 def _parse_monomial(spec, gw_vars) -> tuple[int, tuple[int, ...], int]:
@@ -177,29 +167,29 @@ def compare(geometry, order: int, theta: dict, variable_map: dict | None = None,
             wall_radius: int = 5) -> ComparisonSheet:
     """Compute both sides for one geometry and report an aligned diff.
 
-    ``geometry`` is "conifold", "c3", or an AbelianAction.  ``theta`` is a
-    gauge stability parameter keyed by vertex; it must be off every
-    configured wall up to the radius.  ``variable_map`` sends each crystal
-    variable to (coeff, {var: exponent}) over the vertex variables and t.
+    ``geometry`` is anything ``crystal.family_for`` resolves: "conifold",
+    "c3", "mckay:n:w1,w2,w3" or an AbelianAction.  ``theta`` is a gauge
+    stability parameter keyed by vertex; it must be off every configured
+    wall up to the radius.  ``variable_map`` sends each crystal variable to
+    (coeff, {var: exponent}) over the vertex variables and t.
     """
-    if geometry == "c3":
-        geometry = AbelianAction.cyclic(1, (0, 0, 0))
     family = family_for(geometry)
-    label = "conifold" if geometry == "conifold" else \
-        "c3" if geometry.size == 1 else \
-        f"c3-mod-{'x'.join(map(str, geometry.orders))}" \
-        f":{','.join(str(w[0]) for w in geometry.weights)}"
+    act = None if isinstance(family, PyramidFamily) else family.act
+    label = "conifold" if act is None else "c3" if act.size == 1 else \
+        f"c3-mod-{'x'.join(map(str, act.orders))}" \
+        f":{','.join(str(w[0]) for w in act.weights)}"
 
     theta = normalize_theta(theta)
     gauge = family.framed.gauge_vertices()
     if set(theta) != set(gauge):
         raise CrepantError(f"theta must be keyed by the gauge vertices {gauge}")
     theta_vec = tuple(theta[v] for v in gauge)
-    roots = _roots_for(geometry, family, wall_radius)
+    cartan = AFFINE_A1 if act is None else cartan_matrix(family.quiver)
+    roots = positive_roots(cartan, wall_radius)
     certificate = chamber_certificate(theta_vec, roots, wall_radius)
 
     ncdt = ncdt_series(family, order, sign=sign)
-    polygon = _gw_polygon(geometry)
+    polygon = unit_square() if act is None else _gw_polygon(act)
     web = dual_web(unit_triangulations(polygon)[0])
     gw = gw_partition_function(web, order, t_cutoff=t_cutoff)
 

@@ -2,11 +2,11 @@
 
 The Cartan matrix is symmetric with diagonal 2 - 2(loops) and off-diagonal
 minus the number of arrows between the two vertices in either direction.
-Simple reflections act only at loop-free vertices; a positive vector is a
-real root when reflections carry it to a loop-free simple root, and an
-imaginary root when its height-reducing reflection path ends at a vector
-with connected support pairing nonpositively with every loop-free simple
-root.
+Simple reflections act only at loop-free vertices, and both kinds of root
+are orbits of the Weyl group W they generate (Kac, LNM 996): the real
+roots are W applied to the loop-free simple roots, the imaginary roots W
+applied to the fundamental set K of positive vectors with connected support
+pairing nonpositively with every loop-free simple root.
 """
 
 from __future__ import annotations
@@ -94,55 +94,50 @@ def _support_connected(cartan: CartanMatrix, alpha) -> bool:
     return len(seen) == len(support)
 
 
-def _imaginary_root(cartan: CartanMatrix, alpha: tuple[int, ...]) -> bool:
-    """Reduce by height-decreasing reflections; test the terminal vector."""
+def _orbit(cartan: CartanMatrix, seeds, height_bound: int) -> set:
+    """What loop-free simple reflections carry the positive ``seeds`` to
+    through nonnegative vectors of height at most the bound, the seeds
+    included.  A reflection is invertible, so none of them is zero."""
     loop_free = cartan.loop_free()
-    alpha = tuple(alpha)
-    while True:
-        if any(a < 0 for a in alpha):
-            return False
-        positives = [i for i in loop_free if cartan.pairing(alpha, i) > 0]
-        if not positives:
-            return _support_connected(cartan, alpha)
-        i = positives[0]
-        if alpha == tuple(1 if j == i else 0 for j in range(cartan.size)):
-            return False  # a loop-free simple root is real
-        alpha = cartan.reflect(alpha, i)
-
-
-def positive_roots(cartan: CartanMatrix, height_bound: int) -> list[Root]:
-    """Positive roots of height at most the bound, tagged real or imaginary.
-
-    Real roots are the reflection closure of the loop-free simple roots kept
-    positive; imaginary roots are the lattice points whose reduction lands in
-    the fundamental region.  Output is sorted by (height, vector).
-    """
-    if height_bound < 1:
-        raise CrepantError("height bound must be at least 1")
-    n = cartan.size
-    loop_free = cartan.loop_free()
-
-    reals: set[tuple[int, ...]] = set()
-    frontier = [tuple(1 if j == i else 0 for j in range(n)) for i in loop_free]
-    reals.update(frontier)
+    seen = set(seeds)
+    frontier = list(seen)
     while frontier:
         nxt = []
         for alpha in frontier:
             for i in loop_free:
                 beta = cartan.reflect(alpha, i)
-                if beta in reals or any(b < 0 for b in beta) or not any(beta):
-                    continue
-                if sum(beta) <= height_bound:
-                    reals.add(beta)
+                if beta not in seen and min(beta) >= 0 \
+                        and sum(beta) <= height_bound:
+                    seen.add(beta)
                     nxt.append(beta)
         frontier = nxt
+    return seen
 
-    roots = [Root(v, "real") for v in reals]
-    for alpha in _positive_vectors(n, height_bound):
-        if alpha not in reals and _imaginary_root(cartan, alpha):
-            roots.append(Root(alpha, "imaginary"))
-    roots.sort(key=lambda r: (r.height, r.vector))
-    return roots
+
+def positive_roots(cartan: CartanMatrix, height_bound: int) -> list[Root]:
+    """Positive roots of height at most the bound, tagged real or imaginary.
+
+    Real roots are the orbit of the loop-free simple roots, imaginary roots
+    the orbit of the fundamental set.  The orbits are exact within the
+    bound: an imaginary root's height-decreasing walk ends in the
+    fundamental set, and walking it back never exceeds the root's height.
+    They are disjoint, as reflections keep the Tits form (alpha, alpha),
+    which is 2 on a simple root and at most 0 on the fundamental set.
+    Output is sorted by (height, vector).
+    """
+    if height_bound < 1:
+        raise CrepantError("height bound must be at least 1")
+    n = cartan.size
+    loop_free = cartan.loop_free()
+    simple = [tuple(int(j == i) for j in range(n)) for i in loop_free]
+    fundamental = [
+        alpha for alpha in _positive_vectors(n, height_bound)
+        if all(cartan.pairing(alpha, i) <= 0 for i in loop_free)
+        and _support_connected(cartan, alpha)]
+    roots = [Root(v, "real") for v in _orbit(cartan, simple, height_bound)]
+    roots += [Root(v, "imaginary")
+              for v in _orbit(cartan, fundamental, height_bound)]
+    return sorted(roots, key=lambda r: (r.height, r.vector))
 
 
 def _positive_vectors(n: int, bound: int):

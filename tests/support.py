@@ -15,6 +15,7 @@ from crepant.geometry import (CHART1, CHART2, V_COORDS, _MAX_COUNTEREXAMPLES,
                               VerificationReport)
 from crepant.quiver import c3_quiver, conifold_quiver, frame, relations_from_potential
 from crepant.reps import MonomialRepresentation, check_relations
+from crepant.roots import Root, _positive_vectors, _support_connected
 from crepant.series import FormalSeries, product_series
 from crepant.vertex import (GWSeries, TSeries, _glue, _pair_mul, _strips,
                             _summands, _vertex_pair, partitions_of, vertex)
@@ -65,6 +66,56 @@ def brute_affine_a1_roots(bound):
         frontier = nxt - reals
     imag = {(k, k) for k in range(1, bound // 2 + 1)}
     return reals, imag
+
+
+def _imaginary_root(cartan, alpha) -> bool:
+    """Reduce by height-decreasing reflections; test the terminal vector."""
+    loop_free = cartan.loop_free()
+    alpha = tuple(alpha)
+    while True:
+        if any(a < 0 for a in alpha):
+            return False
+        positives = [i for i in loop_free if cartan.pairing(alpha, i) > 0]
+        if not positives:
+            return _support_connected(cartan, alpha)
+        i = positives[0]
+        if alpha == tuple(1 if j == i else 0 for j in range(cartan.size)):
+            return False  # a loop-free simple root is real
+        alpha = cartan.reflect(alpha, i)
+
+
+def reduction_positive_roots(cartan, height_bound: int) -> list:
+    """The reduction route to ``roots.positive_roots``: real roots are the
+    reflection closure of the loop-free simple roots kept positive;
+    imaginary roots are the lattice points whose height-reducing reflection
+    walk lands in the fundamental region.  Output is sorted by (height,
+    vector)."""
+    if height_bound < 1:
+        raise CrepantError("height bound must be at least 1")
+    n = cartan.size
+    loop_free = cartan.loop_free()
+
+    reals: set[tuple[int, ...]] = set()
+    frontier = [tuple(1 if j == i else 0 for j in range(n)) for i in loop_free]
+    reals.update(frontier)
+    while frontier:
+        nxt = []
+        for alpha in frontier:
+            for i in loop_free:
+                beta = cartan.reflect(alpha, i)
+                if beta in reals or any(b < 0 for b in beta) or not any(beta):
+                    continue
+                if sum(beta) <= height_bound:
+                    reals.add(beta)
+                    nxt.append(beta)
+        frontier = nxt
+
+    roots = [Root(v, "real") for v in reals]
+    for alpha in _positive_vectors(n, height_bound):
+        if alpha not in reals and _imaginary_root(cartan, alpha):
+            roots.append(Root(alpha, "imaginary"))
+    roots.sort(key=lambda r: (r.height, r.vector))
+    return roots
 
 
 def partial_injections(src, dst):

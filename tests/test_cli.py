@@ -120,6 +120,17 @@ def test_compare_json_reparses():
     formal_series_from_text(data["ncdt"])
 
 
+@pytest.mark.parametrize("geometry,stderr", [
+    ("mckay:x", "error: bad action descriptor 'x'\n"),
+    ("nosuch", "error: unknown crystal family 'nosuch'\n"),
+    ("mckay:3:1,1", "error: bad action descriptor '3:1,1'\n"),
+])
+def test_compare_names_an_unknown_geometry(geometry, stderr):
+    proc = run("compare", geometry, "--order", "1", "--theta", "0=-1",
+               check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", stderr)
+
+
 def test_usage_errors_exit_2():
     proc = run("ncdt", "c3", check=False)  # missing --order
     assert proc.returncode == 2
@@ -394,11 +405,13 @@ def test_the_process_prints_what_main_returns(code, args, monkeypatch):
 @pytest.mark.parametrize("unbuffered", [False, True])
 @pytest.mark.parametrize("args", [["ncdt", "c3", "--order", "6"],
                                   ["gw", "--p2", "--order", "6",
-                                   "--t-order", "50"]])
+                                   "--t-order", "50"],
+                                  ["--help"], ["ncdt", "--help"]])
 def test_a_failed_stdout_write_is_one_error_line(args, unbuffered, sink):
     """stdout on a full device or a pipe no one reads: exit 1 and one
-    ``error:`` line, whether the write fails inside the command (unbuffered,
-    or output past the buffer) or at the final flush."""
+    ``error:`` line, whether the write fails inside the command or
+    argparse's help (unbuffered, or output past the buffer) or at the final
+    flush."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"

@@ -3,11 +3,15 @@
 from fractions import Fraction
 
 import pytest
-from support import brute_affine_a1_roots, tits
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from support import brute_affine_a1_roots, reduction_positive_roots, tits
 
+from crepant.compare import AFFINE_A1
 from crepant.errors import CrepantError
-from crepant.mckay import AbelianAction, mckay_quiver
-from crepant.quiver import c3_quiver, conifold_quiver, local_p2_quiver
+from crepant.mckay import AbelianAction, mckay_quiver, parse_action
+from crepant.quiver import (c3_quiver, conifold_quiver, laufer_quiver,
+                            local_p2_quiver)
 from crepant.roots import CartanMatrix, cartan_matrix, positive_roots, walls_between
 
 
@@ -84,6 +88,59 @@ def test_mckay_quiver_roots_exist():
     q = mckay_quiver(AbelianAction.cyclic(3, (1, 1, 1)))
     roots = positive_roots(cartan_matrix(q), 3)
     assert ((1, 1, 1) in {r.vector for r in roots})
+
+
+@st.composite
+def cartan_matrices(draw):
+    """Symmetric, n <= 4, diagonal 2, 0 or -2, off-diagonal 0 to -3."""
+    n = draw(st.integers(1, 4))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = draw(st.sampled_from([2, 0, -2]))
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = -draw(st.integers(0, 3))
+    return CartanMatrix(tuple(map(str, range(n))), rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cartan_matrices(), st.integers(1, 7))
+def test_orbits_match_the_reduction_route(cartan, height):
+    assert positive_roots(cartan, height) == \
+        reduction_positive_roots(cartan, height)
+
+
+def _test_cartan_matrices():
+    """The Cartan matrices of the built-in quivers, of the McKay quivers the
+    tests use, and compare's affine A1."""
+    yield "conifold", cartan_matrix(conifold_quiver()[0])
+    yield "c3", cartan_matrix(c3_quiver()[0])
+    yield "p2", cartan_matrix(local_p2_quiver()[0])
+    for n in (1, 2, 3):
+        yield f"laufer{n}", cartan_matrix(laufer_quiver(n)[0])
+    for d in ["2:1,1,0", "3:1,1,1", "5:1,1,3", "5:1,2,2", "5:1,4,0",
+              "7:1,1,5"]:
+        yield f"mckay{d}", cartan_matrix(mckay_quiver(parse_action(d)))
+    yield "z2xz2", cartan_matrix(mckay_quiver(
+        AbelianAction((2, 2), ((1, 0), (0, 1), (1, 1)))))
+    yield "affine-a1", AFFINE_A1
+
+
+@pytest.mark.parametrize("cartan", [pytest.param(c, id=name)
+                                    for name, c in _test_cartan_matrices()])
+def test_quiver_roots_match_the_reduction_route(cartan):
+    for height in range(1, 11):
+        assert positive_roots(cartan, height) == \
+            reduction_positive_roots(cartan, height), height
+
+
+def test_affine_a1_orbits_reach_height_400():
+    roots = positive_roots(AFFINE_A1, 400)
+    reals = {r.vector for r in roots if r.kind == "real"}
+    imags = {r.vector for r in roots if r.kind == "imaginary"}
+    assert reals == {(a, a + 1) for a in range(200)} | \
+        {(a + 1, a) for a in range(200)}
+    assert imags == {(m, m) for m in range(1, 201)}
+    assert len(roots) == 600
 
 
 def test_walls_between_examples():
