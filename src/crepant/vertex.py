@@ -42,15 +42,15 @@ sums.  A summand is then a chain of plain int multiplies, each masked at
 the cutoff the TSeries rules give it, and each Q-degree is a shift-and-add
 of its summands, unpacked once with the framing sign they share.
 
-The working t-cutoff of a gluing is planned before any coefficient is
-computed: every amplitude has nonnegative coefficients, so valuations and
-the cutoff rules of TSeries arithmetic give the precision one _glue
-reaches at a given cutoff, and the web is glued once, at the first margin
-8, 16, 32, ... past the requested precision that reaches it.  The plan
-profiles each summand once: from a threshold cutoff up, where nothing in it
-truncates to zero, it is exact through the cutoff plus a fixed offset, so a
-margin's precision is a minimum over that table, with only the summands
-still below their thresholds walked at that cutoff.
+The working t-cutoff of a gluing is planned before the web is glued, once,
+at the first margin 8, 16, 32, ... past the requested precision that
+reaches it.  Every amplitude has nonnegative coefficients, so valuations
+and the cutoff rules of TSeries arithmetic profile each summand once: from
+a threshold cutoff up, where nothing in it truncates to zero, it is exact
+through the cutoff plus a fixed offset.  A margin's precision is the least
+of those cutoffs and of the precision of a _glue of the summands still
+below their thresholds at that margin, so which truncated summands bound a
+Q-degree is decided by _glue alone.
 
 The GW free energy is summed over the integers as L log Z, L =
 lcm(1..order), and GV extraction divides each invariant by L once, checking
@@ -617,7 +617,7 @@ def gw_partition_function(web: DualWeb, order: int, t_cutoff: int = 20,
     if not edges:
         return GWSeries.one(qvars, order, cutoff=None)
     summands = _summands(web, edges, qvars, order, reverse_edges)
-    cutoff = _plan_cutoff(summands, order, t_cutoff)
+    cutoff = _plan_cutoff(qvars, order, summands, t_cutoff)
     return _glue(qvars, order, summands, cutoff)
 
 
@@ -662,8 +662,8 @@ def _glue(qvars, order, summands, cutoff):
     node, glued over packed ints as the module docstring describes.
 
     A summand's chain is masked after each multiply at the cutoff
-    ``_pair_mul`` gives, and the summand is dropped once its valuation
-    passes that cutoff.  A Q-degree's sum is cut at the least cutoff of its
+    ``_pair_mul`` gives, and the summand is dropped once it truncates to
+    zero.  A Q-degree's sum is cut at the least cutoff of its
     summands; their valuations share a parity, as each edge partition
     enters at both its nodes.
     """
@@ -687,7 +687,7 @@ def _glue(qvars, order, summands, cutoff):
                                                 sum(ts.data), ts.data[::2]]
                 amplitudes[args] = amp
             v, k = _pair_mul((v, k), amp[:2])
-            if v is None or v > k:
+            if v is None:
                 break
             bound *= amp[2]
             steps.append((amp, (k - v) // 2 + 1))
@@ -696,7 +696,9 @@ def _glue(qvars, order, summands, cutoff):
             chains.append((exps, sign, v, k, steps))
     width = _slot_bytes(max(bounds.values(), default=0).bit_length())
     slot = 8 * width
-    for amp in distinct.values():
+    # the width bounds only the amplitudes of the chains kept
+    kept = {id(amp): amp for *_, steps in chains for amp, _ in steps}
+    for amp in kept.values():
         amp[3] = _pack(amp[3], width)
     sums: dict[tuple, list] = {}
     for exps, sign, v, k, steps in chains:
@@ -721,22 +723,16 @@ def _glue(qvars, order, summands, cutoff):
 # Precision planning
 #
 # Skew Schur specializations and vertex amplitudes have nonnegative
-# coefficients, and all summands of one Q-degree carry the same framing
-# sign, so nothing cancels: valuations add under products and take the
-# minimum under sums.  With the cutoff rules of TSeries arithmetic that
-# gives the (valuation, cutoff) pair of every product and sum _glue forms
-# without one coefficient.  A pair (v, K) is a series exact through K with
-# lowest exponent v, or the zero series when v is None.
+# coefficients, so nothing in them cancels: valuations add under products
+# and take the minimum under sums.  With the cutoff rules of TSeries
+# arithmetic that gives the valuation and cutoff of an amplitude, and of a
+# summand, from the valuations of its skew factors alone, at every cutoff
+# where nothing in it truncates to zero.  A pair (v, K) is a series exact
+# through K with lowest exponent v, or the zero series when v is None.
 
 def _pair_mul(a, b):
     v = None if a[0] is None or b[0] is None else a[0] + b[0]
     return v, _product_cutoff(a, b)
-
-
-def _pair_add(a, b):
-    k = min(a[1], b[1])
-    v = min((x for x in (a[0], b[0]) if x is not None), default=None)
-    return (v if v is not None and v <= k else None), k
 
 
 @lru_cache(maxsize=None)
@@ -779,28 +775,10 @@ def _vertex_valuations(lam, mu, nu) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _vertex_pair(lam, mu, nu, cutoff: int) -> tuple:
-    """(valuation, cutoff) of vertex(lam, mu, nu, cutoff), traced through
-    vertex_raw's sums and products.  A term that is identically zero adds
-    (None, cutoff), which changes nothing."""
-    pairs, hook, shift = _vertex_valuations(lam, mu, nu)
-    inner = (None, cutoff)
-    for v1, v2 in pairs:
-        inner = _pair_add(inner, _pair_mul(
-            ((v1 if v1 <= cutoff else None), cutoff),
-            ((v2 if v2 <= cutoff else None), cutoff)))
-    if hook is not None:
-        # schur_principal: t^hook times a 1/(1 - t^(2h)) per hook, of
-        # valuation 0 and the same cutoff, which leave (hook, cutoff) as is
-        inner = _pair_mul(((hook if hook <= cutoff else None), cutoff), inner)
-    v, k = inner
-    return (None if v is None else v + shift), k + shift
-
-
-@lru_cache(maxsize=None)
 def _vertex_profile(lam, mu, nu) -> tuple:
-    """(valuation, offset, threshold) with _vertex_pair(lam, mu, nu, cutoff)
-    == (valuation, cutoff + offset) at every cutoff from the threshold up.
+    """(valuation, offset, threshold): at every cutoff from the threshold
+    up, vertex(lam, mu, nu, cutoff), which vertex_raw computes, has that
+    valuation and is exact through cutoff + offset.
 
     From the threshold up no piece of the amplitude truncates to zero: every
     skew specialization that is not identically zero, the hook product and
@@ -820,59 +798,48 @@ def _vertex_profile(lam, mu, nu) -> tuple:
     return low + shift, offset + shift, threshold
 
 
-def _summand_precision(shift: int, nodes, cutoff: int):
-    """The cutoff of one summand glued at ``cutoff``, from valuations alone;
-    None when it truncates to zero."""
-    factor = ((shift if cutoff >= 0 else None), cutoff + shift)
-    for args in nodes:
-        factor = _pair_mul(factor, _vertex_pair(*args, cutoff))
-        if factor[0] is None:
-            return None
-    return factor[1]
-
-
 def _precision_table(summands) -> list:
-    """(threshold, offset, shift, nodes) per summand: from the threshold on,
-    the summand glues to a nonzero series exact through cutoff + offset."""
+    """(threshold, offset, summand) per summand: from the threshold on, the
+    summand glues to a nonzero series exact through cutoff + offset."""
     rows = []
-    for _, _, shift, nodes in summands:
+    for summand in summands:
+        _, _, shift, nodes = summand
         # the framing monomial is (shift, cutoff + shift) from cutoff 0 up
         low, offset, threshold = shift, shift, 0
         for args in nodes:
             v, o, t = _vertex_profile(*args)
             low, offset, threshold = low + v, min(offset + v, o + low), \
                 max(threshold, t)
-        rows.append((threshold, offset, shift, nodes))
+        rows.append((threshold, offset, summand))
     return rows
 
 
-def _glued_precision(table, cutoff: int):
-    """``_glue(..., summands, cutoff).min_cutoff()`` from the summands'
-    precision table: the least cutoff of a summand that does not truncate to
-    zero (a sum of such summands is never zero, so it keeps the least of
-    their cutoffs).  Summands below their threshold are walked exactly."""
-    got = None
-    for threshold, offset, shift, nodes in table:
-        k = cutoff + offset if cutoff >= threshold else \
-            _summand_precision(shift, nodes, cutoff)
-        if k is not None and (got is None or k < got):
-            got = k
+def _glued_precision(qvars, order: int, table, cutoff: int):
+    """``_glue(qvars, order, summands, cutoff).min_cutoff()`` from the
+    summands' precision table: a summand at or past its threshold is exact
+    through cutoff + offset, and the summands below their thresholds are
+    glued at the cutoff, so _glue decides which of them bound it."""
+    below = [summand for threshold, _, summand in table if cutoff < threshold]
+    got = _glue(qvars, order, below, cutoff).min_cutoff() if below else None
+    for threshold, offset, _ in table:
+        if cutoff >= threshold and (got is None or cutoff + offset < got):
+            got = cutoff + offset
     return got
 
 
-def _plan_cutoff(summands, order: int, t_cutoff: int) -> int:
+def _plan_cutoff(qvars, order: int, summands, t_cutoff: int) -> int:
     """The working cutoff at which one _glue reaches ``t_cutoff``.
 
-    Walks margins 8, 16, 32, ... past ``t_cutoff`` and stops at the first
-    whose planned precision suffices (or that yields no terms at all).  The
-    planned precision is not a fixed offset from the working cutoff, nor
-    monotone in it, because summands that truncate to zero drop out.
+    Tries margins 8, 16, 32, ... past ``t_cutoff`` and stops at the first
+    whose glued precision suffices (or that yields no terms at all).  That
+    precision is not a fixed offset from the working cutoff, nor monotone
+    in it, because summands that truncate to zero drop out.
     """
     table = _precision_table(summands)
     margin = 8
     while True:
         cutoff = t_cutoff + margin
-        got = _glued_precision(table, cutoff)
+        got = _glued_precision(qvars, order, table, cutoff)
         if got is None or got >= t_cutoff:
             return cutoff
         margin *= 2
@@ -949,7 +916,9 @@ def gv_extract(series: GWSeries, genus_cap: int = 2) -> GVTable:
     entries: dict[tuple, int] = {}
     per_degree: dict[int, dict[int, int]] = {}
     for d in range(1, series.order + 1):
-        residue = free.coefficient((d,))
+        # a degree missing from a truncated series is zero only through its
+        # least cutoff
+        residue = free.terms.get((d,), TSeries.zero(series.min_cutoff()))
         cutoff = residue.cutoff
         if cutoff is None:
             cutoff = 4 * genus_cap + 8
@@ -966,6 +935,10 @@ def gv_extract(series: GWSeries, genus_cap: int = 2) -> GVTable:
             raise PrecisionError(
                 f"insufficient t-precision at degree {d}: top visible exponent"
                 f" {top} too close to cutoff {avail}")
+        if top is None and avail is not None and avail < 0:
+            raise PrecisionError(
+                f"insufficient t-precision at degree {d}: genus 0 lies past"
+                f" cutoff {avail}")
         genera: dict[int, int] = {}
         if top is not None:
             if top % 2 or top < 0:

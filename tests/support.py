@@ -18,7 +18,8 @@ from crepant.reps import MonomialRepresentation, check_relations
 from crepant.roots import Root, _positive_vectors, _support_connected
 from crepant.series import FormalSeries, product_series
 from crepant.vertex import (GWSeries, TSeries, _glue, _pair_mul, _strips,
-                            _summands, _vertex_pair, partitions_of, vertex)
+                            _summands, _vertex_valuations, partitions_of,
+                            vertex)
 
 
 def brute_product_one_minus_qk_inverse(order):
@@ -474,6 +475,31 @@ def retry_loop_oracle(web, order, t_cutoff=20, reverse_edges=False):
         return GWSeries.one(qvars, order, cutoff=None)
     summands = _summands(web, edges, qvars, order, reverse_edges)
     return retry_gluing(qvars, order, summands, t_cutoff)
+
+
+def _pair_add(a, b):
+    k = min(a[1], b[1])
+    v = min((x for x in (a[0], b[0]) if x is not None), default=None)
+    return (v if v is not None and v <= k else None), k
+
+
+@lru_cache(maxsize=None)
+def _vertex_pair(lam, mu, nu, cutoff: int) -> tuple:
+    """(valuation, cutoff) of vertex(lam, mu, nu, cutoff), traced through
+    vertex_raw's sums and products.  A term that is identically zero adds
+    (None, cutoff), which changes nothing."""
+    pairs, hook, shift = _vertex_valuations(lam, mu, nu)
+    inner = (None, cutoff)
+    for v1, v2 in pairs:
+        inner = _pair_add(inner, _pair_mul(
+            ((v1 if v1 <= cutoff else None), cutoff),
+            ((v2 if v2 <= cutoff else None), cutoff)))
+    if hook is not None:
+        # schur_principal: t^hook times a 1/(1 - t^(2h)) per hook, of
+        # valuation 0 and the same cutoff, which leave (hook, cutoff) as is
+        inner = _pair_mul(((hook if hook <= cutoff else None), cutoff), inner)
+    v, k = inner
+    return (None if v is None else v + shift), k + shift
 
 
 def walked_precision(summands, cutoff):

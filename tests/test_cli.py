@@ -272,6 +272,57 @@ def test_insufficient_precision_names_the_t_order():
     assert "at --t-order 24; a larger --t-order reaches it" in err
 
 
+def test_gv_below_every_degree_names_the_t_order():
+    """At a t-order too low to show degree 1 at all, gv is one error line,
+    not a table read off a series truncated to nothing."""
+    code, out, err = run_main(["gv", "--p2", "--order", "1", "--t-order",
+                               "-8"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: insufficient t-precision at degree 1")
+    assert err.count("\n") == 1
+    assert "at --t-order -8; a larger --t-order reaches it" in err
+
+
+def _gv_at_low_t_order(web, order, t_order):
+    """(exit code, stdout, stderr) of gv at ``t_order``, the stdout gv
+    prints at --t-order 60, and whether the run is what a low t-order may
+    give: one error line naming the t-order, or the bytes at t-order 60."""
+    argv = ["gv", *web, "--order", str(order), "--t-order"]
+    want = run_main(argv + ["60"])
+    assert want[0] == 0
+    got = run_main(argv + [str(t_order)])
+    hint = f"at --t-order {t_order}; a larger --t-order reaches it"
+    ok = got == want or (got[:2] == (1, "") and got[2].count("\n") == 1
+                         and got[2].startswith("error: ") and hint in got[2])
+    return got, want[1], ok
+
+
+# gv lines the glue gets wrong until summands that truncate to zero bound
+# their Q-degree's cutoff (ROADMAP item 1): both print 0 2 -3, not -6
+GV_WRONG_UNTIL_ITEM_1 = [(("--p2",), 2, -5), (("--zn", "1"), 2, -5)]
+
+
+def test_gv_at_low_t_orders_errs_or_prints_the_high_t_order_table():
+    """On local P2, the square and --zn 1 at orders 1-3 and t-orders -8..4,
+    gv either names the t-order in one error line or prints what it prints
+    at --t-order 60 (the lines ROADMAP item 1 must mend aside)."""
+    for web in (("--p2",), ("--square",), ("--zn", "1")):
+        for order in range(1, 4):
+            for t_order in range(-8, 5):
+                if (web, order, t_order) in GV_WRONG_UNTIL_ITEM_1:
+                    continue
+                got, want, ok = _gv_at_low_t_order(web, order, t_order)
+                assert ok, (web, order, t_order, got, want)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a summand that"
+                   " truncates to zero does not bound its Q-degree's cutoff")
+def test_gv_lines_wrong_until_the_glue_drop_rule_is_mended():
+    for web, order, t_order in GV_WRONG_UNTIL_ITEM_1:
+        got, want, ok = _gv_at_low_t_order(web, order, t_order)
+        assert ok, (web, order, t_order, got, want)
+
+
 def test_gv_json_prints_no_truncated_invariant(monkeypatch):
     """``gv --json`` prints the ints gv_extract found; a series whose
     invariant is not an integer (n[1,2] = 1/2 for Z = 1 + Q^2/2) is one

@@ -21,15 +21,16 @@ from crepant.vertex import (GWSeries, TSeries, _ccw_slots, _convolve,
                             _cover_kernel, _glue, _glued_precision,
                             _kronecker, _plan_cutoff, _precision_table,
                             _sinh_power, _skew_spec, _skew_valuation,
-                            _summands, _vertex_pair, _vertex_profile,
-                            gv_extract, gw_partition_function, hooks, kappa,
-                            n_stat, partitions_of, psize, schur_principal,
-                            transpose, vertex, vertex_raw)
-from support import (DictTSeries, agree_through, angle_sorted_slots,
-                     fraction_log, geometric, gw_series_from_text,
-                     margin_walk_plan, partitions_upto, product_cover_kernel,
-                     product_u_power, retry_gluing, retry_loop_oracle,
-                     strip_chain_skew_spec, tseries_glue, walked_precision)
+                            _summands, _vertex_profile, gv_extract,
+                            gw_partition_function, hooks, kappa, n_stat,
+                            partitions_of, psize, schur_principal, transpose,
+                            vertex, vertex_raw)
+from support import (DictTSeries, _vertex_pair, agree_through,
+                     angle_sorted_slots, fraction_log, geometric,
+                     gw_series_from_text, margin_walk_plan, partitions_upto,
+                     product_cover_kernel, product_u_power, retry_gluing,
+                     retry_loop_oracle, strip_chain_skew_spec, tseries_glue,
+                     walked_precision)
 
 SRC_PATH = os.pathsep.join(filter(None, [
     str(Path(__file__).resolve().parents[1] / "src"),
@@ -366,27 +367,28 @@ def _grid_summands(include_p2_orders=()):
 
 def test_precision_table_matches_the_walk_at_every_cutoff():
     """From its threshold up, each summand is exact through the cutoff plus
-    its offset, as the walk finds it; the table, walked only below the
+    its offset, as the walk finds it; the table, glued only below the
     thresholds, gives the precision the margin-by-margin walk gave at every
     cutoff from -10 to 120, and the plan picks the walk's cutoff (local P2
     up to order 6)."""
-    for case, _, summands, order in _grid_summands(include_p2_orders=(5, 6)):
+    for case, qvars, summands, order in _grid_summands(
+            include_p2_orders=(5, 6)):
         table = _precision_table(summands)
-        for threshold, offset, shift, nodes in table:
+        for threshold, offset, (_, _, shift, nodes) in table:
             for cutoff in range(max(threshold, -10), 121):
                 assert walked_precision([((), 1, shift, nodes)], cutoff) == \
                     cutoff + offset, (case, shift, nodes, cutoff)
         for cutoff in range(-10, 121):
-            assert _glued_precision(table, cutoff) == \
+            assert _glued_precision(qvars, order, table, cutoff) == \
                 walked_precision(summands, cutoff), (case, cutoff)
         for t_cutoff in (-8, 0, 12, 26, 40):
             try:
                 want = margin_walk_plan(summands, order, t_cutoff)
             except CrepantError:
                 with pytest.raises(CrepantError, match="cannot reach"):
-                    _plan_cutoff(summands, order, t_cutoff)
+                    _plan_cutoff(qvars, order, summands, t_cutoff)
                 continue
-            assert _plan_cutoff(summands, order, t_cutoff) == want, \
+            assert _plan_cutoff(qvars, order, summands, t_cutoff) == want, \
                 (case, t_cutoff)
 
 
@@ -413,7 +415,7 @@ def test_plan_gives_up_where_the_retry_loop_does():
     with pytest.raises(CrepantError, match="cannot reach"):
         retry_gluing(("Q",), 1, summands, 0)
     with pytest.raises(CrepantError, match="cannot reach"):
-        _plan_cutoff(summands, 1, 0)
+        _plan_cutoff(("Q",), 1, summands, 0)
 
 
 # the polygons of every web the CLI glues: the built-in flags, --zn 1-3 and
@@ -448,7 +450,7 @@ def test_packed_glue_matches_tseries_glue():
     at each."""
     for case, qvars, order, summands in _cli_web_summands():
         top = max(threshold for threshold, *_ in _precision_table(summands))
-        planned = _plan_cutoff(summands, order, 12)
+        planned = _plan_cutoff(qvars, order, summands, 12)
         for cutoff in sorted({-1, top // 2, top - 1, planned}):
             got = _glue(qvars, order, summands, cutoff)
             want = tseries_glue(qvars, order, summands, cutoff)
@@ -459,6 +461,22 @@ def test_packed_glue_matches_tseries_glue():
                  for e, ts in sorted(want.terms.items())], (case, cutoff)
             assert got.min_cutoff() == walked_precision(summands, cutoff), \
                 (case, cutoff)
+
+
+def test_glue_packs_only_the_amplitudes_of_kept_chains():
+    """The summands of the square at order 8 still below their thresholds at
+    cutoff 38 (what the plan of gv --square --order 8 --t-order 30 glues)
+    all truncate to zero, so the glue keeps no chain and sizes one-byte
+    slots, while their amplitudes have coefficients past 255: it packs only
+    what its kept chains multiply."""
+    web = dual_web(unit_triangulations(unit_square())[0])
+    edges = list(web.edges)
+    qvars = tuple(e.var for e in edges)
+    summands = _summands(web, edges, qvars, 8, False)
+    below = [summand for threshold, _, summand in _precision_table(summands)
+             if 38 < threshold]
+    assert below
+    assert _glue(qvars, 8, below, 38) == tseries_glue(qvars, 8, below, 38)
 
 
 def _check_glue_preconditions(case, summands, cutoff):
@@ -491,14 +509,14 @@ def test_glue_preconditions_and_a_slot_wider_than_64_bits():
     planned cutoff, and on local P2 at degree 7, t-order 54, where the slot
     bound of some Q-degree needs more than 64 bits: that glue packs into
     16-byte slots and still equals the TSeries-product glue."""
-    for case, _, order, summands in _cli_web_summands():
+    for case, qvars, order, summands in _cli_web_summands():
         _check_glue_preconditions(case, summands,
-                                  _plan_cutoff(summands, order, 12))
+                                  _plan_cutoff(qvars, order, summands, 12))
     web = dual_web(unit_triangulations(p2_triangle())[0])
     edges = list(web.edges)
     qvars = tuple(e.var for e in edges)
     summands = _summands(web, edges, qvars, 7, False)
-    cutoff = _plan_cutoff(summands, 7, 54)
+    cutoff = _plan_cutoff(qvars, 7, summands, 54)
     bound = _check_glue_preconditions("p2 degree 7", summands, cutoff)
     assert bound.bit_length() > 64
     assert _glue(qvars, 7, summands, cutoff) == \
