@@ -16,10 +16,16 @@ The principal specialization s_lambda(q^rho) is the hook product
 t^(2n(lambda)+|lambda|) / prod_cells (1 - t^(2 hook)), built without a
 product: dividing by 1 - t^(2h) is a running sum with stride 2h over the
 coefficient list, one per hook.  Skew Schur
-specializations at staircases shifted down by a partition are evaluated by
-the horizontal-strip chain expansion over finitely many variables, each
-state of the chain one packed nonnegative int over a fixed window of
-exponents, so a step is a shift, a mask and an add.  The vertex amplitude is
+specializations at staircases shifted down by a partition are Jacobi-Trudi
+determinants, det(h_{alpha_i - eta_j - i + j}) or the e-form in the
+transposes, whichever matrix is smaller (Macdonald, Symmetric Functions and
+Hall Polynomials, ch. I section 5).  The h_k (e_k) at the shifted staircase
+are those at q^rho corrected once per row of the partition, each list a
+packed nonnegative int built by shifts, adds and masks, and each term of
+the determinant is a chain of masked int multiplies; the even and the odd
+terms are summed apart and their difference is unpacked once, which is
+exact slot by slot because the result has nonnegative coefficients.  The
+vertex amplitude is
 
     C(lam, mu, nu) = t^(kappa(lam)+kappa(nu)) * s_nu(q^rho)
         * sum_eta s_{lam/eta}(x_i = t^(2i-1-2nu'_i))
@@ -36,11 +42,14 @@ P2 invariants (3, -6, 27 at genus 0 and -10 at genus 1, degree 3).
 A glue builds no intermediate series.  Every amplitude has nonnegative
 coefficients at exponents of one parity, so each distinct amplitude is
 packed once, over t^2, into one nonnegative int, with one slot width for
-the whole glue: nothing cancels, so a coefficient of a Q-degree is at most
-the sum over its summands of the product of their amplitudes' coefficient
-sums.  A summand is then a chain of plain int multiplies, each masked at
-the cutoff the TSeries rules give it, and each Q-degree is a shift-and-add
-of its summands, unpacked once with the framing sign they share.
+the whole glue: nothing cancels, and a coefficient of a product is at most
+the largest coefficient of one factor times the coefficient sum of the
+other, so a coefficient of a Q-degree is at most the sum over its summands
+of the largest coefficient of the first amplitude times the coefficient
+sums of the rest.  A summand is then a chain of plain int multiplies, each
+masked at the cutoff the TSeries rules give it, and each Q-degree is a
+shift-and-add of its summands, unpacked once with the framing sign they
+share.
 
 The working t-cutoff of a gluing is planned before the web is glued, once,
 at the first margin 8, 16, 32, ... past the requested precision that
@@ -440,77 +449,119 @@ def _schur_principal(p: Partition, cutoff: int) -> TSeries:
 
 
 @lru_cache(maxsize=None)
-def _strips(mu: Partition, alpha: Partition) -> tuple:
-    """(lam, |lam| - |mu|) for every lam inside alpha with lam/mu a
-    horizontal strip."""
-    rows = len(alpha)
-    padded = tuple(mu) + (0,) * (rows - len(mu))
-    out = []
-
-    def rec(r, acc):
-        if r == rows:
-            lam = tuple(x for x in acc if x)
-            out.append((lam, psize(lam) - psize(mu)))
-            return
-        high = min(alpha[r], padded[r - 1] if r else alpha[0])
-        for v in range(padded[r], high + 1):
-            rec(r + 1, acc + [v])
-
-    rec(0, [])
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _skew_spec(alpha: Partition, eta: Partition, nu: Partition,
                cutoff: int) -> TSeries:
     """Skew Schur s_{alpha/eta} at x_i = t^(2i - 1 - 2 nu_i), i = 1, 2, ...
 
-    The first len(nu) exponents may be negative; a horizontal strip uses a
-    variable at most alpha_1 times, so working through cutoff plus the total
-    achievable negativity keeps the truncation exact.  Variables beyond that
-    window only contribute above the cutoff.
-
-    Each state of the strip chain is one packed int over the exponents
-    -max_neg..work, no exponent ever falling below -max_neg.  A coefficient
-    counts semistandard tableaux of a shape inside alpha/eta with entries at
-    most N, the number of variables, so N**|alpha/eta| bounds every slot.
+    Evaluated as a Jacobi-Trudi determinant over packed ints.  The least
+    exponent is m = 1 - 2 nu_1, so h_k (or e_k) has valuation at least k m
+    and every term of the determinant, a product of factors whose indices
+    sum to d = |alpha| - |eta|, starts at d m.  The exponents d m, d m + 2,
+    ..., cutoff are n slots; each factor is packed in n slots from its own
+    k m, which is exact for the first n slots of the product.  Every
+    coefficient of the factors and of the result is nonnegative, so a
+    factor's coefficient sum over n slots is at most C(n - 1 + k, k), the
+    number of k-multisets of variables whose exponents exceed m by at most
+    2(n - 1); the terms' products of those sums, weighted by their
+    multiplicities, bound every slot of the even and the odd terms' sums,
+    and their difference is the result, slot by slot.
     """
     if any(e > a for e, a in zip(eta, alpha)) or len(eta) > len(alpha):
         return TSeries.zero(cutoff)
     if not alpha:
         return TSeries.one(cutoff)
-    exps = [2 * i - 1 - 2 * nu[i - 1] for i in range(1, len(nu) + 1)]
-    max_neg = alpha[0] * sum(-e for e in exps if e < 0)
-    if cutoff < -max_neg:
+    low = (psize(alpha) - psize(eta)) * (1 - 2 * nu[0] if nu else 1)
+    n = (cutoff - low) // 2 + 1
+    if n <= 0:
         return TSeries.zero(cutoff)
-    work = cutoff + max_neg
-    i = len(nu) + 1
-    while 2 * i - 1 <= work:
-        exps.append(2 * i - 1)
-        i += 1
-    k = _slot_bytes((len(exps) ** (psize(alpha) - psize(eta))).bit_length())
-    slot = 8 * k
-    window = (1 << ((work + max_neg + 1) * slot)) - 1
-    states: dict[Partition, int] = {eta: 1 << (max_neg * slot)}
-    for exp in exps:
-        new: dict[Partition, int] = {}
-        for mu, weight in states.items():
-            for lam, gained in _strips(mu, alpha):
-                shift = exp * gained
-                if shift > work:
-                    # past the cutoff for good: the exponents increase, so
-                    # every later one is positive
-                    continue
-                if shift > 0:
-                    shifted = (weight << (shift * slot)) & window
-                elif shift < 0:
-                    shifted = weight >> (-shift * slot)
-                else:
-                    shifted = weight
-                new[lam] = new.get(lam, 0) + shifted
-        states = new
-    data = _unpack(states.get(alpha, 0), k, cutoff + max_neg + 1)
-    return TSeries._dense(-max_neg, data, cutoff)
+    dual, terms = _jacobi_trudi(alpha, eta)
+    bound = sum(abs(c) * math.prod(math.comb(n - 1 + k, k) for k in ks)
+                for c, ks in terms)
+    width = _slot_bytes(bound.bit_length())
+    depth = max((k for _, ks in terms for k in ks[-1:]), default=0)
+    factors = _packed_complete(nu, n, depth, width, dual)
+    mask = (1 << (8 * width * n)) - 1
+    sums = [0, 0]
+    for c, ks in terms:
+        x = factors[ks[0]] if ks else 1
+        for k in ks[1:]:
+            x = (x * factors[k]) & mask
+        sums[c < 0] += x if abs(c) == 1 else abs(c) * x
+    data = [0] * (2 * n - 1)
+    data[::2] = _unpack(sums[0] - sums[1], width, n)
+    return TSeries._dense(low, data, cutoff)
+
+
+@lru_cache(maxsize=None)
+def _jacobi_trudi(alpha: Partition, eta: Partition) -> tuple:
+    """(dual, terms): s_{alpha/eta} = det(h_{alpha_i - eta_j - i + j}), or
+    det(e_{alpha'_i - eta'_j - i + j}) when dual, whichever matrix is
+    smaller.  Each term (c, ks) is c times the product of h_k (e_k) over the
+    nondecreasing indices ks; equal products are collected, h_0 = 1 is left
+    out and a negative index makes a term zero."""
+    dual = alpha[0] < len(alpha)
+    if dual:
+        alpha, eta = transpose(alpha), transpose(eta)
+    rows = len(alpha)
+    eta = eta + (0,) * (rows - len(eta))
+    terms: dict[tuple, int] = {}
+
+    def expand(i, used, sign, ks):
+        if i == rows:
+            key = tuple(sorted(k for k in ks if k))
+            terms[key] = terms.get(key, 0) + sign
+            return
+        for j in range(rows):
+            k = alpha[i] - eta[j] - i + j
+            if k >= 0 and not used >> j & 1:
+                # the columns already used right of j are the inversions
+                flip = (used >> j).bit_count() % 2
+                expand(i + 1, used | 1 << j, -sign if flip else sign,
+                       ks + (k,))
+
+    expand(0, 0, 1, ())
+    return dual, tuple((c, ks) for ks, c in terms.items() if c)
+
+
+@lru_cache(maxsize=None)
+def _packed_complete(nu: Partition, n: int, depth: int, width: int,
+                     dual: bool) -> tuple:
+    """h_0, ..., h_depth (e_0, ..., e_depth when dual) at
+    x_i = t^(2i - 1 - 2 nu_i), h_k packed in n slots of ``width`` bytes over
+    t^2 from exponent k m, m = 1 - 2 nu_1.
+
+    At nu = () these are h_k(q^rho) = t^k / prod_{j<=k} (1 - t^(2j)) and
+    e_k(q^rho) = t^(k^2) / prod_{j<=k} (1 - t^(2j)): the list for k is the
+    list for k - 1 moved to its slots and divided by 1 - t^(2k), which is
+    multiplying by (1 + t^(2k))(1 + t^(4k))(1 + t^(8k))... through the
+    slots.  Each row i of nu then trades the variable t^(2i - 1) for
+    t^(2i - 1 - 2 nu_i): H(z) is multiplied by 1 - z t^(2i - 1) and divided
+    by 1 - z t^(2i - 1 - 2 nu_i) (E(z) divided by 1 + z t^(2i - 1) and
+    multiplied by 1 + z t^(2i - 1 - 2 nu_i)).  Every exponent is at least m,
+    so each step shifts toward higher slots and each list stays exact in
+    all n slots; every intermediate list is h_k (e_k) of some variables and
+    nonnegative, so a subtraction borrows nothing.
+    """
+    bits = 8 * width
+    mask = (1 << (bits * n)) - 1
+    top = nu[0] if nu else 0
+    lists = [1]
+    for k in range(1, depth + 1):
+        x = (lists[-1] << (bits * (top + (k - 1 if dual else 0)))) & mask
+        stride = k
+        while stride < n:
+            x = (x + (x << (bits * stride))) & mask
+            stride *= 2
+        lists.append(x)
+    # multiplying by 1 + c z runs down the list, dividing by 1 - c z up it
+    for i, row in enumerate(nu):
+        for shift, step, upward in ((i + top, sub, dual),
+                                    (i + top - row, add, not dual)):
+            ks = range(1, depth + 1) if upward else range(depth, 0, -1)
+            for k in ks:
+                lists[k] = step(lists[k], lists[k - 1] << (bits * shift)) \
+                    & mask
+    return tuple(lists)
 
 
 @lru_cache(maxsize=None)
@@ -669,9 +720,9 @@ def _glue(qvars, order, summands, cutoff):
     """
     if cutoff < 0:
         return GWSeries(qvars, order)  # every framing monomial is cut to 0
-    # [valuation, cutoff, coefficient sum, coefficients over t^2, packed
-    # once the slot width is known] per distinct amplitude, shared by every
-    # rotation of its arguments
+    # [valuation, cutoff, coefficient sum, largest coefficient, coefficients
+    # over t^2, packed once the slot width is known] per distinct amplitude,
+    # shared by every rotation of its arguments
     amplitudes, distinct = {}, {}
     chains, bounds = [], {}
     for exps, sign, shift, nodes in summands:
@@ -683,13 +734,16 @@ def _glue(qvars, order, summands, cutoff):
                 amp = distinct.get(rotation)
                 if amp is None:
                     ts = vertex_raw(*rotation, cutoff)
-                    amp = distinct[rotation] = [ts.valuation(), ts.cutoff,
-                                                sum(ts.data), ts.data[::2]]
+                    amp = distinct[rotation] = [
+                        ts.valuation(), ts.cutoff, sum(ts.data),
+                        max(ts.data, default=0), ts.data[::2]]
                 amplitudes[args] = amp
             v, k = _pair_mul((v, k), amp[:2])
             if v is None:
                 break
-            bound *= amp[2]
+            # a slot of a product is at most the largest coefficient of one
+            # factor times the coefficient sum of the other
+            bound = bound * amp[2] if steps else amp[3]
             steps.append((amp, (k - v) // 2 + 1))
         else:
             bounds[exps] = bounds.get(exps, 0) + bound
@@ -699,12 +753,12 @@ def _glue(qvars, order, summands, cutoff):
     # the width bounds only the amplitudes of the chains kept
     kept = {id(amp): amp for *_, steps in chains for amp, _ in steps}
     for amp in kept.values():
-        amp[3] = _pack(amp[3], width)
+        amp[4] = _pack(amp[4], width)
     sums: dict[tuple, list] = {}
     for exps, sign, v, k, steps in chains:
         x = 1
         for amp, n in steps:
-            x = (x * amp[3]) & ((1 << (slot * n)) - 1)
+            x = (x * amp[4]) & ((1 << (slot * n)) - 1)
         sums.setdefault(exps, [sign]).append((v, k, x))
     terms = {}
     for exps, (sign, *parts) in sums.items():
@@ -740,10 +794,10 @@ def _skew_valuation(alpha: Partition, eta: Partition, nu: Partition):
     """Valuation of s_{alpha/eta}(x_i = t^(2i - 1 - 2 nu_i)), None if zero.
 
     The exponents increase strictly in i, so the least tableau weight is
-    the column-minimal one: cell (r, c) holds r - eta'_c (from 0).  Every
-    other path through _skew_spec's strip chain keeps its cutoff at or above
-    the requested one, so _skew_spec(..., cutoff) is this valuation (when
-    at most the cutoff) with exactly that cutoff.
+    the column-minimal one: cell (r, c) holds r - eta'_c (from 0).
+    _skew_spec(..., cutoff) is the specialization truncated exactly at the
+    cutoff, so it has this valuation (when at most the cutoff) and exactly
+    that cutoff.
     """
     if any(e > a for e, a in zip(eta, alpha)) or len(eta) > len(alpha):
         return None
@@ -939,6 +993,13 @@ def gv_extract(series: GWSeries, genus_cap: int = 2) -> GVTable:
             raise PrecisionError(
                 f"insufficient t-precision at degree {d}: genus 0 lies past"
                 f" cutoff {avail}")
+        # sum_g c_g (t - 1/t)^(2g) has valuation -2 g_max, so a genus whose
+        # top term lies past the cutoff shows as a valuation below -avail + 2
+        low = peeled.valuation()
+        if low is not None and avail is not None and -low > avail - 2:
+            raise PrecisionError(
+                f"insufficient t-precision at degree {d}: lowest exponent"
+                f" {low} needs cutoff {2 - low}, have {avail}")
         genera: dict[int, int] = {}
         if top is not None:
             if top % 2 or top < 0:

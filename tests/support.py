@@ -17,9 +17,8 @@ from crepant.quiver import c3_quiver, conifold_quiver, frame, relations_from_pot
 from crepant.reps import MonomialRepresentation, check_relations
 from crepant.roots import Root, _positive_vectors, _support_connected
 from crepant.series import FormalSeries, product_series
-from crepant.vertex import (GWSeries, TSeries, _glue, _pair_mul, _strips,
-                            _summands, _vertex_valuations, partitions_of,
-                            vertex)
+from crepant.vertex import (GWSeries, TSeries, _glue, _pair_mul, _summands,
+                            _vertex_valuations, partitions_of, psize, vertex)
 
 
 def brute_product_one_minus_qk_inverse(order):
@@ -344,10 +343,36 @@ def gw_series_from_text(text: str) -> GWSeries:
                     {exps: TSeries(row) for exps, row in by_degree.items()})
 
 
+@lru_cache(maxsize=None)
+def _strips(mu, alpha) -> tuple:
+    """(lam, |lam| - |mu|) for every lam inside alpha with lam/mu a
+    horizontal strip."""
+    rows = len(alpha)
+    padded = tuple(mu) + (0,) * (rows - len(mu))
+    out = []
+
+    def rec(r, acc):
+        if r == rows:
+            lam = tuple(x for x in acc if x)
+            out.append((lam, psize(lam) - psize(mu)))
+            return
+        high = min(alpha[r], padded[r - 1] if r else alpha[0])
+        for v in range(padded[r], high + 1):
+            rec(r + 1, acc + [v])
+
+    rec(0, [])
+    return tuple(out)
+
+
 def strip_chain_skew_spec(alpha, eta, nu, cutoff):
-    """``vertex._skew_spec`` by the chain of ``TSeries`` states its packed
-    ints replaced: s_{alpha/eta} at x_i = t^(2i - 1 - 2 nu_i), each strip
-    step a shifted and truncated series."""
+    """``vertex._skew_spec`` by the horizontal-strip chain over finitely many
+    variables, the Schur oracle: s_{alpha/eta} at x_i = t^(2i - 1 - 2 nu_i),
+    each strip step a shifted and truncated series.
+
+    The first len(nu) exponents may be negative; a horizontal strip uses a
+    variable at most alpha_1 times, so working through cutoff plus the total
+    achievable negativity keeps the truncation exact.  Variables beyond that
+    window only contribute above the cutoff."""
     if any(e > a for e, a in zip(eta, alpha)) or len(eta) > len(alpha):
         return TSeries.zero(cutoff)
     if not alpha:

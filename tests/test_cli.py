@@ -303,16 +303,34 @@ GV_WRONG_UNTIL_ITEM_1 = [(("--p2",), 2, -5), (("--zn", "1"), 2, -5)]
 
 
 def test_gv_at_low_t_orders_errs_or_prints_the_high_t_order_table():
-    """On local P2, the square and --zn 1 at orders 1-3 and t-orders -8..4,
-    gv either names the t-order in one error line or prints what it prints
-    at --t-order 60 (the lines ROADMAP item 1 must mend aside)."""
-    for web in (("--p2",), ("--square",), ("--zn", "1")):
-        for order in range(1, 4):
-            for t_order in range(-8, 5):
-                if (web, order, t_order) in GV_WRONG_UNTIL_ITEM_1:
-                    continue
-                got, want, ok = _gv_at_low_t_order(web, order, t_order)
-                assert ok, (web, order, t_order, got, want)
+    """On local P2, the square and --zn 1 at orders 1-3 and --zn 2 at
+    orders 1-4, at t-orders -8..4, gv either names the t-order in one error
+    line or prints what it prints at --t-order 60 (the lines ROADMAP item 1
+    must mend aside)."""
+    webs = [(web, order) for web in (("--p2",), ("--square",), ("--zn", "1"))
+            for order in range(1, 4)]
+    webs += [(("--zn", "2"), order) for order in range(1, 5)]
+    for web, order in webs:
+        for t_order in range(-8, 5):
+            if (web, order, t_order) in GV_WRONG_UNTIL_ITEM_1:
+                continue
+            got, want, ok = _gv_at_low_t_order(web, order, t_order)
+            assert ok, (web, order, t_order, got, want)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--zn", "2", "--order", "3", "--genus", "1", "--t-order", "15"],
+    ["--zn", "2", "--order", "2", "--t-order", "0"]])
+def test_gv_names_the_t_order_when_a_genus_lies_past_the_cutoff(argv):
+    """A genus whose top term lies past the cutoff shows as a valuation
+    below the peel's reach: gv names the t-order in one error line, where
+    it used to blame the series ("not a genus expansion", "not polynomial
+    in the genus kernel")."""
+    code, out, err = run_main(["gv", *argv])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: insufficient t-precision at degree")
+    assert err.count("\n") == 1
+    assert f"at --t-order {argv[-1]}; a larger --t-order reaches it" in err
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: a summand that"

@@ -19,12 +19,12 @@ from crepant.toric import (BUILTIN_POLYGONS, double_triangle, dual_web,
                            unit_triangulations, zn_triangle)
 from crepant.vertex import (GWSeries, TSeries, _ccw_slots, _convolve,
                             _cover_kernel, _glue, _glued_precision,
-                            _kronecker, _plan_cutoff, _precision_table,
-                            _sinh_power, _skew_spec, _skew_valuation,
-                            _summands, _vertex_profile, gv_extract,
-                            gw_partition_function, hooks, kappa, n_stat,
-                            partitions_of, psize, schur_principal, transpose,
-                            vertex, vertex_raw)
+                            _kronecker, _least_rotation, _plan_cutoff,
+                            _precision_table, _sinh_power, _skew_spec,
+                            _skew_valuation, _summands, _vertex_profile,
+                            gv_extract, gw_partition_function, hooks, kappa,
+                            n_stat, partitions_of, psize, schur_principal,
+                            subdiagrams, transpose, vertex, vertex_raw)
 from support import (DictTSeries, _vertex_pair, agree_through,
                      angle_sorted_slots, fraction_log, geometric,
                      gw_series_from_text, margin_walk_plan, partitions_upto,
@@ -276,6 +276,16 @@ def test_local_p2_through_genus_two_at_degree_seven():
     assert [table[(g, 7)] for g in range(3)] == [188454, -1438086, 5784837]
 
 
+def test_local_p2_through_genus_two_at_degree_eight():
+    """n_{0,8} (Chiang-Klemm-Yau-Zaslow, hep-th/9903053), n_{1,8} and n_{2,8}
+    (Katz-Klemm-Vafa, hep-th/9910181), at t-order 62, the least at which
+    gv prints them (61 is a precision error)."""
+    web = dual_web(unit_triangulations(p2_triangle())[0])
+    table = gv_extract(gw_partition_function(web, 8, t_cutoff=62), genus_cap=2)
+    assert [table[(g, 8)] for g in range(3)] == [-2228160, 25301295,
+                                                 -155322234]
+
+
 GRID_WEBS = {
     "square": (unit_square, 0),
     "square flopped": (unit_square, 1),
@@ -314,7 +324,7 @@ def test_planned_pairs_match_computed_series():
     """The valuation and cutoff the plan assigns to each vertex amplitude
     are those of the computed series, and so are its profile's from the
     profile's threshold up (skew Schur specializations are checked by
-    test_packed_skew_spec_matches_strip_chain)."""
+    test_jacobi_trudi_skew_spec_matches_strip_chain)."""
     parts = partitions_upto(3)
     for cutoff in range(-6, 21):
         for lam in parts:
@@ -329,10 +339,11 @@ def test_planned_pairs_match_computed_series():
                         assert got == (v, cutoff + offset), case
 
 
-def test_packed_skew_spec_matches_strip_chain():
-    """The packed strip chain gives the series of the TSeries-state chain,
-    cutoff included, and the valuation and cutoff the plan assigns to each
-    skew Schur specialization are those of the computed series."""
+def test_jacobi_trudi_skew_spec_matches_strip_chain():
+    """The Jacobi-Trudi determinant over packed ints gives the series of the
+    horizontal-strip chain, cutoff included, and the valuation and cutoff
+    the plan assigns to each skew Schur specialization are those of the
+    computed series."""
     parts = partitions_upto(4)
     for alpha in parts:
         for eta in parts:
@@ -345,6 +356,32 @@ def test_packed_skew_spec_matches_strip_chain():
                     assert (ts.valuation(), ts.cutoff) == \
                         (v if v is not None and v <= cutoff else None,
                          cutoff), case
+
+
+def test_jacobi_trudi_reaches_every_skew_call_of_local_p2_degree_seven():
+    """Every distinct skew Schur specialization that local P2 at degree 7
+    and t-order 54 glues, at its planned cutoff 182, equals the strip
+    chain's: the determinant's packed lists reach cutoffs and partitions
+    past the grid."""
+    web = dual_web(unit_triangulations(p2_triangle())[0])
+    edges = list(web.edges)
+    qvars = tuple(e.var for e in edges)
+    summands = _summands(web, edges, qvars, 7, False)
+    cutoff = _plan_cutoff(qvars, 7, summands, 54)
+    assert cutoff == 182
+    calls = set()
+    for *_, nodes in summands:
+        for args in nodes:
+            # the calls vertex_raw makes for the least rotation
+            lam, mu, nu = _least_rotation(*args)
+            mu_t, nu_t = transpose(mu), transpose(nu)
+            for eta in subdiagrams(tuple(min(a, b)
+                                         for a, b in zip(lam, mu_t))):
+                calls.update({(lam, eta, nu_t), (mu_t, eta, nu)})
+    assert len(calls) == 205
+    for call in sorted(calls):
+        assert _skew_spec(*call, cutoff) == \
+            strip_chain_skew_spec(*call, cutoff), call
 
 
 def _grid_summands(include_p2_orders=()):
@@ -483,20 +520,20 @@ def _check_glue_preconditions(case, summands, cutoff):
     """Every amplitude has nonnegative coefficients at exponents of one
     parity; the summands of a Q-degree share their framing sign and, where
     nonzero, the parity of their valuations.  Returns the glue's slot bound:
-    the largest sum over a Q-degree's summands of the product of their
-    amplitudes' coefficient sums."""
+    the largest sum over a Q-degree's summands of the largest coefficient of
+    their first amplitude times the coefficient sums of the others."""
     signs, parities, bounds = {}, {}, {}
     for exps, sign, shift, nodes in summands:
         assert signs.setdefault(exps, sign) == sign, (case, exps)
         valuation, bound = shift, 1
-        for args in nodes:
+        for i, args in enumerate(nodes):
             ts = vertex(*args, cutoff)
             assert all(c >= 0 for c in ts.data), (case, args)
             assert not any(ts.data[1::2]), (case, args)
             if not ts:
                 break
             valuation += ts.offset
-            bound *= sum(ts.data)
+            bound = bound * sum(ts.data) if i else max(ts.data)
         else:
             assert parities.setdefault(exps, valuation % 2) == \
                 valuation % 2, (case, exps)
@@ -506,9 +543,11 @@ def _check_glue_preconditions(case, summands, cutoff):
 
 def test_glue_preconditions_and_a_slot_wider_than_64_bits():
     """What the packed glue assumes holds on every web the CLI builds at the
-    planned cutoff, and on local P2 at degree 7, t-order 54, where the slot
-    bound of some Q-degree needs more than 64 bits: that glue packs into
-    16-byte slots and still equals the TSeries-product glue."""
+    planned cutoff, and on local P2 at degree 7, t-order 54, whose slot
+    bound reads 64 bits (68 with every factor bounded by its coefficient
+    sum).  With the summands of its widest Q-degree listed twice the bound
+    needs more than 64 bits: that glue packs into 16-byte slots and still
+    equals the TSeries-product glue."""
     for case, qvars, order, summands in _cli_web_summands():
         _check_glue_preconditions(case, summands,
                                   _plan_cutoff(qvars, order, summands, 12))
@@ -518,6 +557,15 @@ def test_glue_preconditions_and_a_slot_wider_than_64_bits():
     summands = _summands(web, edges, qvars, 7, False)
     cutoff = _plan_cutoff(qvars, 7, summands, 54)
     bound = _check_glue_preconditions("p2 degree 7", summands, cutoff)
+    assert bound.bit_length() == 64
+    by_degree = {}
+    for summand in summands:
+        by_degree.setdefault(summand[0], []).append(summand)
+    widest = max(by_degree.values(), key=lambda group:
+                 _check_glue_preconditions("p2 degree 7", group, cutoff))
+    summands += widest
+    bound = _check_glue_preconditions("p2 degree 7, doubled", summands,
+                                      cutoff)
     assert bound.bit_length() > 64
     assert _glue(qvars, 7, summands, cutoff) == \
         tseries_glue(qvars, 7, summands, cutoff)
@@ -627,23 +675,31 @@ def test_one_term_products_match_dict_reference(e, c, y, scalar):
 
 def test_cold_local_p2_product_counts():
     """Work pin: a cold gw_partition_function(local P2, 6, 40) makes at most
-    80 packed products, 219 TSeries products and 1245 glue multiplies (one
-    per node of each of the 415 summands).  Before the glue multiplied
-    packed amplitudes it made 821 packed and 1464 TSeries products, and
-    before monomials were scaled copies and hook products running sums
-    1810 packed products, one per TSeries product."""
+    80 packed products, 219 TSeries products, 1245 glue multiplies (one
+    per node of each of the 415 summands) and 55 Jacobi-Trudi multiplies
+    (one per factor after the first of each skew Schur determinant term).
+    Before the glue multiplied packed amplitudes it made 821 packed and
+    1464 TSeries products, and before monomials were scaled copies and hook
+    products running sums 1810 packed products, one per TSeries product."""
     probe = (
         "import json, crepant.vertex as v\n"
         "from crepant.toric import (dual_web, p2_triangle,\n"
         "                           unit_triangulations)\n"
-        "counts = {'packed': 0, 'mul': 0, 'glue': 0}\n"
+        "counts = {'packed': 0, 'mul': 0, 'glue': 0, 'skew': 0}\n"
         "kron, mul, pack = v._kronecker, v.TSeries.__mul__, v._pack\n"
-        "class Counted(int):\n"
+        "complete = v._packed_complete\n"
+        "def counted(key):\n"
         "    # a glue packs amplitudes with _pack and multiplies a chain's\n"
-        "    # plain int by one; _kronecker subtracts before multiplying\n"
-        "    def __rmul__(self, other):\n"
-        "        counts['glue'] += 1\n"
-        "        return other * int(self)\n"
+        "    # plain int by one; a determinant multiplies its packed lists,\n"
+        "    # the first two with each other; _kronecker subtracts before\n"
+        "    # multiplying\n"
+        "    class Counted(int):\n"
+        "        def __mul__(self, other):\n"
+        "            counts[key] += 1\n"
+        "            return int(self) * other\n"
+        "        __rmul__ = __mul__\n"
+        "    return Counted\n"
+        "glue_int, skew_int = counted('glue'), counted('skew')\n"
         "def packed(*args):\n"
         "    counts['packed'] += 1\n"
         "    return kron(*args)\n"
@@ -651,9 +707,12 @@ def test_cold_local_p2_product_counts():
         "    counts['mul'] += 1\n"
         "    return mul(*args)\n"
         "def counted_pack(*args):\n"
-        "    return Counted(pack(*args))\n"
+        "    return glue_int(pack(*args))\n"
+        "def counted_complete(*args):\n"
+        "    return tuple(map(skew_int, complete(*args)))\n"
         "v._kronecker, v.TSeries.__mul__, v._pack = packed, product, \\\n"
         "    counted_pack\n"
+        "v._packed_complete = counted_complete\n"
         "web = dual_web(unit_triangulations(p2_triangle())[0])\n"
         "v.gw_partition_function(web, 6, 40)\n"
         "print(json.dumps(counts))\n")
@@ -665,6 +724,7 @@ def test_cold_local_p2_product_counts():
     assert counts["packed"] <= 80, counts
     assert counts["mul"] <= 219, counts
     assert 0 < counts["glue"] <= 1245, counts
+    assert 0 < counts["skew"] <= 55, counts
 
 
 def test_only_ints_reach_the_product_kernel():
