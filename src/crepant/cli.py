@@ -331,6 +331,10 @@ def cmd_gv(args) -> int:
     web = _selected_web(args)
     series = gw_partition_function(web, args.order, t_cutoff=args.t_order)
     try:
+        if not series.terms:
+            # a negative working cutoff truncates even the constant term
+            raise PrecisionError("insufficient t-precision: the constant"
+                                 " term lies past the cutoff")
         table = gv_extract(series, genus_cap=args.genus)
     except PrecisionError as exc:
         raise CrepantError(f"{exc} at --t-order {args.t_order}; a larger"

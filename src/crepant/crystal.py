@@ -278,13 +278,6 @@ def configurations(family, max_size: int):
                         stack.append((ideal, nxt, budget - k))
 
 
-def dimension_vector(family, config) -> tuple[int, ...]:
-    dims = [0] * len(family.variables)
-    for atom in config:
-        dims[family.color_index(atom)] += 1
-    return tuple(dims)
-
-
 def enumerate_configurations(family, max_size: int) -> dict[tuple[int, ...], int]:
     """Exact ideal counts for every size up to the bound, keyed by colour.
 

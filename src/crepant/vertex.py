@@ -36,6 +36,8 @@ rotates the arguments to the least rotation.  Gluing over a web lists the
 slots at each node counterclockwise, takes the transpose at an edge's
 second node, and weights an internal edge by
 (-1)^((n+1)|lam|) t^(-n kappa(lam)) Q^|lam| with n the stored framing.
+_summands fixes each node's arguments, at their least rotation, once per
+summand, so the glue and the precision plan take them as given.
 These conventions are locked by the conifold product formula and the local
 P2 invariants (3, -6, 27 at genus 0 and -10 at genus 1, degree 3).
 
@@ -621,9 +623,6 @@ class GWSeries(FormalSeries):
     def _lcm_log(self) -> tuple:
         """(L, L log Z) with L = lcm(1..order), for a series with constant
         term 1: the sum of (-1)^(k+1) (L / k) a^k over the integers."""
-        c0 = self.coefficient((0,) * len(self.vars))
-        if c0.coeffs != {0: 1}:
-            raise CrepantError("log needs constant term exactly 1")
         a = GWSeries(self.vars, self.order,
                      {e: ts for e, ts in self.terms.items() if any(e)})
         out = GWSeries(self.vars, self.order)
@@ -663,54 +662,60 @@ def gw_partition_function(web: DualWeb, order: int, t_cutoff: int = 20,
     """
     if not web.is_balanced():
         raise CrepantError("web is not balanced")
-    edges = list(web.edges)
-    qvars = tuple(e.var for e in edges)
-    if not edges:
+    qvars = tuple(e.var for e in web.edges)
+    if not qvars:
         return GWSeries.one(qvars, order, cutoff=None)
-    summands = _summands(web, edges, qvars, order, reverse_edges)
+    summands = _summands(web, order, reverse_edges)
     cutoff = _plan_cutoff(qvars, order, summands, t_cutoff)
     return _glue(qvars, order, summands, cutoff)
 
 
-def _summands(web, edges, qvars, order, reverse_edges) -> list:
+def _summands(web, order, reverse_edges=False) -> list:
     """One entry per partition assignment to the edges: its Q-degrees, the
     sign and t-shift of its framing factor, and the vertex arguments at each
-    node (slots counterclockwise, transposed at an edge's head)."""
-    slots = [_ccw_slots(web, node) for node in range(len(web.nodes))]
-    parts_by_size = {s: list(partitions_of(s)) for s in range(order + 1)}
-    out = []
+    node (slots counterclockwise, transposed at an edge's head) at their
+    least rotation.
+
+    A node's slot plan holds None for a leg and (edge index, whether the
+    node is the edge's head) for an edge, which indexes (lam, lam')."""
+    edges = list(web.edges)
+    index = {e.var: i for i, e in enumerate(edges)}
+    plans = [[None if kind == "leg" else
+              (index[edge.var],
+               node == edge.nodes[0 if reverse_edges else 1])
+              for kind, edge, _ in _ccw_slots(web, node)]
+             for node in range(len(web.nodes))]
+    framings = [-e.framing if reverse_edges else e.framing for e in edges]
+    parts_by_size = {s: [(lam, transpose(lam), kappa(lam))
+                         for lam in partitions_of(s)]
+                     for s in range(order + 1)}
+    least, out = {}, []
     for sizes in product(range(order + 1), repeat=len(edges)):
         if sum(sizes) > order:
             continue
+        # the parity of sum (n + 1)|lam| as an int: (-1) ** k is a float
+        # for negative k
+        sign = -1 if sum((n + 1) * s for n, s in zip(framings, sizes)) % 2 \
+            else 1
         for choice in product(*(parts_by_size[s] for s in sizes)):
-            sign, shift = 1, 0
-            for e, lam in zip(edges, choice):
-                n = -e.framing if reverse_edges else e.framing
-                if ((n + 1) * psize(lam)) % 2:
-                    sign = -sign
-                shift -= n * kappa(lam)
-            assignment = dict(zip((e.var for e in edges), choice))
+            shift = -sum(n * part[2] for n, part in zip(framings, choice))
             nodes = []
-            for node, node_slots in enumerate(slots):
-                args = []
-                for kind, payload, _ in node_slots:
-                    if kind == "leg":
-                        args.append(())
-                    else:
-                        lam = assignment[payload.var]
-                        head = payload.nodes[1] if not reverse_edges \
-                            else payload.nodes[0]
-                        args.append(transpose(lam) if node == head else lam)
-                nodes.append(tuple(args))
-            exps = tuple(psize(assignment[v]) for v in qvars)
-            out.append((exps, sign, shift, nodes))
+            for plan in plans:
+                args = tuple(() if slot is None else choice[slot[0]][slot[1]]
+                             for slot in plan)
+                rotation = least.get(args)
+                if rotation is None:
+                    rotation = least[args] = _least_rotation(*args)
+                nodes.append(rotation)
+            out.append((sizes, sign, shift, nodes))
     return out
 
 
 def _glue(qvars, order, summands, cutoff):
     """The sum of the summands at ``cutoff``, each a framing monomial
     sign * t^shift, exact through cutoff + shift, times one amplitude per
-    node, glued over packed ints as the module docstring describes.
+    node (its arguments at their least rotation, as ``_summands`` gives
+    them), glued over packed ints as the module docstring describes.
 
     A summand's chain is masked after each multiply at the cutoff
     ``_pair_mul`` gives, and the summand is dropped once it truncates to
@@ -721,23 +726,18 @@ def _glue(qvars, order, summands, cutoff):
     if cutoff < 0:
         return GWSeries(qvars, order)  # every framing monomial is cut to 0
     # [valuation, cutoff, coefficient sum, largest coefficient, coefficients
-    # over t^2, packed once the slot width is known] per distinct amplitude,
-    # shared by every rotation of its arguments
-    amplitudes, distinct = {}, {}
+    # over t^2, packed once the slot width is known] per distinct amplitude
+    amplitudes = {}
     chains, bounds = [], {}
     for exps, sign, shift, nodes in summands:
         v, k, bound, steps = shift, cutoff + shift, 1, []
         for args in nodes:
             amp = amplitudes.get(args)
             if amp is None:
-                rotation = _least_rotation(*args)
-                amp = distinct.get(rotation)
-                if amp is None:
-                    ts = vertex_raw(*rotation, cutoff)
-                    amp = distinct[rotation] = [
-                        ts.valuation(), ts.cutoff, sum(ts.data),
-                        max(ts.data, default=0), ts.data[::2]]
-                amplitudes[args] = amp
+                ts = vertex_raw(*args, cutoff)
+                amp = amplitudes[args] = [
+                    ts.valuation(), ts.cutoff, sum(ts.data),
+                    max(ts.data, default=0), ts.data[::2]]
             v, k = _pair_mul((v, k), amp[:2])
             if v is None:
                 break
@@ -811,24 +811,6 @@ def _skew_valuation(alpha: Partition, eta: Partition, nu: Partition):
 
 
 @lru_cache(maxsize=None)
-def _vertex_valuations(lam, mu, nu) -> tuple:
-    """(pairs, hook, shift) for vertex(lam, mu, nu): the valuations (v1, v2)
-    of the two skew factors of every inner-sum term that is not identically
-    zero, in vertex_raw's order; the valuation of s_nu(q^rho), None when nu
-    is empty; and the kappa shift."""
-    lam, mu, nu = _least_rotation(lam, mu, nu)
-    mu_t, nu_t = transpose(mu), transpose(nu)
-    pairs = []
-    for eta in subdiagrams(tuple(min(a, b) for a, b in zip(lam, mu_t))):
-        v1 = _skew_valuation(lam, eta, nu_t)
-        v2 = _skew_valuation(mu_t, eta, nu)
-        if v1 is not None and v2 is not None:
-            pairs.append((v1, v2))
-    hook = 2 * n_stat(nu) + psize(nu) if nu else None
-    return tuple(pairs), hook, kappa(lam) + kappa(nu)
-
-
-@lru_cache(maxsize=None)
 def _vertex_profile(lam, mu, nu) -> tuple:
     """(valuation, offset, threshold): at every cutoff from the threshold
     up, vertex(lam, mu, nu, cutoff), which vertex_raw computes, has that
@@ -838,33 +820,40 @@ def _vertex_profile(lam, mu, nu) -> tuple:
     skew specialization that is not identically zero, the hook product and
     the inner sum all have their lowest terms at or below their cutoffs.
     """
-    pairs, hook, shift = _vertex_valuations(lam, mu, nu)
+    lam, mu, nu = _least_rotation(lam, mu, nu)
+    mu_t, nu_t = transpose(mu), transpose(nu)
     # the inner sum is (low, cutoff + offset); eta = () always contributes
     low, offset, threshold = None, 0, 0
-    for v1, v2 in pairs:
+    for eta in subdiagrams(tuple(min(a, b) for a, b in zip(lam, mu_t))):
+        v1 = _skew_valuation(lam, eta, nu_t)
+        v2 = _skew_valuation(mu_t, eta, nu)
+        if v1 is None or v2 is None:
+            continue
         low = v1 + v2 if low is None else min(low, v1 + v2)
         offset = min(offset, v1, v2)
         threshold = max(threshold, v1, v2)
     threshold = max(threshold, low - offset)
-    if hook is not None:
+    if nu:
+        hook = 2 * n_stat(nu) + psize(nu)  # the valuation of s_nu(q^rho)
         low, offset, threshold = hook + low, min(low, offset + hook), \
             max(threshold, hook)
+    shift = kappa(lam) + kappa(nu)
     return low + shift, offset + shift, threshold
 
 
 def _precision_table(summands) -> list:
     """(threshold, offset, summand) per summand: from the threshold on, the
-    summand glues to a nonzero series exact through cutoff + offset."""
+    summand glues to a nonzero series exact through cutoff + offset.  Its
+    pairs are taken relative to the cutoff: the framing monomial is
+    (shift, cutoff + shift) from cutoff 0 up."""
     rows = []
     for summand in summands:
         _, _, shift, nodes = summand
-        # the framing monomial is (shift, cutoff + shift) from cutoff 0 up
-        low, offset, threshold = shift, shift, 0
+        pair, threshold = (shift, shift), 0
         for args in nodes:
-            v, o, t = _vertex_profile(*args)
-            low, offset, threshold = low + v, min(offset + v, o + low), \
-                max(threshold, t)
-        rows.append((threshold, offset, summand))
+            v, offset, t = _vertex_profile(*args)
+            pair, threshold = _pair_mul(pair, (v, offset)), max(threshold, t)
+        rows.append((threshold, pair[1], summand))
     return rows
 
 

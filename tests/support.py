@@ -7,7 +7,7 @@ import operator
 import random
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from crepant.errors import CrepantError
 from crepant.geometry import (CHART1, CHART2, V_COORDS, _MAX_COUNTEREXAMPLES,
@@ -17,8 +17,10 @@ from crepant.quiver import c3_quiver, conifold_quiver, frame, relations_from_pot
 from crepant.reps import MonomialRepresentation, check_relations
 from crepant.roots import Root, _positive_vectors, _support_connected
 from crepant.series import FormalSeries, product_series
-from crepant.vertex import (GWSeries, TSeries, _glue, _pair_mul, _summands,
-                            _vertex_valuations, partitions_of, psize, vertex)
+from crepant.vertex import (GWSeries, TSeries, _ccw_slots, _glue,
+                            _least_rotation, _pair_mul, _skew_valuation,
+                            _summands, kappa, n_stat, partitions_of, psize,
+                            subdiagrams, transpose, vertex)
 
 
 def brute_product_one_minus_qk_inverse(order):
@@ -494,12 +496,50 @@ def retry_gluing(qvars, order, summands, t_cutoff):
 def retry_loop_oracle(web, order, t_cutoff=20, reverse_edges=False):
     """``gw_partition_function`` by the retry loop its precision plan
     replaced."""
+    qvars = tuple(e.var for e in web.edges)
+    if not qvars:
+        return GWSeries.one(qvars, order, cutoff=None)
+    summands = _summands(web, order, reverse_edges)
+    return retry_gluing(qvars, order, summands, t_cutoff)
+
+
+def slot_walk_summands(web, order, reverse_edges=False) -> list:
+    """``vertex._summands`` by the walk its slot plans replaced: per
+    assignment, a dict from edge variable to partition, each slot's kind
+    tested, transposes, sizes and kappas taken per summand, and the node
+    arguments left in counterclockwise order, not at their least
+    rotation."""
     edges = list(web.edges)
     qvars = tuple(e.var for e in edges)
-    if not edges:
-        return GWSeries.one(qvars, order, cutoff=None)
-    summands = _summands(web, edges, qvars, order, reverse_edges)
-    return retry_gluing(qvars, order, summands, t_cutoff)
+    slots = [_ccw_slots(web, node) for node in range(len(web.nodes))]
+    parts_by_size = {s: list(partitions_of(s)) for s in range(order + 1)}
+    out = []
+    for sizes in product(range(order + 1), repeat=len(edges)):
+        if sum(sizes) > order:
+            continue
+        for choice in product(*(parts_by_size[s] for s in sizes)):
+            sign, shift = 1, 0
+            for e, lam in zip(edges, choice):
+                n = -e.framing if reverse_edges else e.framing
+                if ((n + 1) * psize(lam)) % 2:
+                    sign = -sign
+                shift -= n * kappa(lam)
+            assignment = dict(zip((e.var for e in edges), choice))
+            nodes = []
+            for node, node_slots in enumerate(slots):
+                args = []
+                for kind, payload, _ in node_slots:
+                    if kind == "leg":
+                        args.append(())
+                    else:
+                        lam = assignment[payload.var]
+                        head = payload.nodes[1] if not reverse_edges \
+                            else payload.nodes[0]
+                        args.append(transpose(lam) if node == head else lam)
+                nodes.append(tuple(args))
+            exps = tuple(psize(assignment[v]) for v in qvars)
+            out.append((exps, sign, shift, nodes))
+    return out
 
 
 def _pair_add(a, b):
@@ -513,17 +553,24 @@ def _vertex_pair(lam, mu, nu, cutoff: int) -> tuple:
     """(valuation, cutoff) of vertex(lam, mu, nu, cutoff), traced through
     vertex_raw's sums and products.  A term that is identically zero adds
     (None, cutoff), which changes nothing."""
-    pairs, hook, shift = _vertex_valuations(lam, mu, nu)
+    lam, mu, nu = _least_rotation(lam, mu, nu)
+    mu_t, nu_t = transpose(mu), transpose(nu)
     inner = (None, cutoff)
-    for v1, v2 in pairs:
+    for eta in subdiagrams(tuple(min(a, b) for a, b in zip(lam, mu_t))):
+        v1 = _skew_valuation(lam, eta, nu_t)
+        v2 = _skew_valuation(mu_t, eta, nu)
+        if v1 is None or v2 is None:
+            continue
         inner = _pair_add(inner, _pair_mul(
             ((v1 if v1 <= cutoff else None), cutoff),
             ((v2 if v2 <= cutoff else None), cutoff)))
-    if hook is not None:
+    if nu:
         # schur_principal: t^hook times a 1/(1 - t^(2h)) per hook, of
         # valuation 0 and the same cutoff, which leave (hook, cutoff) as is
+        hook = 2 * n_stat(nu) + psize(nu)
         inner = _pair_mul(((hook if hook <= cutoff else None), cutoff), inner)
     v, k = inner
+    shift = kappa(lam) + kappa(nu)
     return (None if v is None else v + shift), k + shift
 
 
@@ -572,6 +619,14 @@ def fraction_log(series):
         power = power * a
         out = out + power.scale(Fraction((-1) ** (k + 1), k))
     return out
+
+
+def dimension_vector(family, config) -> tuple[int, ...]:
+    """The atoms of a configuration counted by colour."""
+    dims = [0] * len(family.variables)
+    for atom in config:
+        dims[family.color_index(atom)] += 1
+    return tuple(dims)
 
 
 def reverse_search_ideals(family, max_size: int):

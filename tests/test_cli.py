@@ -304,14 +304,15 @@ GV_WRONG_UNTIL_ITEM_1 = [(("--p2",), 2, -5), (("--zn", "1"), 2, -5)]
 
 def test_gv_at_low_t_orders_errs_or_prints_the_high_t_order_table():
     """On local P2, the square and --zn 1 at orders 1-3 and --zn 2 at
-    orders 1-4, at t-orders -8..4, gv either names the t-order in one error
-    line or prints what it prints at --t-order 60 (the lines ROADMAP item 1
-    must mend aside)."""
+    orders 1-4, at t-orders -12..4, gv either names the t-order in one
+    error line or prints what it prints at --t-order 60 (the lines ROADMAP
+    item 1 must mend aside).  Below -8 the working cutoff is negative and
+    the glued series has no terms, its constant term included."""
     webs = [(web, order) for web in (("--p2",), ("--square",), ("--zn", "1"))
             for order in range(1, 4)]
     webs += [(("--zn", "2"), order) for order in range(1, 5)]
     for web, order in webs:
-        for t_order in range(-8, 5):
+        for t_order in range(-12, 5):
             if (web, order, t_order) in GV_WRONG_UNTIL_ITEM_1:
                 continue
             got, want, ok = _gv_at_low_t_order(web, order, t_order)

@@ -4,12 +4,12 @@ from collections import Counter
 from functools import cache
 
 import pytest
-from support import (layer_profile_counts, layer_walk, reverse_search_ideals,
-                     young_bryan_series)
+from support import (dimension_vector, layer_profile_counts, layer_walk,
+                     reverse_search_ideals, young_bryan_series)
 
 from crepant.crystal import (configuration_to_module, configurations,
-                             enumerate_configurations, dimension_vector,
-                             family_for, ncdt_series)
+                             enumerate_configurations, family_for,
+                             ncdt_series)
 from crepant.errors import CrepantError
 from crepant.mckay import AbelianAction, parse_action
 from crepant.quiver import relations_from_potential

@@ -23,7 +23,7 @@ ALLOWED = {
     "reps.subrep_dimension_vectors": "the dimension vectors of the"
                                      " submodules that is_semistable weighs",
     "vertex.vertex": "the amplitude at any rotation of its arguments; the"
-                     " glue takes the least rotation itself",
+                     " summands take the least rotation themselves",
 }
 
 

@@ -29,8 +29,8 @@ from support import (DictTSeries, _vertex_pair, agree_through,
                      angle_sorted_slots, fraction_log, geometric,
                      gw_series_from_text, margin_walk_plan, partitions_upto,
                      product_cover_kernel, product_u_power, retry_gluing,
-                     retry_loop_oracle, strip_chain_skew_spec, tseries_glue,
-                     walked_precision)
+                     retry_loop_oracle, slot_walk_summands,
+                     strip_chain_skew_spec, tseries_glue, walked_precision)
 
 SRC_PATH = os.pathsep.join(filter(None, [
     str(Path(__file__).resolve().parents[1] / "src"),
@@ -364,16 +364,15 @@ def test_jacobi_trudi_reaches_every_skew_call_of_local_p2_degree_seven():
     chain's: the determinant's packed lists reach cutoffs and partitions
     past the grid."""
     web = dual_web(unit_triangulations(p2_triangle())[0])
-    edges = list(web.edges)
-    qvars = tuple(e.var for e in edges)
-    summands = _summands(web, edges, qvars, 7, False)
+    qvars = tuple(e.var for e in web.edges)
+    summands = _summands(web, 7, False)
     cutoff = _plan_cutoff(qvars, 7, summands, 54)
     assert cutoff == 182
     calls = set()
     for *_, nodes in summands:
-        for args in nodes:
-            # the calls vertex_raw makes for the least rotation
-            lam, mu, nu = _least_rotation(*args)
+        for lam, mu, nu in nodes:
+            # the calls vertex_raw makes: the arguments are at their least
+            # rotation already
             mu_t, nu_t = transpose(mu), transpose(nu)
             for eta in subdiagrams(tuple(min(a, b)
                                          for a, b in zip(lam, mu_t))):
@@ -384,6 +383,34 @@ def test_jacobi_trudi_reaches_every_skew_call_of_local_p2_degree_seven():
             strip_chain_skew_spec(*call, cutoff), call
 
 
+# every triangulation of these polygons, at orders 0-5 and both edge
+# orientations, checks the slot plans against the slot walk
+SLOT_PLAN_POLYGONS = [
+    *(build() for build in BUILTIN_POLYGONS.values()),
+    zn_triangle(1), zn_triangle(2), trapezoid(3, 1), trapezoid(3, 2),
+]
+
+
+def test_summands_match_the_slot_walk():
+    """The slot plans give the summands the per-summand walk gives: the
+    same Q-degrees, int framing signs and shifts, in the same order, and
+    each node's arguments at the least rotation of the walk's."""
+    for polygon in SLOT_PLAN_POLYGONS:
+        for index, tri in enumerate(unit_triangulations(polygon)):
+            web = dual_web(tri)
+            for order in range(6):
+                for reverse in (False, True):
+                    case = (polygon, index, order, reverse)
+                    got = _summands(web, order, reverse)
+                    want = [(exps, sign, shift,
+                             [_least_rotation(*args) for args in nodes])
+                            for exps, sign, shift, nodes in
+                            slot_walk_summands(web, order, reverse)]
+                    assert got == want, case
+                    assert all(type(sign) is int and type(shift) is int
+                               for _, sign, shift, _ in got), case
+
+
 def _grid_summands(include_p2_orders=()):
     """(case, qvars, summands, order) for every GRID_WEBS web, order and
     edge orientation of the planned-precision grid, plus local P2 at the
@@ -391,15 +418,14 @@ def _grid_summands(include_p2_orders=()):
     for name in sorted(GRID_WEBS):
         polygon, index = GRID_WEBS[name]
         web = dual_web(unit_triangulations(polygon())[index])
-        edges = list(web.edges)
-        qvars = tuple(e.var for e in edges)
+        qvars = tuple(e.var for e in web.edges)
         orders = list(range(4 if name == "p2" else 5))
         if name == "p2":
             orders += list(include_p2_orders)
         for order in orders:
             for reverse in (False, True):
                 yield ((name, order, reverse), qvars,
-                       _summands(web, edges, qvars, order, reverse), order)
+                       _summands(web, order, reverse), order)
 
 
 def test_precision_table_matches_the_walk_at_every_cutoff():
@@ -470,12 +496,11 @@ def _cli_web_summands():
     for polygon in CLI_POLYGONS:
         for index, tri in enumerate(unit_triangulations(polygon)):
             web = dual_web(tri)
-            edges = list(web.edges)
-            qvars = tuple(e.var for e in edges)
+            qvars = tuple(e.var for e in web.edges)
             for order in range(5):
                 for reverse in (False, True):
                     yield ((polygon, index, order, reverse), qvars, order,
-                           _summands(web, edges, qvars, order, reverse))
+                           _summands(web, order, reverse))
 
 
 def test_packed_glue_matches_tseries_glue():
@@ -507,9 +532,8 @@ def test_glue_packs_only_the_amplitudes_of_kept_chains():
     slots, while their amplitudes have coefficients past 255: it packs only
     what its kept chains multiply."""
     web = dual_web(unit_triangulations(unit_square())[0])
-    edges = list(web.edges)
-    qvars = tuple(e.var for e in edges)
-    summands = _summands(web, edges, qvars, 8, False)
+    qvars = tuple(e.var for e in web.edges)
+    summands = _summands(web, 8, False)
     below = [summand for threshold, _, summand in _precision_table(summands)
              if 38 < threshold]
     assert below
@@ -552,9 +576,8 @@ def test_glue_preconditions_and_a_slot_wider_than_64_bits():
         _check_glue_preconditions(case, summands,
                                   _plan_cutoff(qvars, order, summands, 12))
     web = dual_web(unit_triangulations(p2_triangle())[0])
-    edges = list(web.edges)
-    qvars = tuple(e.var for e in edges)
-    summands = _summands(web, edges, qvars, 7, False)
+    qvars = tuple(e.var for e in web.edges)
+    summands = _summands(web, 7, False)
     cutoff = _plan_cutoff(qvars, 7, summands, 54)
     bound = _check_glue_preconditions("p2 degree 7", summands, cutoff)
     assert bound.bit_length() == 64
