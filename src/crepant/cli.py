@@ -7,15 +7,12 @@ output is deterministic for fixed arguments and seed.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from fractions import Fraction
-from typing import NoReturn
 
 from . import crystal, geometry, mckay, quiver, reps, roots, toric
 from .compare import compare as run_compare
-from .errors import CrepantError
+from .errors import CrepantError, json_text
 from .vertex import PrecisionError, gv_extract, gw_partition_function
 
 
@@ -42,7 +39,10 @@ def _emit(text: str) -> None:
 
 # argparse ``type=`` parsers: a malformed value is a usage error (exit 2)
 
-def _fraction(text: str) -> Fraction:
+def _fraction(text: str):
+    """``text`` as a ``Fraction``, imported here: only the commands that
+    take a rational argument load ``fractions``."""
+    from fractions import Fraction
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
@@ -61,7 +61,7 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-def _fraction_list(text: str) -> list[Fraction]:
+def _fraction_list(text: str) -> list:
     return [_fraction(x) for x in text.split(",")]
 
 
@@ -77,6 +77,7 @@ def _theta(text: str) -> dict:
 
 
 def _cartan_rows(text: str) -> list:
+    import json
     try:
         rows = json.loads(text)
     except ValueError:
@@ -199,7 +200,7 @@ def cmd_relations(args) -> int:
         data = [[{"coeff": c, "path": list(p.arrows), "source": p.source,
                   "target": p.target} for p, c in r.sorted_terms()]
                 for r in rels]
-        _emit(json.dumps(data, sort_keys=True, indent=2))
+        _emit(json_text(data))
     else:
         for r in rels:
             _emit(str(r))
@@ -209,11 +210,11 @@ def cmd_relations(args) -> int:
 def cmd_frame(args) -> int:
     q, w = _load_quiver(args)
     framed = quiver.frame(q, w or quiver.Superpotential(), args.v0)
-    data = json.loads(quiver.quiver_to_json(framed.quiver, framed.potential))
+    data = quiver.quiver_data(framed.quiver, framed.potential)
     data["framing_vertex"] = framed.framing_vertex
     data["framing_arrow"] = framed.framing_arrow
     data["base_vertex"] = framed.base_vertex
-    _emit(json.dumps(data, sort_keys=True, indent=2))
+    _emit(json_text(data))
     return 0
 
 
@@ -244,7 +245,7 @@ def cmd_roots(args) -> int:
     out = roots.positive_roots(cartan, args.height)
     if args.json:
         data = [{"vector": list(r.vector), "kind": r.kind} for r in out]
-        _emit(json.dumps(data, sort_keys=True, indent=2))
+        _emit(json_text(data))
     else:
         for r in out:
             _emit(" ".join(map(str, r.vector)) + "\t" + r.kind)
@@ -261,7 +262,7 @@ def cmd_walls(args) -> int:
         "on_wall": [{"vector": list(r.vector), "kind": r.kind}
                     for r in report.on_wall],
     }
-    _emit(json.dumps(data, sort_keys=True, indent=2))
+    _emit(json_text(data))
     return 0
 
 
@@ -272,7 +273,7 @@ def cmd_ncdt(args) -> int:
         data = {"vars": list(series.vars), "order": series.order,
                 "terms": [{"exponents": list(e), "coeff": c}
                           for e, c in series.sorted_terms()]}
-        _emit(json.dumps(data, sort_keys=True, indent=2))
+        _emit(json_text(data))
     else:
         _emit(series.to_text())
     return 0
@@ -286,7 +287,7 @@ def cmd_triangulate(args) -> int:
                 "triangulations": [[[list(p) for p in t]
                                     for t in tri.sorted_triangles()]
                                    for tri in tris]}
-        _emit(json.dumps(data, sort_keys=True, indent=2))
+        _emit(json_text(data))
     else:
         _emit(f"{len(tris)} triangulations")
         for i, tri in enumerate(tris):
@@ -301,9 +302,8 @@ def cmd_flops(args) -> int:
     tris = toric.unit_triangulations(polygon)
     edges = [(i, j) for i in range(len(tris)) for j in range(i + 1, len(tris))
              if toric.flop_adjacent(tris[i], tris[j])]
-    _emit(json.dumps({"triangulations": len(tris),
-                      "flops": [list(e) for e in edges]},
-                     sort_keys=True, indent=2))
+    _emit(json_text({"triangulations": len(tris),
+                     "flops": [list(e) for e in edges]}))
     return 0
 
 
@@ -342,7 +342,7 @@ def cmd_gv(args) -> int:
     if args.json:
         data = [{"genus": g, "degree": d, "n": v}
                 for (g, d), v in table.rows()]
-        _emit(json.dumps(data, sort_keys=True, indent=2))
+        _emit(json_text(data))
     else:
         _emit(table.to_text())
     return 0
@@ -595,10 +595,10 @@ def main(argv=None) -> int:
     return 1
 
 
-def run() -> NoReturn:
+def run():
     """The process entry of ``python -m crepant`` and of the ``crepant``
     script: ``main`` on ``sys.argv``, then an exit that skips interpreter
-    teardown.
+    teardown; it never returns.
 
     crepant leaves no thread, pool, atexit hook or open file behind, so
     teardown would only garbage-collect what the import built, and flush

@@ -11,12 +11,10 @@ rejected by name.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
-from fractions import Fraction
 
 from .crystal import PyramidFamily, family_for, ncdt_series
-from .errors import CrepantError
+from .errors import CrepantError, json_text
 from .mckay import AbelianAction
 from .reps import normalize_theta
 from .roots import CartanMatrix, Root, cartan_matrix, positive_roots
@@ -40,6 +38,7 @@ def chamber_certificate(theta, roots: list[Root],
 
     Raises when theta lies on one of the configured walls, naming the root.
     """
+    from fractions import Fraction
     theta = tuple(Fraction(t) for t in theta)
     signs = []
     for root in roots:
@@ -131,7 +130,7 @@ class ComparisonSheet(namedtuple(
             "diff": [{"exponents": list(e), "coefficient": str(c)}
                      for e, c in self.diff],
         }
-        return json.dumps(data, sort_keys=True, indent=2) + "\n"
+        return json_text(data)
 
     def to_text(self) -> str:
         lines = [f"geometry: {self.geometry}   truncation: {self.order}"]

@@ -1,8 +1,11 @@
-"""Shared exception type for domain errors, and reading JSON input."""
+"""Shared exception type for domain errors, and reading and writing JSON.
+
+``json`` is imported by the two functions here, when a command reads or
+writes JSON, so an op that prints only text never loads it.
+"""
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 
 
@@ -18,6 +21,7 @@ def json_object(text: str, what: str):
     of the wrong shape inside the block all become a ``CrepantError`` that
     names ``what`` and the fault.
     """
+    import json
     try:
         data = json.loads(text)
     except ValueError as exc:
@@ -30,3 +34,10 @@ def json_object(text: str, what: str):
         raise CrepantError(f"{what} lacks the key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise CrepantError(f"malformed {what}: {exc}") from None
+
+
+def json_text(data) -> str:
+    """``data`` as the JSON text every command prints: keys sorted, two
+    spaces of indent, and a final newline."""
+    import json
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"

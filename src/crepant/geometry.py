@@ -18,24 +18,22 @@ whitelist -- integers, the chart's coordinates, ``k``/``n`` when given,
 unary ``+ -``, binary ``+ - * / **`` with an exponent that folds to an
 integer -- into a closure over exact rationals held as unreduced integer
 pairs ``(num, den)``: a value is zero exactly when its numerator is,
-constants fold in the same pair arithmetic, and ``Fraction`` appears only in
-the text of a kept counterexample.  Anything else (a float, sin, a symbolic exponent, the
-other chart's coordinates, a constant division by zero) raises
-``CrepantError``.  Nothing cancels symbolically: a trial that divides by
-zero fails with the residual ``zoo``.
+constants fold in the same pair arithmetic, and a kept counterexample is
+written as the reduced fraction ``Fraction`` would print.  Anything else (a
+float, sin, a symbolic exponent, the other chart's coordinates, a constant
+division by zero) raises ``CrepantError``.  Nothing cancels symbolically: a
+trial that divides by zero fails with the residual ``zoo``.
 """
 
 from __future__ import annotations
 
-import ast
-import json
+import math
 import operator
 import random
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache, reduce
 
-from .errors import CrepantError
+from .errors import CrepantError, json_text
 
 CHART1 = ("x", "y1", "y2")
 CHART2 = ("w", "z1", "z2")
@@ -237,7 +235,7 @@ class VerificationReport(namedtuple("VerificationReport",
                 for r in self.identities
             ],
         }
-        return json.dumps(data, sort_keys=True, indent=2) + "\n"
+        return json_text(data)
 
 
 _MAX_COUNTEREXAMPLES = 5
@@ -307,12 +305,22 @@ def _neg(p):
 
 
 def _text(p) -> str:
-    return str(Fraction(*p))
+    """The pair as ``str(Fraction(num, den))`` prints it: reduced, the sign
+    on the numerator, and no denominator when it is 1."""
+    num, den = p
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
-_UNARY = {ast.USub: _neg}
-_BINARY = {ast.Add: _add, ast.Sub: _sub, ast.Mult: _mul, ast.Div: _div,
-           ast.Pow: _pow}
+# the arithmetic of each ``ast`` operator, by class name: ``ast`` is
+# imported by the compiler, so only a command that compiles an expression
+# loads it
+_UNARY = {"USub": _neg}
+_BINARY = {"Add": _add, "Sub": _sub, "Mult": _mul, "Div": _div,
+           "Pow": _pow}
 _MAX_DEPTH = 500  # at one frame per level, well below the recursion limit
 
 
@@ -321,6 +329,7 @@ def _compile(text: str, coords: tuple, k=None, n=None):
     """A closure mapping a tuple of (num, den) values of ``coords`` to the
     exact value of ``text`` as a (num, den) pair, evaluated as written;
     memoized, so a text used by several identities compiles once."""
+    import ast
     try:
         tree = ast.parse(text.strip().replace("^", "**"), mode="eval")
         value = _walk(tree.body, coords, {"k": k, "n": n}, 0)
@@ -338,6 +347,7 @@ def _constant(pair):
 
 def _walk(node, coords, params, depth):
     """The (num, den) value of a constant subtree, else a closure."""
+    import ast
     if depth > _MAX_DEPTH:
         raise CrepantError(f"expression nested deeper than {_MAX_DEPTH}")
     if isinstance(node, ast.Constant) and type(node.value) is int:
@@ -351,10 +361,10 @@ def _walk(node, coords, params, depth):
                            f" {', '.join(coords)}")
     if isinstance(node, ast.UnaryOp) and type(node.op) is ast.UAdd:
         return _walk(node.operand, coords, params, depth + 1)
-    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
-        op, args = _UNARY[type(node.op)], (node.operand,)
-    elif isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
-        op, args = _BINARY[type(node.op)], (node.left, node.right)
+    if isinstance(node, ast.UnaryOp) and type(node.op).__name__ in _UNARY:
+        op, args = _UNARY[type(node.op).__name__], (node.operand,)
+    elif isinstance(node, ast.BinOp) and type(node.op).__name__ in _BINARY:
+        op, args = _BINARY[type(node.op).__name__], (node.left, node.right)
     else:
         raise CrepantError(f"cannot evaluate {ast.unparse(node)} exactly: only"
                            " integers, + - * / and integer powers are allowed")

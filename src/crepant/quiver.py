@@ -7,10 +7,9 @@ Coefficients are exact integers everywhere; relations are sign-sensitive.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 
-from .errors import CrepantError, json_object
+from .errors import CrepantError, json_object, json_text
 
 
 class Arrow(namedtuple("Arrow", "name tail head")):
@@ -285,7 +284,8 @@ def frame(quiver, potential: Superpotential, v0: str) -> FramedQuiver:
 # ---------------------------------------------------------------------------
 # JSON round trip
 
-def quiver_to_json(quiver: Quiver, potential: Superpotential | None = None) -> str:
+def quiver_data(quiver: Quiver, potential: Superpotential | None = None) -> dict:
+    """The JSON object of ``quiver_to_json``, before it is written."""
     data = {
         "vertices": list(quiver.vertices),
         "arrows": [{"id": a.name, "tail": a.tail, "head": a.head}
@@ -294,7 +294,11 @@ def quiver_to_json(quiver: Quiver, potential: Superpotential | None = None) -> s
     if potential is not None:
         data["potential"] = [{"coeff": t.coeff, "cycle": list(t.word)}
                              for t in potential.terms]
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    return data
+
+
+def quiver_to_json(quiver: Quiver, potential: Superpotential | None = None) -> str:
+    return json_text(quiver_data(quiver, potential))
 
 
 def quiver_from_json(text: str) -> tuple[Quiver, Superpotential | None]:

@@ -14,11 +14,9 @@ admissibility, stable coincides with cyclic.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
-from fractions import Fraction
 
-from .errors import CrepantError, json_object
+from .errors import CrepantError, json_object, json_text
 from .quiver import FramedQuiver, PathAlgebraElement, Quiver
 
 
@@ -153,7 +151,14 @@ class StabilityReport(namedtuple("StabilityReport",
         data = {"classification": self.classification}
         if self.violating_subset is not None:
             data["violating_subset"] = [str(b) for b in self.violating_subset]
-        return json.dumps(data, sort_keys=True, indent=2) + "\n"
+        return json_text(data)
+
+
+# fractions.Fraction once a theta function has run: each of them starts with
+# normalize_theta, which binds it, so importing this module (as a bare
+# ``import crepant`` does) loads neither fractions nor the decimal and
+# numbers it imports, and no call pays an import statement
+Fraction = None
 
 
 def _as_fraction(x) -> Fraction:
@@ -167,6 +172,9 @@ def _as_fraction(x) -> Fraction:
 
 
 def normalize_theta(theta: dict) -> dict[str, Fraction]:
+    global Fraction
+    if Fraction is None:
+        from fractions import Fraction
     return {str(v): _as_fraction(x) for v, x in theta.items()}
 
 
@@ -256,7 +264,7 @@ def rep_to_json(rep: MonomialRepresentation) -> str:
     if rep.framed is not None:
         data["framing_vertex"] = rep.framed.framing_vertex
         data["framing_arrow"] = rep.framed.framing_arrow
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    return json_text(data)
 
 
 def rep_from_json(text: str, quiver: Quiver,

@@ -12,7 +12,6 @@ pairing nonpositively with every loop-free simple root.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import CrepantError
 from .quiver import Quiver
@@ -157,7 +156,9 @@ class WallReport(namedtuple("WallReport", "separating on_wall")):
     __slots__ = ()
 
 
-def _dot(theta, vector) -> Fraction:
+def _dot(theta, vector):
+    """The exact pairing of a rational ``theta`` with a root vector."""
+    from fractions import Fraction
     return sum((Fraction(t) * v for t, v in zip(theta, vector)), Fraction(0))
 
 

@@ -17,11 +17,10 @@ into the second, and r1, r2 are the opposite vertices.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import namedtuple
 
-from .errors import CrepantError, json_object
+from .errors import CrepantError, json_object, json_text
 
 Point = tuple[int, int]
 
@@ -86,8 +85,7 @@ class LatticePolygon(namedtuple("LatticePolygon", "vertices")):
         return tuple(steps)
 
     def to_json(self) -> str:
-        return json.dumps({"vertices": [list(v) for v in self.vertices]},
-                          sort_keys=True, indent=2) + "\n"
+        return json_text({"vertices": [list(v) for v in self.vertices]})
 
     @classmethod
     def from_json(cls, text: str) -> "LatticePolygon":
@@ -238,7 +236,7 @@ class DualWeb(namedtuple("DualWeb", "nodes edges legs")):
             "legs": [{"node": leg.node, "direction": list(leg.direction)}
                      for leg in self.legs],
         }
-        return json.dumps(data, sort_keys=True, indent=2) + "\n"
+        return json_text(data)
 
 
 def _outward_normal(side: tuple[Point, Point], opposite: Point) -> Point:

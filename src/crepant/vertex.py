@@ -61,7 +61,9 @@ a threshold cutoff up, where nothing in it truncates to zero, it is exact
 through the cutoff plus a fixed offset.  A margin's precision is the least
 of those cutoffs and of the precision of a _glue of the summands still
 below their thresholds at that margin, so which truncated summands bound a
-Q-degree is decided by _glue alone.
+Q-degree is decided by _glue alone.  A plan whose cutoff would make the
+distinct amplitudes larger than a fixed budget ends in ``MemoryError``
+before any amplitude is built.
 
 The GW free energy is summed over the integers as L log Z, L =
 lcm(1..order), and GV extraction divides each invariant by L once, checking
@@ -667,6 +669,7 @@ def gw_partition_function(web: DualWeb, order: int, t_cutoff: int = 20,
         return GWSeries.one(qvars, order, cutoff=None)
     summands = _summands(web, order, reverse_edges)
     cutoff = _plan_cutoff(qvars, order, summands, t_cutoff)
+    _check_glue_size(summands, cutoff)
     return _glue(qvars, order, summands, cutoff)
 
 
@@ -888,6 +891,26 @@ def _plan_cutoff(qvars, order: int, summands, t_cutoff: int) -> int:
         margin *= 2
         if margin > 16 * (t_cutoff + 8) * (order + 1) ** 2:
             raise CrepantError("cannot reach requested t-precision")
+
+
+# the most memory the amplitudes of one glue may be estimated to take
+_GLUE_BYTES = 1 << 30
+
+
+def _check_glue_size(summands, cutoff: int) -> None:
+    """Raise ``MemoryError`` before any amplitude is built when those of
+    gluing ``summands`` at ``cutoff`` are estimated to take more than
+    ``_GLUE_BYTES``.
+
+    Every amplitude but C((), (), ()) = 1 is an infinite series, held dense
+    through the cutoff: the estimate is a slot of 8 bytes, the list entry
+    alone, per exponent through the cutoff per distinct amplitude.  Without
+    it a glue far past memory fails only once an amplitude has filled it.
+    """
+    amplitudes = {args for *_, nodes in summands for args in nodes}
+    amplitudes.discard(((), (), ()))
+    if 8 * len(amplitudes) * (cutoff + 1) > _GLUE_BYTES:
+        raise MemoryError(f"{len(amplitudes)} amplitudes through t^{cutoff}")
 
 
 def _ccw_slots(web, node):

@@ -13,7 +13,7 @@ from support import fraction_compile, fraction_reports
 from crepant.cli import build_parser
 from crepant.errors import CrepantError
 from crepant.geometry import (_MAX_DEPTH, CHART1, CHART2, V_COORDS, _compile,
-                              _points, _rational, builtin_geometry,
+                              _points, _rational, _text, builtin_geometry,
                               verify_contraction,
                               verify_equivariance, verify_transition)
 
@@ -126,6 +126,20 @@ def test_rational_draws_what_randint_draws(nonzero):
             assert _rational(fast, nonzero) == (num, slow.randint(1, 10 ** 4))
         assert fast.getstate() == slow.getstate()
     assert rejected or not nonzero
+
+
+def test_pair_text_is_the_fraction_text():
+    """A counterexample's value is printed as ``str(Fraction(num, den))``
+    prints it, on pairs of either sign, zero numerators and common
+    factors."""
+    rng = random.Random(7)
+    pairs = [(0, 1), (0, -5), (6, 3), (-6, 3), (6, -3), (-6, -4), (1, -1)]
+    for _ in range(5000):
+        g = rng.choice((1, 1, 2, 6, 97, 10 ** 6))
+        den = rng.randint(1, 10 ** 4) * rng.choice((1, -1)) * g
+        pairs.append((rng.randint(-10 ** 4, 10 ** 4) * g, den))
+    for pair in pairs:
+        assert _text(pair) == str(Fraction(*pair)), pair
 
 
 def test_zero_trials_rejected():

@@ -17,7 +17,8 @@ from crepant.series import FormalSeries, general_binomial
 from crepant.toric import (BUILTIN_POLYGONS, double_triangle, dual_web,
                            p2_triangle, trapezoid, unit_square, unit_triangle,
                            unit_triangulations, zn_triangle)
-from crepant.vertex import (GWSeries, TSeries, _ccw_slots, _convolve,
+from crepant.vertex import (_GLUE_BYTES, GWSeries, TSeries, _ccw_slots,
+                            _check_glue_size, _convolve,
                             _cover_kernel, _glue, _glued_precision,
                             _kronecker, _least_rotation, _plan_cutoff,
                             _precision_table, _sinh_power, _skew_spec,
@@ -244,6 +245,22 @@ def test_double_triangle_gw_is_gv_integral():
     table = gv_extract(series)
     for (_, _), value in table.rows():
         assert type(value) is int
+
+
+def test_glue_past_its_memory_budget_fails_before_any_amplitude():
+    """The size gate refuses the glue once the plan is known: no amplitude
+    is built, where without it the first one would fill memory.  The
+    amplitude 1 is not counted, so one nontrivial amplitude passes at the
+    budget's cutoff and fails one past it."""
+    web = dual_web(unit_triangulations(unit_square())[0])
+    built = vertex_raw.cache_info().currsize
+    with pytest.raises(MemoryError):
+        gw_partition_function(web, 3, t_cutoff=10 ** 8)
+    assert vertex_raw.cache_info().currsize == built
+    summands = [((1,), 1, 0, [((), (), ()), ((1,), (), ())])]
+    _check_glue_size(summands, _GLUE_BYTES // 8 - 1)
+    with pytest.raises(MemoryError):
+        _check_glue_size(summands, _GLUE_BYTES // 8)
 
 
 def test_gv_needs_unit_constant_term():
