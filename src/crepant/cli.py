@@ -69,10 +69,14 @@ def _theta(text: str) -> dict:
     out = {}
     for piece in text.split(","):
         key, _, value = piece.partition("=")
-        if not _ or not key.strip():
+        key = key.strip()
+        if not _ or not key:
             raise argparse.ArgumentTypeError(
                 f"bad theta entry {piece!r}; use vertex=value")
-        out[key.strip()] = _fraction(value)
+        if key in out:
+            raise argparse.ArgumentTypeError(
+                f"theta gives vertex {key!r} twice")
+        out[key] = _fraction(value)
     return out
 
 

@@ -10,11 +10,16 @@ is stable when every nonzero proper arrow-closed subset pairs strictly
 negatively with theta, equivalently every proper quotient pairs strictly
 positively.  With all gauge entries negative and the framing entry fixed by
 admissibility, stable coincides with cyclic.
+
+Signs are decided on integer weights: theta is scaled once by the lcm of its
+denominators, which keeps the sign of every subset's pairing, so the scan
+over closed subsets sums ints.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from math import lcm
 
 from .errors import CrepantError, json_object, json_text
 from .quiver import FramedQuiver, PathAlgebraElement, Quiver
@@ -164,7 +169,7 @@ Fraction = None
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
@@ -203,7 +208,8 @@ def is_semistable(rep: MonomialRepresentation, theta: dict) -> StabilityReport:
     with it); for framed representations it must already contain the framing
     entry.  Every nonzero proper arrow-closed subset is paired with theta;
     the quotient value is the negative of the subset value, so stable means
-    every subset pairs strictly negatively.
+    every subset pairs strictly negatively.  Subsets are paired with theta
+    scaled by the lcm of its denominators: integer weights with its signs.
     """
     theta = normalize_theta(theta)
     alpha = rep.dimension_vector()
@@ -213,14 +219,16 @@ def is_semistable(rep: MonomialRepresentation, theta: dict) -> StabilityReport:
     if pairing != 0:
         raise CrepantError(f"theta is not admissible: theta . alpha = {pairing}")
 
+    scale = lcm(*(x.denominator for x in theta.values()))
+    scaled = {v: x.numerator * (scale // x.denominator) for v, x in theta.items()}
     basis, closed = _closed_subsets(rep)
     full = (1 << len(basis)) - 1
-    weight = [theta[rep.vertex_of[b]] for b in basis]
+    weight = [scaled[rep.vertex_of[b]] for b in basis]
     tight = False
     for s in closed:
         if s == 0 or s == full:
             continue
-        value = Fraction(0)
+        value = 0
         m = s
         while m:
             i = (m & -m).bit_length() - 1
@@ -269,8 +277,23 @@ def rep_to_json(rep: MonomialRepresentation) -> str:
 
 def rep_from_json(text: str, quiver: Quiver,
                   framed: FramedQuiver | None = None) -> MonomialRepresentation:
+    """Read ``rep_to_json``'s form.  A basis id given twice, an arrow listed
+    twice under ``"actions"`` and a source mapped twice by one arrow are
+    errors, not overwrites."""
     with json_object(text, "representation JSON") as data:
-        vertex_of = {item["id"]: item["vertex"] for item in data["basis"]}
-        action = {item["arrow"]: {s: d for s, d in item["pairs"]}
-                  for item in data["actions"]}
+        vertex_of = {}
+        for item in data["basis"]:
+            if item["id"] in vertex_of:
+                raise CrepantError(f"duplicate basis id {item['id']!r}")
+            vertex_of[item["id"]] = item["vertex"]
+        action = {}
+        for item in data["actions"]:
+            name = item["arrow"]
+            if name in action:
+                raise CrepantError(f"arrow {name} is listed twice in actions")
+            mapping = action[name] = {}
+            for src, dst in item["pairs"]:
+                if src in mapping:
+                    raise CrepantError(f"arrow {name} maps {src!r} twice")
+                mapping[src] = dst
         return MonomialRepresentation(quiver, vertex_of, action, framed=framed)

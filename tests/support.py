@@ -14,7 +14,8 @@ from crepant.geometry import (CHART1, CHART2, V_COORDS, _MAX_COUNTEREXAMPLES,
                               GluedThreefold, IdentityResult,
                               VerificationReport)
 from crepant.quiver import c3_quiver, conifold_quiver, frame, relations_from_potential
-from crepant.reps import MonomialRepresentation, check_relations
+from crepant.reps import (MonomialRepresentation, StabilityReport,
+                          _closed_subsets, check_relations, normalize_theta)
 from crepant.roots import Root, _positive_vectors, _support_connected
 from crepant.series import FormalSeries, product_series
 from crepant.vertex import (GWSeries, TSeries, _ccw_slots, _glue,
@@ -143,6 +144,35 @@ def _compose2(f, g, b):
 
 def commutes(f, g, points):
     return all(_compose2(f, g, b) == _compose2(g, f, b) for b in points)
+
+
+def fraction_is_semistable(rep, theta) -> StabilityReport:
+    """The closed-subset scan with each pairing summed in ``Fraction``s: the
+    reference for ``reps.is_semistable``, which sums integer weights."""
+    theta = normalize_theta(theta)
+    alpha = rep.dimension_vector()
+    if set(theta) != set(alpha):
+        raise CrepantError("theta is not defined on the representation's vertices")
+    pairing = sum((theta[v] * alpha[v] for v in alpha), Fraction(0))
+    if pairing != 0:
+        raise CrepantError(f"theta is not admissible: theta . alpha = {pairing}")
+    basis, closed = _closed_subsets(rep)
+    full = (1 << len(basis)) - 1
+    weight = [theta[rep.vertex_of[b]] for b in basis]
+    tight = False
+    for s in closed:
+        if s == 0 or s == full:
+            continue
+        value = Fraction(0)
+        for i in range(len(basis)):
+            if s >> i & 1:
+                value += weight[i]
+        if value > 0:
+            subset = tuple(basis[i] for i in range(len(basis)) if s >> i & 1)
+            return StabilityReport("unstable", subset)
+        if value == 0:
+            tight = True
+    return StabilityReport("semistable" if tight else "stable")
 
 
 def framed_c3_modules(max_gauge):

@@ -112,6 +112,41 @@ def test_stability_subcommand(tmp_path):
     assert data["classification"] in ("stable", "semistable", "unstable")
 
 
+_CONIFOLD_BASIS = [{"id": "b0", "vertex": "0"}, {"id": "b1", "vertex": "1"}]
+
+
+@pytest.mark.parametrize("rep,message", [
+    ({"basis": _CONIFOLD_BASIS + [{"id": "b0", "vertex": "1"}],
+      "actions": []},
+     "duplicate basis id 'b0'"),
+    ({"basis": _CONIFOLD_BASIS,
+      "actions": [{"arrow": "A", "pairs": [["b0", "b1"]]},
+                  {"arrow": "A", "pairs": []}]},
+     "arrow A is listed twice in actions"),
+    ({"basis": _CONIFOLD_BASIS + [{"id": "b2", "vertex": "1"}],
+      "actions": [{"arrow": "A", "pairs": [["b0", "b1"], ["b0", "b2"]]}]},
+     "arrow A maps 'b0' twice"),
+])
+def test_stability_rep_with_a_duplicate_is_one_error_line(tmp_path, rep,
+                                                          message):
+    """A repeated basis id, arrow or source is named, never overwritten by
+    the later one."""
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(rep))
+    proc = run("stability", "--builtin", "conifold", "--rep", str(path),
+               "--theta", "0=1,1=-1", check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (1, "", f"error: {message}\n")
+
+
+def test_theta_naming_a_vertex_twice_is_a_usage_error():
+    code, out, err = run_main(["stability", "--builtin", "conifold", "--rep",
+                               "rep.json", "--theta", "0=1,1=-1,0=-1"])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(
+        "error: argument --theta: theta gives vertex '0' twice")
+
+
 def test_compare_json_reparses():
     out = run("compare", "conifold", "--order", "2", "--theta", "0=-1,1=-2",
               "--map", "q0=-Q0*t,q1=Q0", "--json").stdout

@@ -1,19 +1,20 @@
 """Monomial representations: relations, subsets, stability, cyclicity."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import framed_c3_modules, framed_conifold_modules
+from support import framed_c3_modules, framed_conifold_modules, fraction_is_semistable
 
 from crepant.crystal import configuration_to_module, configurations, family_for
 from crepant.errors import CrepantError
 from crepant.quiver import c3_quiver, conifold_quiver, frame, relations_from_potential
 from crepant.reps import (MonomialRepresentation, check_relations, framed_theta,
-                          is_cyclic, is_semistable, rep_from_json, rep_to_json,
-                          subrep_dimension_vectors, theta_infinity)
+                          is_cyclic, is_semistable, normalize_theta, rep_from_json,
+                          rep_to_json, subrep_dimension_vectors, theta_infinity)
 
 
 def c3_rep(action, n_basis):
@@ -31,6 +32,17 @@ def test_theta_infinity_examples():
     assert total == 0
     with pytest.raises(CrepantError):
         theta_infinity({"0": 1}, {"0": 1, "1": 1})
+
+
+def test_theta_entries_reject_bools():
+    """``True`` is an int to Python but not a stability entry, as quiver
+    JSON takes no bool for a coefficient."""
+    with pytest.raises(CrepantError, match="exact rationals, got True"):
+        normalize_theta({"0": True, "1": -1})
+    with pytest.raises(CrepantError, match="exact rationals, got False"):
+        framed_theta({"0": False, "1": -1}, {"0": 1, "1": 1, "inf": 1}, "inf")
+    assert normalize_theta({"0": 1, "1": "-1/2"}) == \
+        {"0": Fraction(1), "1": Fraction(-1, 2)}
 
 
 def test_check_relations_c3():
@@ -228,3 +240,83 @@ def test_scaling_preserves_classification_property(theta, scale):
     t2 = {v: scale * x for v, x in t1.items()}
     assert is_semistable(rep, t1).classification == \
         is_semistable(rep, t2).classification
+
+
+# ---------------------------------------------------------------------------
+# integer weights against the Fraction scan
+
+# zeros make tight ("semistable") subsets; the denominators 2, 3, 4 and 6
+# make the integer weights differ from the numerators
+RATIONALS = (0, 1, -1, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4),
+             Fraction(-5, 6))
+
+
+def assert_matches_fraction_scan(rep, theta):
+    report = is_semistable(rep, theta)
+    assert report == fraction_is_semistable(rep, theta), rep_to_json(rep)
+    return report.classification
+
+
+def test_integer_weights_match_fraction_scan_on_crystal_modules():
+    """Every c3 and conifold crystal module of total dimension <= 4, under
+    every gauge theta over ``RATIONALS``: same verdict, same subset."""
+    verdicts = set()
+    for name in ("c3", "conifold"):
+        fam = family_for(name)
+        for config in configurations(fam, 3):
+            rep = configuration_to_module(fam, config)
+            assert len(rep.vertex_of) <= 4
+            alpha = rep.dimension_vector()
+            framing = rep.framed.framing_vertex
+            gauge = rep.framed.gauge_vertices()
+            for values in product(RATIONALS, repeat=len(gauge)):
+                theta = framed_theta(dict(zip(gauge, values)), alpha, framing)
+                verdicts.add(assert_matches_fraction_scan(rep, theta))
+    assert verdicts == {"stable", "semistable", "unstable"}
+
+
+@st.composite
+def monomial_modules(draw):
+    """A c3 or conifold module, framed at vertex 0 or not, on at most six
+    basis elements, with each arrow a random partial injection."""
+    name = draw(st.sampled_from(["c3", "conifold"]))
+    q, w = c3_quiver() if name == "c3" else conifold_quiver()
+    framed = frame(q, w, "0") if draw(st.booleans()) else None
+    vertex_of = {i: draw(st.sampled_from(q.vertices))
+                 for i in range(draw(st.integers(0, 5)))}
+    if framed is not None:
+        q = framed.quiver
+        vertex_of["fr"] = framed.framing_vertex
+    action = {}
+    for arrow in q.arrows:
+        sources = [b for b, v in vertex_of.items() if v == arrow.tail]
+        targets = draw(st.permutations(
+            [b for b, v in vertex_of.items() if v == arrow.head]))
+        keep = draw(st.lists(st.booleans(), min_size=len(sources),
+                             max_size=len(sources)))
+        action[arrow.name] = {b: t for b, t, k in zip(sources, targets, keep)
+                              if k}
+    return MonomialRepresentation(q, vertex_of, action, framed=framed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial_modules(), st.lists(st.sampled_from(RATIONALS), min_size=3,
+                                    max_size=3))
+def test_integer_weights_match_fraction_scan_property(rep, values):
+    """Random modules under a rational theta completed to an admissible one:
+    framed at the framing entry, unframed at the last vertex with a basis
+    element (any theta is admissible on the zero module)."""
+    alpha = rep.dimension_vector()
+    if rep.framed is not None:
+        gauge = rep.framed.gauge_vertices()
+        theta = framed_theta(dict(zip(gauge, values)), alpha,
+                             rep.framed.framing_vertex)
+    else:
+        theta = dict(zip(rep.quiver.vertices, map(Fraction, values)))
+        support = [v for v in rep.quiver.vertices if alpha[v]]
+        if support:
+            v = support[-1]
+            rest = sum((theta[u] * alpha[u] for u in alpha if u != v),
+                       Fraction(0))
+            theta[v] = -rest / alpha[v]
+    assert_matches_fraction_scan(rep, theta)
