@@ -118,6 +118,10 @@ def _variable_map(text: str) -> dict:
         key, _, value = piece.partition("=")
         if not _:
             raise argparse.ArgumentTypeError(f"bad map entry {piece!r}")
+        key = key.strip()
+        if key in out:
+            raise argparse.ArgumentTypeError(
+                f"map gives variable {key!r} twice")
         coeff = 1
         exps: dict[str, int] = {}
         value = value.strip()
@@ -134,7 +138,7 @@ def _variable_map(text: str) -> dict:
             name, _, power = factor.partition("^")
             exps[name] = exps.get(name, 0) + (_map_int(power, piece)
                                               if power else 1)
-        out[key.strip()] = (coeff, exps)
+        out[key] = (coeff, exps)
     return out
 
 

@@ -84,6 +84,10 @@ def _map_ncdt(series: FormalSeries, variable_map: dict,
     missing = [v for v in series.vars if v not in variable_map]
     if missing:
         raise CrepantError(f"variable map does not cover {missing}")
+    extra = [v for v in variable_map if v not in series.vars]
+    if extra:
+        raise CrepantError(
+            f"variable map names {extra}, which the crystal series lacks")
     targets = {v: _parse_monomial(variable_map[v], gw.vars)
                for v in series.vars}
     terms: dict[tuple, TSeries] = {}

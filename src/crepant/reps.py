@@ -11,9 +11,11 @@ negatively with theta, equivalently every proper quotient pairs strictly
 positively.  With all gauge entries negative and the framing entry fixed by
 admissibility, stable coincides with cyclic.
 
-Signs are decided on integer weights: theta is scaled once by the lcm of its
-denominators, which keeps the sign of every subset's pairing, so the scan
-over closed subsets sums ints.
+Theta is worked on as integers: ``_scaled`` multiplies it once by the lcm
+of its denominators, which keeps the sign of every pairing.  The framing
+entry, the admissibility check and the scan over closed subsets all sum
+those ints; a ``Fraction`` is built only for the returned framing entry and
+for the text of the "not admissible" error.
 """
 
 from __future__ import annotations
@@ -183,21 +185,32 @@ def normalize_theta(theta: dict) -> dict[str, Fraction]:
     return {str(v): _as_fraction(x) for v, x in theta.items()}
 
 
+def _scaled(theta: dict[str, Fraction]) -> tuple[int, dict[str, int]]:
+    """A normalized theta as ``(scale, ints)``: ``scale`` is the lcm of its
+    denominators and ``ints[v]`` is ``scale * theta[v]``."""
+    scale = lcm(*(x.denominator for x in theta.values()))
+    return scale, {v: x.numerator * (scale // x.denominator)
+                   for v, x in theta.items()}
+
+
 def theta_infinity(theta: dict, alpha: dict[str, int]) -> Fraction:
     """The framing entry that makes theta admissible for alpha."""
     theta = normalize_theta(theta)
     if set(theta) != set(alpha):
         raise CrepantError("theta and the dimension vector disagree on vertices")
-    return -sum((theta[v] * alpha[v] for v in alpha), Fraction(0))
+    scale, ints = _scaled(theta)
+    return Fraction(-sum(ints[v] * alpha[v] for v in alpha), scale)
 
 
 def framed_theta(gauge_theta: dict, alpha: dict[str, int],
                  framing_vertex: str) -> dict[str, Fraction]:
-    """Extend a gauge-vertex parameter by the admissible framing entry."""
+    """Extend a gauge-vertex parameter by the admissible framing entry.
+
+    ``gauge_theta`` must name exactly the vertices of ``alpha`` other than
+    the framing vertex."""
     theta = normalize_theta(gauge_theta)
     gauge_alpha = {v: n for v, n in alpha.items() if v != framing_vertex}
-    theta[framing_vertex] = theta_infinity({v: theta[v] for v in gauge_alpha},
-                                           gauge_alpha)
+    theta[framing_vertex] = theta_infinity(theta, gauge_alpha)
     return theta
 
 
@@ -208,22 +221,24 @@ def is_semistable(rep: MonomialRepresentation, theta: dict) -> StabilityReport:
     with it); for framed representations it must already contain the framing
     entry.  Every nonzero proper arrow-closed subset is paired with theta;
     the quotient value is the negative of the subset value, so stable means
-    every subset pairs strictly negatively.  Subsets are paired with theta
-    scaled by the lcm of its denominators: integer weights with its signs.
+    every subset pairs strictly negatively.  Pairings are summed over
+    ``_scaled(theta)``'s ints, which have theta's signs.  Bit i of a subset
+    mask is ``rep.basis()[i]``, and the reported subset of an unstable
+    representation is the least violating closed mask.
     """
     theta = normalize_theta(theta)
     alpha = rep.dimension_vector()
     if set(theta) != set(alpha):
         raise CrepantError("theta is not defined on the representation's vertices")
-    pairing = sum((theta[v] * alpha[v] for v in alpha), Fraction(0))
-    if pairing != 0:
-        raise CrepantError(f"theta is not admissible: theta . alpha = {pairing}")
+    scale, ints = _scaled(theta)
+    pairing = sum(ints[v] * alpha[v] for v in alpha)
+    if pairing:
+        raise CrepantError("theta is not admissible: theta . alpha = "
+                           f"{Fraction(pairing, scale)}")
 
-    scale = lcm(*(x.denominator for x in theta.values()))
-    scaled = {v: x.numerator * (scale // x.denominator) for v, x in theta.items()}
     basis, closed = _closed_subsets(rep)
     full = (1 << len(basis)) - 1
-    weight = [scaled[rep.vertex_of[b]] for b in basis]
+    weight = [ints[rep.vertex_of[b]] for b in basis]
     tight = False
     for s in closed:
         if s == 0 or s == full:

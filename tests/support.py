@@ -15,7 +15,7 @@ from crepant.geometry import (CHART1, CHART2, V_COORDS, _MAX_COUNTEREXAMPLES,
                               VerificationReport)
 from crepant.quiver import c3_quiver, conifold_quiver, frame, relations_from_potential
 from crepant.reps import (MonomialRepresentation, StabilityReport,
-                          _closed_subsets, check_relations, normalize_theta)
+                          check_relations, normalize_theta)
 from crepant.roots import Root, _positive_vectors, _support_connected
 from crepant.series import FormalSeries, product_series
 from crepant.vertex import (GWSeries, TSeries, _ccw_slots, _glue,
@@ -146,9 +146,32 @@ def commutes(f, g, points):
     return all(_compose2(f, g, b) == _compose2(g, f, b) for b in points)
 
 
+def fraction_theta_infinity(theta: dict, alpha: dict[str, int]) -> Fraction:
+    """The framing entry summed in ``Fraction``s: the reference for
+    ``reps.theta_infinity``, which sums theta's scaled ints."""
+    theta = normalize_theta(theta)
+    if set(theta) != set(alpha):
+        raise CrepantError("theta and the dimension vector disagree on vertices")
+    return -sum((theta[v] * alpha[v] for v in alpha), Fraction(0))
+
+
+def fraction_framed_theta(gauge_theta: dict, alpha: dict[str, int],
+                          framing_vertex: str) -> dict[str, Fraction]:
+    """``fraction_theta_infinity`` appended to the gauge entries: the
+    reference for ``reps.framed_theta``."""
+    theta = normalize_theta(gauge_theta)
+    gauge_alpha = {v: n for v, n in alpha.items() if v != framing_vertex}
+    theta[framing_vertex] = fraction_theta_infinity(
+        {v: theta[v] for v in gauge_alpha}, gauge_alpha)
+    return theta
+
+
 def fraction_is_semistable(rep, theta) -> StabilityReport:
-    """The closed-subset scan with each pairing summed in ``Fraction``s: the
-    reference for ``reps.is_semistable``, which sums integer weights."""
+    """Every basis subset tested for closure and paired in ``Fraction``s:
+    the reference for ``reps.is_semistable``, which sums integer weights
+    over ``_closed_subsets``.  Subsets are scanned as masks over
+    ``rep.basis()`` in increasing order, so the subset reported is the
+    least violating closed mask."""
     theta = normalize_theta(theta)
     alpha = rep.dimension_vector()
     if set(theta) != set(alpha):
@@ -156,19 +179,21 @@ def fraction_is_semistable(rep, theta) -> StabilityReport:
     pairing = sum((theta[v] * alpha[v] for v in alpha), Fraction(0))
     if pairing != 0:
         raise CrepantError(f"theta is not admissible: theta . alpha = {pairing}")
-    basis, closed = _closed_subsets(rep)
-    full = (1 << len(basis)) - 1
-    weight = [theta[rep.vertex_of[b]] for b in basis]
+    basis = rep.basis()
+    n = len(basis)
+    edges = [(basis.index(src), basis.index(dst))
+             for mapping in rep.action.values()
+             for src, dst in mapping.items()]
     tight = False
-    for s in closed:
-        if s == 0 or s == full:
+    for s in range(1, (1 << n) - 1):
+        if any(s >> i & 1 and not s >> j & 1 for i, j in edges):
             continue
         value = Fraction(0)
-        for i in range(len(basis)):
+        for i in range(n):
             if s >> i & 1:
-                value += weight[i]
+                value += theta[rep.vertex_of[basis[i]]]
         if value > 0:
-            subset = tuple(basis[i] for i in range(len(basis)) if s >> i & 1)
+            subset = tuple(basis[i] for i in range(n) if s >> i & 1)
             return StabilityReport("unstable", subset)
         if value == 0:
             tight = True

@@ -147,6 +147,23 @@ def test_theta_naming_a_vertex_twice_is_a_usage_error():
         "error: argument --theta: theta gives vertex '0' twice")
 
 
+def test_map_naming_a_variable_twice_is_a_usage_error():
+    code, out, err = run_main(["compare", "conifold", "--order", "2",
+                               "--theta", "0=-1,1=-2",
+                               "--map", "q0=-Q0*t,q1=Q0,q0=Q0"])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(
+        "error: argument --map: map gives variable 'q0' twice")
+
+
+def test_map_naming_a_variable_the_series_lacks_is_one_error_line():
+    proc = run("compare", "conifold", "--order", "2", "--theta", "0=-1,1=-2",
+               "--map", "q0=Q0,q1=Q0,q2=Q0", check=False)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (1, "", "error: variable map names ['q2'], which the crystal series"
+                " lacks\n")
+
+
 def test_compare_json_reparses():
     out = run("compare", "conifold", "--order", "2", "--theta", "0=-1,1=-2",
               "--map", "q0=-Q0*t,q1=Q0", "--json").stdout

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import framed_c3_modules, framed_conifold_modules, fraction_is_semistable
+from support import (framed_c3_modules, framed_conifold_modules,
+                     fraction_framed_theta, fraction_is_semistable,
+                     fraction_theta_infinity)
 
 from crepant.crystal import configuration_to_module, configurations, family_for
 from crepant.errors import CrepantError
@@ -32,6 +34,17 @@ def test_theta_infinity_examples():
     assert total == 0
     with pytest.raises(CrepantError):
         theta_infinity({"0": 1}, {"0": 1, "1": 1})
+
+
+@pytest.mark.parametrize("gauge", [{"0": -1}, {"0": -1, "1": -1, "7": 3},
+                                   {"0": -1, "1": -1, "inf": 2}])
+def test_framed_theta_needs_exactly_the_gauge_vertices(gauge):
+    """A gauge vertex missing, an extra vertex or the framing vertex itself
+    is the error ``theta_infinity`` gives, not a KeyError or a kept entry."""
+    with pytest.raises(CrepantError) as info:
+        framed_theta(gauge, {"0": 1, "1": 1, "inf": 1}, "inf")
+    assert str(info.value) == \
+        "theta and the dimension vector disagree on vertices"
 
 
 def test_theta_entries_reject_bools():
@@ -320,3 +333,108 @@ def test_integer_weights_match_fraction_scan_property(rep, values):
                        Fraction(0))
             theta[v] = -rest / alpha[v]
     assert_matches_fraction_scan(rep, theta)
+
+
+# ---------------------------------------------------------------------------
+# the framing entry and admissibility on scaled ints against Fractions
+
+theta_entries = st.one_of(
+    st.sampled_from(RATIONALS),
+    st.fractions(min_value=-100, max_value=100, max_denominator=60),
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(-50, 50),
+              st.integers(1, 40)),
+    st.integers(-9, 9).map(str))
+
+
+def _error_text(call, *args):
+    try:
+        call(*args)
+    except CrepantError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(theta_entries, min_size=0, max_size=4),
+       st.lists(st.integers(0, 7), min_size=5, max_size=5),
+       st.tuples(theta_entries, theta_entries))
+def test_scaled_ints_match_the_fraction_route_property(values, dims, pair):
+    """Gauge theta over rationals and rational strings with random
+    dimension vectors: ``framed_theta`` and ``theta_infinity`` equal their
+    Fraction references entry for entry, every value a ``Fraction``, and an
+    inadmissible theta gives ``is_semistable`` the reference's error text."""
+    gauge = [str(i) for i in range(len(values))]
+    theta = dict(zip(gauge, values))
+    alpha = dict(zip(gauge, dims))
+    alpha["inf"] = dims[-1]
+    got = framed_theta(theta, alpha, "inf")
+    assert got == fraction_framed_theta(theta, alpha, "inf")
+    assert list(got) == gauge + ["inf"]
+    assert all(type(x) is Fraction for x in got.values())
+    gauge_alpha = {v: alpha[v] for v in gauge}
+    entry = theta_infinity(theta, gauge_alpha)
+    assert type(entry) is Fraction
+    assert entry == fraction_theta_infinity(theta, gauge_alpha)
+
+    # at most six basis elements: an admissible theta runs both scans
+    rep = MonomialRepresentation(
+        conifold_quiver()[0],
+        {**{("a", i): "0" for i in range(dims[0] % 4)},
+         **{("b", i): "1" for i in range(dims[1] % 4)}}, {})
+    conifold_theta = dict(zip(("0", "1"), pair))
+    expected = _error_text(fraction_is_semistable, rep, conifold_theta)
+    assert _error_text(is_semistable, rep, conifold_theta) == expected
+
+
+@pytest.mark.parametrize("dims,theta,text", [
+    ((1, 0), {"0": "1/2", "1": 0}, "1/2"),
+    ((3, 3), {"0": -1, "1": 0}, "-3"),
+    ((3, 3), {"0": Fraction(1, 6), "1": "-1/4"}, "-1/4"),
+])
+def test_inadmissible_theta_text_is_the_fraction_text(dims, theta, text):
+    """theta . alpha is printed as the reduced ``Fraction`` of the int
+    pairing over the scale, as the Fraction route prints it."""
+    rep = MonomialRepresentation(
+        conifold_quiver()[0],
+        {**{("a", i): "0" for i in range(dims[0])},
+         **{("b", i): "1" for i in range(dims[1])}}, {})
+    message = f"theta is not admissible: theta . alpha = {text}"
+    for check in (is_semistable, fraction_is_semistable):
+        assert _error_text(check, rep, theta) == message
+
+
+def test_framed_stability_does_no_fraction_arithmetic(monkeypatch):
+    """The ``framed_theta`` -> ``is_semistable`` path on every c3 and
+    conifold crystal module of at most five atoms under integer gauges,
+    with every ``Fraction`` operator it might use made to raise: the
+    framing entry, the admissibility check and the scan work on ints."""
+    cases = []
+    for name in ("c3", "conifold"):
+        fam = family_for(name)
+        for config in configurations(fam, 5):
+            rep = configuration_to_module(fam, config)
+            gauge = rep.framed.gauge_vertices()
+            for values in ((-1, -1), (2, -3), (0, 5)):
+                cases.append((rep, dict(zip(gauge, values))))
+    expected = [fraction_is_semistable(
+        rep, fraction_framed_theta(gauge, rep.dimension_vector(),
+                                   rep.framed.framing_vertex))
+        for rep, gauge in cases]
+
+    def forbidden(*args):
+        raise AssertionError("Fraction arithmetic on the stability path")
+
+    for op in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__",
+               "__neg__", "__eq__", "__lt__", "__gt__"):
+        monkeypatch.setattr(Fraction, op, forbidden)
+    with pytest.raises(AssertionError):
+        Fraction(1) + 1
+    got = []
+    for rep, gauge in cases:
+        theta = framed_theta(gauge, rep.dimension_vector(),
+                             rep.framed.framing_vertex)
+        got.append(is_semistable(rep, theta))
+    monkeypatch.undo()
+    assert got == expected
+    assert len(cases) > 200
+    assert {r.classification for r in got} >= {"stable", "unstable"}
