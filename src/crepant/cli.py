@@ -12,7 +12,7 @@ import sys
 
 from . import crystal, geometry, mckay, quiver, reps, roots, toric
 from .compare import compare as run_compare
-from .errors import CrepantError, json_text
+from .errors import CrepantError, json_object, json_text
 from .vertex import PrecisionError, gv_extract, gw_partition_function
 
 
@@ -81,17 +81,16 @@ def _theta(text: str) -> dict:
 
 
 def _cartan_rows(text: str) -> list:
-    import json
     try:
-        rows = json.loads(text)
-    except ValueError:
-        rows = None
-    if not (isinstance(rows, list) and rows
-            and all(isinstance(r, list) and all(type(x) is int for x in r)
-                    for r in rows)):
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a JSON list of integer rows")
-    return rows
+        with json_object(text, "--cartan", list) as rows:
+            if rows and all(isinstance(r, list)
+                            and all(type(x) is int for x in r)
+                            for r in rows):
+                return rows
+    except CrepantError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"{text!r} is not a JSON list of integer rows")
 
 
 def _int_pair(text: str) -> tuple[int, int]:

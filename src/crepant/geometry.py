@@ -13,16 +13,20 @@ through per-identity failures, never silently corrected; an ``overrides``
 mapping lets the caller substitute corrected expressions and re-verify.
 
 Every expression, built-in or override, is text evaluated as written:
-``_compile`` parses it with ``ast`` (``^`` reads as ``**``) and walks a
-whitelist -- integers, the chart's coordinates, ``k``/``n`` when given,
-unary ``+ -``, binary ``+ - * / **`` with an exponent that folds to an
-integer -- into a closure over exact rationals held as unreduced integer
-pairs ``(num, den)``: a value is zero exactly when its numerator is,
-constants fold in the same pair arithmetic, and a kept counterexample is
-written as the reduced fraction ``Fraction`` would print.  Anything else (a
-float, sin, a symbolic exponent, the other chart's coordinates, a constant
-division by zero) raises ``CrepantError``.  Nothing cancels symbolically: a
-trial that divides by zero fails with the residual ``zoo``.
+``_compile`` parses it into the tree ``ast.parse`` gives, by the builtin
+``compile`` (``^`` reads as ``**``), and walks a whitelist -- integers,
+the chart's coordinates, ``k``/``n`` when given, unary ``+ -``, binary
+``+ - * / **`` with an exponent that folds to an integer -- into a closure
+over exact rationals held as unreduced integer pairs ``(num, den)``: a
+value is zero exactly when its numerator is, constants fold in the same
+pair arithmetic, and a kept counterexample is written, at any length, as
+the reduced fraction ``Fraction`` would print.  Anything else (a float,
+sin, a symbolic exponent, the other chart's coordinates, a constant
+division by zero) raises ``CrepantError``; ``ast`` is imported only to
+phrase that message.  So does a text whose values may need more than
+``_MAX_BITS`` bits, a bound the walk computes before it folds anything.
+Nothing cancels symbolically: a trial that divides by zero fails with the
+residual ``zoo``.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+import sys
 from collections import namedtuple
 from functools import lru_cache, reduce
 
@@ -306,35 +311,55 @@ def _neg(p):
 
 def _text(p) -> str:
     """The pair as ``str(Fraction(num, den))`` prints it: reduced, the sign
-    on the numerator, and no denominator when it is 1."""
+    on the numerator, and no denominator when it is 1; exact at any length,
+    past the interpreter's limit on decimal digits too."""
     num, den = p
     g = math.gcd(num, den)
     if den < 0:
         g = -g
     num, den = num // g, den // g
-    return str(num) if den == 1 else f"{num}/{den}"
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return _text((num, den))
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
-# the arithmetic of each ``ast`` operator, by class name: ``ast`` is
-# imported by the compiler, so only a command that compiles an expression
-# loads it
+# the arithmetic of each ``ast`` operator, by class name
 _UNARY = {"USub": _neg}
 _BINARY = {"Add": _add, "Sub": _sub, "Mult": _mul, "Div": _div,
            "Pow": _pow}
 _MAX_DEPTH = 500  # at one frame per level, well below the recursion limit
+# the size gate: a bound on the bits of a value's numerator and denominator,
+# from a sampled coordinate's 15 (|num| and den are at most 10**4); past
+# _MAX_BITS (about 39,000 decimal digits) an expression is refused unsampled
+_COORD_BITS = 15
+_MAX_BITS = 1 << 17
 
 
 @lru_cache(maxsize=4096)
 def _compile(text: str, coords: tuple, k=None, n=None):
     """A closure mapping a tuple of (num, den) values of ``coords`` to the
     exact value of ``text`` as a (num, den) pair, evaluated as written;
-    memoized, so a text used by several identities compiles once."""
-    import ast
+    memoized, so a text used by several identities compiles once.
+
+    The text is parsed as ``ast.parse`` parses it, by the same builtin
+    ``compile`` call, so the tree and every ``SyntaxError`` are the same
+    without importing ``ast``."""
+    import _ast
     try:
-        tree = ast.parse(text.strip().replace("^", "**"), mode="eval")
-        value = _walk(tree.body, coords, {"k": k, "n": n}, 0)
+        tree = compile(text.strip().replace("^", "**"), "<unknown>", "eval",
+                       _ast.PyCF_ONLY_AST, True)
+        value, _ = _walk(tree.body, coords, {"k": k, "n": n}, 0)
     except ZeroDivisionError:
         raise CrepantError(f"{text!r} divides by zero") from None
+    except OverflowError:
+        raise CrepantError(f"{text!r} is too large to evaluate: its values"
+                           f" may need more than {_MAX_BITS} bits") from None
     except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
         raise CrepantError(f"cannot parse expression {text!r}:"
                            f" {exc or 'nested too deeply'}") from None
@@ -346,46 +371,59 @@ def _constant(pair):
 
 
 def _walk(node, coords, params, depth):
-    """The (num, den) value of a constant subtree, else a closure."""
-    import ast
+    """The (num, den) value of a constant subtree, else a closure, with a
+    bound on the bits of its numerator and denominator: ``*`` and ``/`` add
+    the operands' bounds, ``+`` and ``-`` add them plus 1, and ``**e``
+    multiplies by |e|.  A bound past ``_MAX_BITS`` raises ``OverflowError``
+    before anything is folded."""
+    import _ast
     if depth > _MAX_DEPTH:
         raise CrepantError(f"expression nested deeper than {_MAX_DEPTH}")
-    if isinstance(node, ast.Constant) and type(node.value) is int:
-        return node.value, 1
-    if isinstance(node, ast.Name):
+    if isinstance(node, _ast.Constant) and type(node.value) is int:
+        return (node.value, 1), node.value.bit_length()
+    if isinstance(node, _ast.Name):
         if node.id in coords:
-            return operator.itemgetter(coords.index(node.id))
+            return operator.itemgetter(coords.index(node.id)), _COORD_BITS
         if params.get(node.id) is not None:
-            return params[node.id], 1
+            return (params[node.id], 1), params[node.id].bit_length()
         raise CrepantError(f"{node.id} is not one of the coordinates"
                            f" {', '.join(coords)}")
-    if isinstance(node, ast.UnaryOp) and type(node.op) is ast.UAdd:
+    if isinstance(node, _ast.UnaryOp) and type(node.op) is _ast.UAdd:
         return _walk(node.operand, coords, params, depth + 1)
-    if isinstance(node, ast.UnaryOp) and type(node.op).__name__ in _UNARY:
+    if isinstance(node, _ast.UnaryOp) and type(node.op).__name__ in _UNARY:
         op, args = _UNARY[type(node.op).__name__], (node.operand,)
-    elif isinstance(node, ast.BinOp) and type(node.op).__name__ in _BINARY:
+    elif isinstance(node, _ast.BinOp) and type(node.op).__name__ in _BINARY:
         op, args = _BINARY[type(node.op).__name__], (node.left, node.right)
     else:
+        import ast
         raise CrepantError(f"cannot evaluate {ast.unparse(node)} exactly: only"
                            " integers, + - * / and integer powers are allowed")
-    parts = []
+    parts, sizes = [], []
     for arg in args:  # a loop, not a comprehension: one frame per level
-        parts.append(_walk(arg, coords, params, depth + 1))
+        part, size = _walk(arg, coords, params, depth + 1)
+        parts.append(part)
+        sizes.append(size)
     if op is _pow:
         if callable(parts[1]) or parts[1][0] % parts[1][1]:
+            import ast
             raise CrepantError(f"cannot evaluate {ast.unparse(node)} exactly:"
                                " the exponent is not an integer")
         parts[1] = parts[1][0] // parts[1][1]
+        bits = sizes[0] * abs(parts[1])
+    else:
+        bits = sum(sizes) + (op is _add or op is _sub)
+    if bits > _MAX_BITS:
+        raise OverflowError
     if not any(map(callable, parts)):
-        return op(*parts)
+        return op(*parts), bits
     if op is _pow:
         base, exponent = parts
-        return lambda vals: _pow(base(vals), exponent)
+        return lambda vals: _pow(base(vals), exponent), bits
     fns = [p if callable(p) else _constant(p) for p in parts]
     if len(fns) == 1:
-        return lambda vals: op(fns[0](vals))
+        return lambda vals: op(fns[0](vals)), bits
     left, right = fns
-    return lambda vals: op(left(vals), right(vals))
+    return lambda vals: op(left(vals), right(vals)), bits
 
 
 def _compile_all(geo: GluedThreefold, texts, coords):

@@ -12,7 +12,9 @@ from itertools import combinations, product
 from crepant.errors import CrepantError
 from crepant.geometry import (CHART1, CHART2, V_COORDS, _MAX_COUNTEREXAMPLES,
                               GluedThreefold, IdentityResult,
-                              VerificationReport)
+                              VerificationReport, _agreement_residual,
+                              _equation_residual, _equivariance_residual,
+                              _transition_residual)
 from crepant.quiver import c3_quiver, conifold_quiver, frame, relations_from_potential
 from crepant.reps import (MonomialRepresentation, StabilityReport,
                           check_relations, normalize_theta)
@@ -987,3 +989,107 @@ def fraction_reports(geo, trials, seed):
                             CHART1 + torus, points),))
     return [VerificationReport(geo.label(), seed, identities)
             for identities in reports]
+
+
+# ---------------------------------------------------------------------------
+# The generic point: the residual builders of crepant.geometry, unchanged,
+# run over polynomials instead of sampled rationals.  The pair arithmetic
+# uses only + - * **, == and truth values, so at the point
+# ((x, 1), (y1, 1), ...) each residual is a pair of polynomials, and its
+# numerator is the zero polynomial exactly when the identity holds wherever
+# it is defined (Schwartz, JACM 1980: a nonzero one vanishes at few points).
+
+class Poly:
+    """A sparse integer polynomial in ``nvars`` variables: a dict from
+    exponent tuples to nonzero coefficients.  Ints mix in as constants."""
+
+    __slots__ = ("terms", "nvars")
+    __hash__ = None
+
+    def __init__(self, terms: dict, nvars: int):
+        self.terms, self.nvars = terms, nvars
+
+    @classmethod
+    def variable(cls, i: int, nvars: int) -> "Poly":
+        return cls({tuple(int(j == i) for j in range(nvars)): 1}, nvars)
+
+    def _lift(self, other) -> "Poly":
+        if isinstance(other, Poly):
+            return other
+        return Poly({(0,) * self.nvars: other} if other else {}, self.nvars)
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for mono, c in self._lift(other).terms.items():
+            total = terms.get(mono, 0) + c
+            if total:
+                terms[mono] = total
+            else:
+                terms.pop(mono, None)
+        return Poly(terms, self.nvars)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly({m: -c for m, c in self.terms.items()}, self.nvars)
+
+    def __sub__(self, other):
+        return self + -self._lift(other)
+
+    def __rsub__(self, other):
+        return self._lift(other) - self
+
+    def __mul__(self, other):
+        terms, other = {}, self._lift(other)
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                mono = tuple(map(operator.add, m1, m2))
+                terms[mono] = terms.get(mono, 0) + c1 * c2
+        return Poly({m: c for m, c in terms.items() if c}, self.nvars)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int):
+        if e < 0:
+            raise ValueError("a polynomial to a negative power")
+        result, base = self._lift(1), self
+        while e:
+            if e & 1:
+                result *= base
+            e >>= 1
+            if e:
+                base *= base
+        return result
+
+    def __eq__(self, other):
+        return self.terms == self._lift(other).terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+
+def generic_point(nvars: int) -> tuple:
+    return tuple((Poly.variable(i, nvars), 1) for i in range(nvars))
+
+
+def generic_verdicts(geo: GluedThreefold) -> list[tuple[str, str]]:
+    """(identity, status) for every identity ``verify-geometry`` checks, in
+    its order, decided at the generic point: "holds" when every residual
+    numerator is the zero polynomial, "fails" when one is not or the
+    expression divides by the zero polynomial."""
+    cases = [("transition_roundtrip", _transition_residual(geo), 3),
+             *[(f"v{i + 1}_chart_agreement", _agreement_residual(geo, i), 3)
+               for i in range(4)],
+             ("equation_chart1", _equation_residual(geo, 1), 3),
+             ("equation_chart2", _equation_residual(geo, 2), 3)]
+    if geo.action is not None:
+        cases.append(("equivariance", _equivariance_residual(geo),
+                      3 + geo.action.rank))
+    verdicts = []
+    for name, residual, nvars in cases:
+        try:
+            zero = not any(num for num, _ in residual(generic_point(nvars)))
+        except ZeroDivisionError:
+            zero = False
+        verdicts.append((name, "holds" if zero else "fails"))
+    return verdicts

@@ -410,8 +410,8 @@ def test_gv_json_prints_no_truncated_invariant(monkeypatch):
     assert err == "error: GV invariant n[1,2] = 1/2 is not an integer\n"
 
 
-# stdlib modules that only the ops reading or writing JSON, taking
-# rationals or compiling a geometry expression may load
+# stdlib modules that only the ops reading JSON or taking rationals, or an
+# expression error's message, may load
 _LOADED_ON_USE = ("json", "fractions", "decimal", "numbers", "ast", "typing")
 
 
@@ -420,24 +420,27 @@ def test_import_leaves_sympy_unloaded():
     is loaded by the import or by a crystal count or a geometry check.
 
     Against the modules the interpreter had loaded before the probe, the
-    import and the text-only ops (gv, gw and ncdt) load none of
-    ``_LOADED_ON_USE``; a geometry check loads ``ast``, which parses its
-    expressions, and ``json``, which writes its report, and no other."""
+    import, the text ops (gv, gw and ncdt), the same ops printing JSON and
+    both geometry checks load none of ``_LOADED_ON_USE``: JSON is written
+    without ``json``, and expressions are parsed without ``ast``."""
     ops = [["gv", "--p2", "--order", "2", "--t-order", "16"],
            ["gw", "--square", "--order", "2"],
-           ["ncdt", "c3", "--order", "2"]]
-    geometry_ops = [["verify-geometry", "conifold", "--trials", "2"],
-                    ["verify-geometry", "laufer2", "--n", "1", "--trials",
-                     "2", "--report-only", "--override",
-                     "v4_wz=w**2*z1*z2 - z2**3 - w*z1**(n+1)"]]
+           ["ncdt", "c3", "--order", "2"],
+           ["gv", "--p2", "--order", "2", "--t-order", "16", "--json"],
+           ["ncdt", "conifold", "--order", "3", "--sign", "dimension",
+            "--json"],
+           ["verify-geometry", "conifold", "--trials", "2"],
+           ["verify-geometry", "laufer2", "--n", "1", "--trials", "2",
+            "--report-only", "--override",
+            "v4_wz=w**2*z1*z2 - z2**3 - w*z1**(n+1)"]]
     probe = f"""
 import sys
 base = set(sys.modules)
 
-def check(allowed=()):
+def check():
     loaded = {{'sympy', 'dataclasses', 'inspect'}} & set(sys.modules)
     assert not loaded, loaded
-    added = (set(sys.modules) - base) & (set({_LOADED_ON_USE!r}) - set(allowed))
+    added = (set(sys.modules) - base) & set({_LOADED_ON_USE!r})
     assert not added, added
 
 import crepant
@@ -447,12 +450,39 @@ check()
 for argv in {ops!r}:
     assert crepant.cli.main(argv) == 0, argv
     check()
-for argv in {geometry_ops!r}:
-    assert crepant.cli.main(argv) == 0, argv
-    check(("ast", "json"))
 """
     subprocess.run([sys.executable, "-c", probe], check=True,
                    stdout=subprocess.DEVNULL)
+
+
+def _import_sites(name: str) -> list:
+    """(file, enclosing function, the statement after the import) for each
+    import of the stdlib module ``name`` in crepant's source."""
+    sites = []
+    for path in sorted((Path(cli.__file__).parent).glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parent = {c: p for p in ast.walk(tree) for c in ast.iter_child_nodes(p)}
+        for node in ast.walk(tree):
+            names = ([a.name for a in node.names]
+                     if isinstance(node, ast.Import) else
+                     [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if name not in {n.split(".")[0] for n in names if n}:
+                continue
+            block = next(v for v in vars(parent[node]).values()
+                         if isinstance(v, list) and node in v)
+            owner = parent[node]
+            while not isinstance(owner, (ast.FunctionDef, ast.Module)):
+                owner = parent[owner]
+            sites.append((path.name, getattr(owner, "name", None),
+                          type(block[block.index(node) + 1]).__name__))
+    return sites
+
+
+def test_json_and_ast_are_imported_only_where_they_are_needed():
+    """``json`` only by ``json_object``, the one reader; ``ast`` only on
+    the two error branches whose message ``ast.unparse`` phrases."""
+    assert _import_sites("json") == [("errors.py", "json_object", "Try")]
+    assert _import_sites("ast") == [("geometry.py", "_walk", "Raise")] * 2
 
 
 def test_override_text_is_never_executed(tmp_path):

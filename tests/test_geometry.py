@@ -1,6 +1,9 @@
 """Exact chart verification for the built-in geometries."""
 
+import json
 import random
+import resource
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -8,13 +11,14 @@ from pathlib import Path
 import pytest
 import sympy as sp
 
-from support import fraction_compile, fraction_reports
+from support import (Poly, fraction_compile, fraction_reports,
+                     generic_point, generic_verdicts)
 
 from crepant.cli import build_parser
 from crepant.errors import CrepantError
-from crepant.geometry import (_MAX_DEPTH, CHART1, CHART2, V_COORDS, _compile,
-                              _points, _rational, _text, builtin_geometry,
-                              verify_contraction,
+from crepant.geometry import (_MAX_BITS, _MAX_DEPTH, CHART1, CHART2, V_COORDS,
+                              _compile, _points, _rational, _text,
+                              builtin_geometry, verify_contraction,
                               verify_equivariance, verify_transition)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -359,3 +363,109 @@ def test_reports_match_fraction_oracle_route(args):
         if geo.action is not None:
             reports.append(verify_equivariance(geo, args.trials, seed=seed))
         assert reports == fraction_reports(geo, args.trials, seed)
+
+
+@pytest.mark.parametrize("text", [
+    "x\\", "1.5*x", "sin(x)", "x if x else y1", "x**y1", "x**(1/2)",
+    "1/(2-2)", "+".join(["x"] * 600)],
+    ids=["backslash", "float", "call", "ifexp", "symbolic-exponent",
+         "fractional-exponent", "zero-division", "sum-600"])
+def test_compile_errors_match_the_ast_parse_route(text):
+    """``_compile`` parses with the builtin ``compile`` and the Fraction
+    oracle with ``ast.parse``: the same ``CrepantError`` text either way."""
+    messages = []
+    for compile_text in (_compile, fraction_compile):
+        with pytest.raises(CrepantError) as exc:
+            compile_text(text, CHART1)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("legal,refused", [
+    (f"x**{_MAX_BITS // 15}", f"x**{_MAX_BITS // 15 + 1}"),
+    (f"2**{(_MAX_BITS - 15) // 2}*x", f"2**{(_MAX_BITS - 15) // 2 + 1}*x"),
+    (f"y1**-{_MAX_BITS // 15}", f"y1**-{_MAX_BITS // 15 + 1}"),
+    (f"x**{_MAX_BITS // 30}*y1**{_MAX_BITS // 30}",
+     f"x**{_MAX_BITS // 30}*y1**{_MAX_BITS // 30 + 1}"),
+    ("x**100", "x**100000"),
+])
+def test_size_gate_at_its_cap(legal, refused):
+    """The bound multiplies by an exponent and adds across a product: a
+    text at the cap compiles, one step past it is refused before any
+    constant folds."""
+    _compile(legal, CHART1)
+    with pytest.raises(CrepantError, match="too large to evaluate"):
+        _compile(refused, CHART1)
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
+
+
+@pytest.mark.parametrize("text", ["x**10000000", "2**99999999999*x",
+                                  "x**(10**10)", "x**100000"])
+def test_powers_past_the_size_cap_are_one_error_line(text):
+    """Each ran past 10 s before the gate; now one line naming the text,
+    with 2 GiB of address space for the command alone."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "crepant", "verify-geometry", "conifold",
+         "--trials", "3", "--override", f"v1_xy={text}"],
+        capture_output=True, text=True, timeout=10,
+        preexec_fn=_limit_address_space)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (f"error: {text!r} is too large to evaluate: its"
+                           f" values may need more than {_MAX_BITS} bits\n")
+
+
+def test_long_counterexamples_print_exactly():
+    """A residual with more digits than ``str(int)`` converts by default
+    is printed in full, not a traceback."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "crepant", "verify-geometry", "conifold",
+         "--trials", "3", "--override", "v1_xy=x**2000"],
+        capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    result, = [r for r in json.loads(proc.stdout)["identities"]
+               if r["identity"] == "v1_chart_agreement"]
+    assert result["failures"] == 3
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for example in result["counterexamples"]:
+            x, y1 = (Fraction(example["point"][s]) for s in ("x", "y1"))
+            residual, = example["residual"]
+            assert len(residual) > limit
+            assert residual == str(x * y1 - x ** 2000)  # z1 - v1 at x, y1
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_generic_point_arithmetic():
+    x, y = (v for v, _ in generic_point(2))
+    assert (x + 1) ** 2 - (x * x + 2 * x + 1) == 0
+    assert not (x - y) * (x + y) - (x ** 2 - y ** 2)
+    assert 1 - x != 0 and 3 == x - x + 3 and x ** 0 == 1
+    assert (x * y - y * x).terms == {} and isinstance(2 * x, Poly)
+
+
+# every built-in geometry, and every override the README and scripts/ use
+GENERIC_CASES = [
+    ("conifold", {}), *[("laufer1", {"k": k}) for k in (1, 2, 3, 4)],
+    *[("laufer2", {"n": n}) for n in (1, 2, 3)],
+    *[("laufer2", {"n": n, "overrides": README_OVERRIDES}) for n in (1, 2)],
+    ("laufer2", {"n": 1, "overrides": {"v4_wz": README_OVERRIDES["v4_wz"]}}),
+]
+
+
+@pytest.mark.parametrize("name,kw", GENERIC_CASES,
+                         ids=[f"{name}-{i}" for i, (name, _) in
+                              enumerate(GENERIC_CASES)])
+def test_sampled_status_is_the_generic_point_status(name, kw):
+    """100 sampled points decide each identity as the generic point proves
+    it: a zero numerator there is a proof that it holds."""
+    geo = builtin_geometry(name, **kw)
+    reports = [verify_transition(geo, 100), verify_contraction(geo, 100)]
+    if geo.action is not None:
+        reports.append(verify_equivariance(geo, 100))
+    sampled = [(r.name, r.status) for rep in reports for r in rep.identities]
+    assert sampled == generic_verdicts(geo)
