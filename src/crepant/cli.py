@@ -82,10 +82,10 @@ def _theta(text: str) -> dict:
 
 def _cartan_rows(text: str) -> list:
     try:
-        with json_object(text, "--cartan", list) as rows:
-            if rows and all(isinstance(r, list)
-                            and all(type(x) is int for x in r)
-                            for r in rows):
+        with json_object(text, "--cartan", any_value=True) as rows:
+            if isinstance(rows, list) and rows and all(
+                    isinstance(r, list) and all(type(x) is int for x in r)
+                    for r in rows):
                 return rows
     except CrepantError:
         pass

@@ -23,8 +23,9 @@ pair arithmetic, and a kept counterexample is written, at any length, as
 the reduced fraction ``Fraction`` would print.  Anything else (a float,
 sin, a symbolic exponent, the other chart's coordinates, a constant
 division by zero) raises ``CrepantError``; ``ast`` is imported only to
-phrase that message.  So does a text whose values may need more than
-``_MAX_BITS`` bits, a bound the walk computes before it folds anything.
+phrase that message.  So does an override whose values may need more
+than ``_MAX_BITS`` bits, a bound the walk computes before it folds
+anything; the built-in texts are not capped, so any k or n evaluates.
 Nothing cancels symbolically: a trial that divides by zero fails with the
 residual ``zoo``.
 """
@@ -95,7 +96,8 @@ def _apply_overrides(geo: GluedThreefold, overrides: dict) -> GluedThreefold:
         if key not in _OVERRIDE_SLOTS:
             raise CrepantError(f"unknown override key {key!r}")
         field, i, coords = _OVERRIDE_SLOTS[key]
-        _compile(text, coords, geo.k, geo.n)  # reject what cannot be evaluated
+        # reject what cannot be evaluated, or is too large to sample
+        _compile(text, coords, geo.k, geo.n, _MAX_BITS)
         old = fields[field]
         fields[field] = text if i is None else old[:i] + (text,) + old[i + 1:]
         notes.append(f"override {key} = {text}")
@@ -336,16 +338,17 @@ _BINARY = {"Add": _add, "Sub": _sub, "Mult": _mul, "Div": _div,
 _MAX_DEPTH = 500  # at one frame per level, well below the recursion limit
 # the size gate: a bound on the bits of a value's numerator and denominator,
 # from a sampled coordinate's 15 (|num| and den are at most 10**4); past
-# _MAX_BITS (about 39,000 decimal digits) an expression is refused unsampled
+# _MAX_BITS (about 39,000 decimal digits) an override is refused unsampled
 _COORD_BITS = 15
 _MAX_BITS = 1 << 17
 
 
 @lru_cache(maxsize=4096)
-def _compile(text: str, coords: tuple, k=None, n=None):
+def _compile(text: str, coords: tuple, k=None, n=None, max_bits=math.inf):
     """A closure mapping a tuple of (num, den) values of ``coords`` to the
     exact value of ``text`` as a (num, den) pair, evaluated as written;
-    memoized, so a text used by several identities compiles once.
+    memoized, so a text used by several identities compiles once.  A text
+    whose size bound passes ``max_bits`` raises ``CrepantError``.
 
     The text is parsed as ``ast.parse`` parses it, by the same builtin
     ``compile`` call, so the tree and every ``SyntaxError`` are the same
@@ -354,12 +357,12 @@ def _compile(text: str, coords: tuple, k=None, n=None):
     try:
         tree = compile(text.strip().replace("^", "**"), "<unknown>", "eval",
                        _ast.PyCF_ONLY_AST, True)
-        value, _ = _walk(tree.body, coords, {"k": k, "n": n}, 0)
+        value, _ = _walk(tree.body, coords, {"k": k, "n": n}, max_bits, 0)
     except ZeroDivisionError:
         raise CrepantError(f"{text!r} divides by zero") from None
     except OverflowError:
         raise CrepantError(f"{text!r} is too large to evaluate: its values"
-                           f" may need more than {_MAX_BITS} bits") from None
+                           f" may need more than {max_bits} bits") from None
     except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
         raise CrepantError(f"cannot parse expression {text!r}:"
                            f" {exc or 'nested too deeply'}") from None
@@ -370,11 +373,11 @@ def _constant(pair):
     return lambda _: pair
 
 
-def _walk(node, coords, params, depth):
+def _walk(node, coords, params, max_bits, depth):
     """The (num, den) value of a constant subtree, else a closure, with a
     bound on the bits of its numerator and denominator: ``*`` and ``/`` add
     the operands' bounds, ``+`` and ``-`` add them plus 1, and ``**e``
-    multiplies by |e|.  A bound past ``_MAX_BITS`` raises ``OverflowError``
+    multiplies by |e|.  A bound past ``max_bits`` raises ``OverflowError``
     before anything is folded."""
     import _ast
     if depth > _MAX_DEPTH:
@@ -389,7 +392,7 @@ def _walk(node, coords, params, depth):
         raise CrepantError(f"{node.id} is not one of the coordinates"
                            f" {', '.join(coords)}")
     if isinstance(node, _ast.UnaryOp) and type(node.op) is _ast.UAdd:
-        return _walk(node.operand, coords, params, depth + 1)
+        return _walk(node.operand, coords, params, max_bits, depth + 1)
     if isinstance(node, _ast.UnaryOp) and type(node.op).__name__ in _UNARY:
         op, args = _UNARY[type(node.op).__name__], (node.operand,)
     elif isinstance(node, _ast.BinOp) and type(node.op).__name__ in _BINARY:
@@ -400,7 +403,7 @@ def _walk(node, coords, params, depth):
                            " integers, + - * / and integer powers are allowed")
     parts, sizes = [], []
     for arg in args:  # a loop, not a comprehension: one frame per level
-        part, size = _walk(arg, coords, params, depth + 1)
+        part, size = _walk(arg, coords, params, max_bits, depth + 1)
         parts.append(part)
         sizes.append(size)
     if op is _pow:
@@ -412,7 +415,7 @@ def _walk(node, coords, params, depth):
         bits = sizes[0] * abs(parts[1])
     else:
         bits = sum(sizes) + (op is _add or op is _sub)
-    if bits > _MAX_BITS:
+    if bits > max_bits:
         raise OverflowError
     if not any(map(callable, parts)):
         return op(*parts), bits

@@ -390,12 +390,35 @@ def test_compile_errors_match_the_ast_parse_route(text):
     ("x**100", "x**100000"),
 ])
 def test_size_gate_at_its_cap(legal, refused):
-    """The bound multiplies by an exponent and adds across a product: a
-    text at the cap compiles, one step past it is refused before any
-    constant folds."""
-    _compile(legal, CHART1)
+    """The bound multiplies by an exponent and adds across a product: an
+    override at the cap is accepted, one step past it is refused before
+    any constant folds."""
+    builtin_geometry("conifold", overrides={"v1_xy": legal})
     with pytest.raises(CrepantError, match="too large to evaluate"):
-        _compile(refused, CHART1)
+        builtin_geometry("conifold", overrides={"v1_xy": refused})
+
+
+def test_size_gate_leaves_built_in_texts_uncapped():
+    """laufer2's chart-1 v4 raises its gluing to the power n + 1, so at
+    n = 63 its bound passes the cap; the built-in geometry still verifies
+    there, and the same text as an override is refused."""
+    geo = builtin_geometry("laufer2", n=63)
+    with pytest.raises(CrepantError, match="too large to evaluate"):
+        builtin_geometry("laufer2", n=63, overrides={"v4_xy": geo.v_chart1[3]})
+    proc = subprocess.run(
+        [sys.executable, "-m", "crepant", "verify-geometry", "laufer2",
+         "--n", "63", "--trials", "1"],
+        capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    fails = {"v1_chart_agreement", "v4_chart_agreement", "equation_chart1",
+             "equation_chart2"}  # as at every n: see the geometry's notes
+    assert [(r["identity"], r["status"])
+            for r in json.loads(proc.stdout)["identities"]] == [
+        (name, "fails" if name in fails else "holds")
+        for name in ("transition_roundtrip", "v1_chart_agreement",
+                     "v2_chart_agreement", "v3_chart_agreement",
+                     "v4_chart_agreement", "equation_chart1",
+                     "equation_chart2", "equivariance")]
 
 
 def _limit_address_space():
