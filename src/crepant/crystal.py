@@ -9,9 +9,15 @@ a white (even-layer) stone is a monomial class (a,b,c,d) in the four
 vertex-0 loops v1=AC, v2=AD, v3=BC, v4=BD with min(b,c)=0 imposed by the
 relation v1 v4 = v2 v3, and a black (odd-layer) stone is such a class
 followed by A or B, normalized by the relations v3*A = v1*B and
-v2*B = v4*A.  Predecessor and arrow-action rules below are read off from
+v2*B = v4*A.  The predecessor and ``arrows_from`` rules below are read off
 those rewriting rules, so every configuration is automatically a module
 satisfying the potential relations.
+
+A family is the object ``family_for`` returns.  It has ``apex``,
+``variables`` (one per colour), ``quiver``, ``potential`` and ``framed``,
+and per atom ``predecessors``, ``successors``, ``sort_key``, ``color_index``
+and ``arrows_from``, which yields (arrow name, image) for each gauge arrow
+out of the atom, on the full crystal.
 
 Both families are graded by ``sort_key(atom)[0]`` with every predecessor one
 layer down, so an ideal is one chain of layer sets S0 = {apex}, S1, S2, ...,
@@ -44,8 +50,8 @@ from functools import cache
 from itertools import combinations
 
 from .errors import CrepantError
-from .mckay import (AbelianAction, mckay_quiver, mckay_superpotential,
-                    parse_action)
+from .mckay import (AbelianAction, arrow_name, mckay_quiver,
+                    mckay_superpotential, parse_action)
 from .quiver import conifold_quiver, frame
 from .reps import MonomialRepresentation
 from .series import FormalSeries
@@ -59,21 +65,15 @@ class BoxFamily:
         self.quiver = mckay_quiver(act)
         self.potential = mckay_superpotential(act)
         self.apex = (0, 0, 0)
-        origin = (0,) * len(act.orders)
-        self.framed = frame(self.quiver, self.potential, act.label(origin))
-        self.variables = tuple(f"q{act.label(e)}" for e in act.elements())
-        self._elements = act.elements()
-        self._vindex = {act.label(e): i for i, e in enumerate(self._elements)}
+        self.framed = frame(self.quiver, self.potential, self.quiver.vertices[0])
+        self.variables = tuple(f"q{v}" for v in self.quiver.vertices)
+        self._index = {e: i for i, e in enumerate(act.elements())}
 
-    def color(self, atom) -> str:
+    def _character(self, atom) -> tuple[int, ...]:
         i, j, k = atom
         w1, w2, w3 = self.act.weights
-        elem = tuple((i * a + j * b + k * c) % n
+        return tuple((i * a + j * b + k * c) % n
                      for a, b, c, n in zip(w1, w2, w3, self.act.orders))
-        return self.act.label(elem)
-
-    def vertex_of(self, atom) -> str:
-        return self.color(atom)
 
     def predecessors(self, atom):
         i, j, k = atom
@@ -90,22 +90,16 @@ class BoxFamily:
         yield (i, j + 1, k)
         yield (i, j, k + 1)
 
-    def arrow_action(self, name: str, atom):
-        """Image of an atom under a gauge arrow, on the full crystal."""
-        coord, src = name[1:].split("_", 1)
-        if self.color(atom) != src:
-            return None
-        i = int(coord)
-        return tuple(x + (1 if pos == i - 1 else 0) for pos, x in enumerate(atom))
-
-    def gauge_arrows(self):
-        return [a.name for a in self.quiver.arrows]
+    def arrows_from(self, atom):
+        elem = self._character(atom)
+        for i, image in enumerate(self.successors(atom), 1):
+            yield arrow_name(self.act, i, elem), image
 
     def sort_key(self, atom):
         return (sum(atom), atom)
 
     def color_index(self, atom) -> int:
-        return self._vindex[self.color(atom)]
+        return self._index[self._character(atom)]
 
 
 class PyramidFamily:
@@ -121,28 +115,17 @@ class PyramidFamily:
         self.framed = frame(self.quiver, self.potential, "0")
         self.variables = ("q0", "q1")
 
-    def vertex_of(self, atom) -> str:
-        return "0" if atom[0] == "w" else "1"
-
-    def arrow_action(self, name: str, atom):
+    def arrows_from(self, atom):
         kind, a, b, c, d = atom
-        if name in ("A", "B"):
-            if kind != "w":
-                return None
-            if name == "A":
-                return ("A", a, b, 0, d) if c == 0 else ("B", a + 1, 0, c - 1, d)
-            return ("B", a, 0, c, d) if b == 0 else ("A", a, b - 1, 0, d + 1)
-        if name == "C":
-            if kind == "A":
-                return ("w", a + 1, b, 0, d)
-            if kind == "B":
-                return ("w", a, 0, c + 1, d)
-        if name == "D":
-            if kind == "A":
-                return ("w", a, b + 1, 0, d)
-            if kind == "B":
-                return ("w", a, 0, c, d + 1)
-        return None
+        if kind == "w":
+            yield "A", ("A", a, b, 0, d) if c == 0 else ("B", a + 1, 0, c - 1, d)
+            yield "B", ("B", a, 0, c, d) if b == 0 else ("A", a, b - 1, 0, d + 1)
+        elif kind == "A":
+            yield "C", ("w", a + 1, b, 0, d)
+            yield "D", ("w", a, b + 1, 0, d)
+        else:
+            yield "C", ("w", a, 0, c + 1, d)
+            yield "D", ("w", a, 0, c, d + 1)
 
     def predecessors(self, atom):
         kind, a, b, c, d = atom
@@ -165,13 +148,7 @@ class PyramidFamily:
                 yield ("w", a - 1, 0, c + 1, d)
 
     def successors(self, atom):
-        for name in ("A", "B", "C", "D"):
-            image = self.arrow_action(name, atom)
-            if image is not None:
-                yield image
-
-    def gauge_arrows(self):
-        return ["A", "B", "C", "D"]
+        return (image for _, image in self.arrows_from(atom))
 
     def sort_key(self, atom):
         kind, a, b, c, d = atom
@@ -325,23 +302,21 @@ def enumerate_configurations(family, max_size: int) -> dict[tuple[int, ...], int
 def configuration_to_module(family, config) -> MonomialRepresentation:
     """The framed monomial module whose basis is the configuration.
 
-    Gauge arrows act by the crystal translation where the image atom is
-    present and by zero otherwise; the framing arrow hits the apex.
+    The arrows out of each atom act by the crystal translation where the
+    image atom is present and by zero otherwise; the framing arrow hits the
+    apex.
     """
     config = frozenset(config)
     framed = family.framed
+    vertices = family.quiver.vertices
     fr_elt = "<framing>"
-    vertex_of = {atom: family.vertex_of(atom) for atom in config}
+    vertex_of = {atom: vertices[family.color_index(atom)] for atom in config}
     vertex_of[fr_elt] = framed.framing_vertex
     action: dict = {}
-    for name in family.gauge_arrows():
-        mapping = {}
-        for atom in config:
-            image = family.arrow_action(name, atom)
-            if image is not None and image in config:
-                mapping[atom] = image
-        if mapping:
-            action[name] = mapping
+    for atom in config:
+        for name, image in family.arrows_from(atom):
+            if image in config:
+                action.setdefault(name, {})[atom] = image
     if family.apex in config:
         action[framed.framing_arrow] = {fr_elt: family.apex}
     return MonomialRepresentation(framed.quiver, vertex_of, action, framed=framed)

@@ -3,20 +3,18 @@
 The group is a product of cyclic factors acting diagonally on coordinates
 z1, z2, z3 with weight vectors that sum to zero in the group (the Calabi-Yau
 condition).  Vertices are the characters; each coordinate contributes one
-arrow out of every vertex.  Cyclic groups are the tested path; products are
-accepted but only constructed.
+arrow out of every vertex, named by ``arrow_name``, and the superpotential
+is z1 z2 z3 - z1 z3 z2 at every vertex.  Cyclic groups are the tested path;
+products are accepted but only constructed.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import permutations, product
+from itertools import product
 
 from .errors import CrepantError
-from .quiver import Quiver, Superpotential, rotation_count
-
-_SIGN = {(1, 2, 3): 1, (1, 3, 2): -1, (2, 1, 3): -1,
-         (2, 3, 1): 1, (3, 1, 2): 1, (3, 2, 1): -1}
+from .quiver import Quiver, Superpotential
 
 
 class AbelianAction(namedtuple("AbelianAction", "orders weights")):
@@ -95,25 +93,17 @@ def mckay_quiver(act: AbelianAction) -> Quiver:
 
 
 def mckay_superpotential(act: AbelianAction) -> Superpotential:
-    """Antisymmetrized sum of the closed z1 z2 z3 triangles at every vertex.
+    """The z1 z2 z3 triangle minus the z1 z3 z2 triangle at every character.
 
-    Each closed 3-cycle is produced once per starting vertex; merged
-    coefficients are divided by the word's rotation count so every cyclic
-    word ends with a unit coefficient.
+    A triangle holds exactly one z1 arrow, which names the character it
+    starts at, so every cyclic word occurs once, with coefficient 1 or -1.
     """
-    triangles = []
+    terms = []
     for e in act.elements():
-        for sigma in permutations((1, 2, 3)):
-            word = []
-            at = e
-            for i in sigma:
+        for sign, order in ((1, (1, 2, 3)), (-1, (1, 3, 2))):
+            word, at = [], e
+            for i in order:
                 word.append(arrow_name(act, i, at))
                 at = act.add(at, act.weights[i - 1])
-            triangles.append((_SIGN[sigma], word))
-    terms = []
-    for word, coeff in Superpotential(triangles).terms:
-        rotations = rotation_count(word)
-        if coeff % rotations:
-            raise CrepantError("cycle coefficient not divisible by its rotations")
-        terms.append((coeff // rotations, word))
+            terms.append((sign, word))
     return Superpotential(terms)

@@ -23,12 +23,13 @@ class Quiver:
 
     def __init__(self, vertices, arrows):
         self.vertices = tuple(str(v) for v in vertices)
-        if len(set(self.vertices)) != len(self.vertices):
+        declared = set(self.vertices)
+        if len(declared) != len(self.vertices):
             raise CrepantError("duplicate vertex ids")
         built = []
         for a in arrows:
             arrow = a if isinstance(a, Arrow) else Arrow(str(a[0]), str(a[1]), str(a[2]))
-            if arrow.tail not in self.vertices or arrow.head not in self.vertices:
+            if arrow.tail not in declared or arrow.head not in declared:
                 raise CrepantError(f"arrow {arrow.name} has undeclared endpoint")
             built.append(arrow)
         self.arrows = tuple(built)
@@ -101,11 +102,6 @@ def _canonical_rotation(word: tuple[str, ...]) -> tuple[str, ...]:
     if not word:
         return word
     return min(word[i:] + word[:i] for i in range(len(word)))
-
-
-def rotation_count(word: tuple[str, ...]) -> int:
-    """Number of distinct rotations of an arrow word."""
-    return len({word[i:] + word[:i] for i in range(len(word))})
 
 
 class CyclicWord(namedtuple("CyclicWord", "word coeff")):

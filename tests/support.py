@@ -7,15 +7,18 @@ import operator
 import random
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
+from crepant.crystal import BoxFamily
 from crepant.errors import CrepantError
 from crepant.geometry import (CHART1, CHART2, V_COORDS, _MAX_COUNTEREXAMPLES,
                               GluedThreefold, IdentityResult,
                               VerificationReport, _agreement_residual,
                               _equation_residual, _equivariance_residual,
                               _transition_residual)
-from crepant.quiver import c3_quiver, conifold_quiver, frame, relations_from_potential
+from crepant.mckay import arrow_name
+from crepant.quiver import (Superpotential, c3_quiver, conifold_quiver, frame,
+                            relations_from_potential)
 from crepant.reps import (MonomialRepresentation, StabilityReport,
                           check_relations, normalize_theta)
 from crepant.roots import Root, _positive_vectors, _support_connected
@@ -778,6 +781,151 @@ def layer_profile_counts(family, max_size: int) -> dict[tuple[int, ...], int]:
     ncolours = len(family.variables)
     return {tuple(key >> width * i & mask for i in range(ncolours)): count
             for key, count in grow((family.apex,), max_size).items()}
+
+
+# The McKay superpotential and the crystal module builder as they stood
+# before the superpotential took two orientations per character and each
+# family yielded its own arrows per atom; kept verbatim but for their names
+# as the oracles for ``mckay.mckay_superpotential`` and
+# ``crystal.configuration_to_module``.
+
+_SIGN = {(1, 2, 3): 1, (1, 3, 2): -1, (2, 1, 3): -1,
+         (2, 3, 1): 1, (3, 1, 2): 1, (3, 2, 1): -1}
+
+
+def rotation_count(word: tuple[str, ...]) -> int:
+    """Number of distinct rotations of an arrow word."""
+    return len({word[i:] + word[:i] for i in range(len(word))})
+
+
+def six_orientation_superpotential(act) -> Superpotential:
+    """Antisymmetrized sum of the closed z1 z2 z3 triangles at every vertex.
+
+    Each closed 3-cycle is produced once per starting vertex; merged
+    coefficients are divided by the word's rotation count so every cyclic
+    word ends with a unit coefficient.
+    """
+    triangles = []
+    for e in act.elements():
+        for sigma in permutations((1, 2, 3)):
+            word = []
+            at = e
+            for i in sigma:
+                word.append(arrow_name(act, i, at))
+                at = act.add(at, act.weights[i - 1])
+            triangles.append((_SIGN[sigma], word))
+    terms = []
+    for word, coeff in Superpotential(triangles).terms:
+        rotations = rotation_count(word)
+        if coeff % rotations:
+            raise CrepantError("cycle coefficient not divisible by its rotations")
+        terms.append((coeff // rotations, word))
+    return Superpotential(terms)
+
+
+def box_color(family, atom) -> str:
+    i, j, k = atom
+    w1, w2, w3 = family.act.weights
+    elem = tuple((i * a + j * b + k * c) % n
+                 for a, b, c, n in zip(w1, w2, w3, family.act.orders))
+    return family.act.label(elem)
+
+
+def atom_vertex(family, atom) -> str:
+    if isinstance(family, BoxFamily):
+        return box_color(family, atom)
+    return "0" if atom[0] == "w" else "1"
+
+
+def box_arrow_action(family, name: str, atom):
+    """Image of an atom under a gauge arrow, on the full crystal."""
+    coord, src = name[1:].split("_", 1)
+    if box_color(family, atom) != src:
+        return None
+    i = int(coord)
+    return tuple(x + (1 if pos == i - 1 else 0) for pos, x in enumerate(atom))
+
+
+def pyramid_arrow_action(name: str, atom):
+    kind, a, b, c, d = atom
+    if name in ("A", "B"):
+        if kind != "w":
+            return None
+        if name == "A":
+            return ("A", a, b, 0, d) if c == 0 else ("B", a + 1, 0, c - 1, d)
+        return ("B", a, 0, c, d) if b == 0 else ("A", a, b - 1, 0, d + 1)
+    if name == "C":
+        if kind == "A":
+            return ("w", a + 1, b, 0, d)
+        if kind == "B":
+            return ("w", a, 0, c + 1, d)
+    if name == "D":
+        if kind == "A":
+            return ("w", a, b + 1, 0, d)
+        if kind == "B":
+            return ("w", a, 0, c, d + 1)
+    return None
+
+
+def arrow_action(family, name: str, atom):
+    if isinstance(family, BoxFamily):
+        return box_arrow_action(family, name, atom)
+    return pyramid_arrow_action(name, atom)
+
+
+def gauge_arrows(family):
+    if isinstance(family, BoxFamily):
+        return [a.name for a in family.quiver.arrows]
+    return ["A", "B", "C", "D"]
+
+
+def gauge_arrow_module(family, config) -> MonomialRepresentation:
+    """The framed monomial module whose basis is the configuration.
+
+    Gauge arrows act by the crystal translation where the image atom is
+    present and by zero otherwise; the framing arrow hits the apex.
+    """
+    config = frozenset(config)
+    framed = family.framed
+    fr_elt = "<framing>"
+    vertex_of = {atom: atom_vertex(family, atom) for atom in config}
+    vertex_of[fr_elt] = framed.framing_vertex
+    action: dict = {}
+    for name in gauge_arrows(family):
+        mapping = {}
+        for atom in config:
+            image = arrow_action(family, name, atom)
+            if image is not None and image in config:
+                mapping[atom] = image
+        if mapping:
+            action[name] = mapping
+    if family.apex in config:
+        action[framed.framing_arrow] = {fr_elt: family.apex}
+    return MonomialRepresentation(framed.quiver, vertex_of, action, framed=framed)
+
+
+def one_edge_gw_as_crystal(z: GWSeries, order: int, sign: int) -> FormalSeries:
+    """M(q)^2 Z(Q0 -> sign q1) Z(Q0 -> sign / q1) in (q0, q1), truncated at
+    ``order``, for the series Z of a web with one internal edge.
+
+    Here q = q0 q1 = t^2 and M is MacMahon's function, so a term
+    c Q0^j t^(2m) of Z goes to sign^j c q0^m q1^(m + j) in the first factor
+    and to sign^j c q0^m q1^(m - j) in the second.  This is the GW side of
+    the crystal series of the conifold (sign -1; Szendroi, arXiv:0705.3419)
+    and of C^2/Z_2 x C (sign 1; Young-Bryan, arXiv:0802.3948).
+    """
+    vars = ("q0", "q1")
+    plus, minus = {}, {}
+    for (j,), ts in z.terms.items():
+        for e, c in ts.coeffs.items():
+            if e % 2:
+                raise ValueError(f"odd t-power t^{e} has no image in q")
+            m = e // 2
+            plus[m, m + j] = minus[m, m - j] = sign ** j * c
+    macmahon2 = product_series(vars, order, [(-1, (k, k), -2 * k)
+                                             for k in range(1, order + 1)])
+    return macmahon2 * FormalSeries(vars, order, plus) * \
+        FormalSeries(vars, order, minus)
 
 
 def young_bryan_series(n: int, order: int) -> FormalSeries:

@@ -316,6 +316,18 @@ def test_sizes_past_the_stack_or_memory_are_one_error_line(args, flag):
     assert proc.stderr.count("\n") == 1 and flag in proc.stderr
 
 
+def test_ncdt_on_a_large_mckay_quiver_is_linear_in_its_arrows():
+    """Order 20000 builds a 20000-vertex, 60000-arrow quiver twice (plain
+    and framed); a vertex check that scans the vertex list per arrow made
+    this take about half a minute."""
+    proc = subprocess.run(BASE + ["ncdt", "mckay:20000:1,1,19998",
+                                  "--order", "2"],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    header = proc.stdout.split("\n", 1)[0]
+    assert header == " ".join(f"q{i}" for i in range(20000)) + "\t2"
+
+
 def test_insufficient_precision_names_the_t_order():
     code, out, err = run_main(["gv", "--p2", "--order", "6"])
     assert (code, out) == (1, "")

@@ -4,8 +4,9 @@ from collections import Counter
 from functools import cache
 
 import pytest
-from support import (dimension_vector, layer_profile_counts, layer_walk,
-                     reverse_search_ideals, young_bryan_series)
+from support import (dimension_vector, gauge_arrow_module,
+                     layer_profile_counts, layer_walk, reverse_search_ideals,
+                     young_bryan_series)
 
 from crepant.crystal import (configuration_to_module, configurations,
                              enumerate_configurations, family_for,
@@ -13,7 +14,8 @@ from crepant.crystal import (configuration_to_module, configurations,
 from crepant.errors import CrepantError
 from crepant.mckay import AbelianAction, parse_action
 from crepant.quiver import relations_from_potential
-from crepant.reps import check_relations, framed_theta, is_cyclic, is_semistable
+from crepant.reps import (check_relations, framed_theta, is_cyclic,
+                          is_semistable, rep_to_json)
 from crepant.series import FormalSeries, product_series
 
 
@@ -232,6 +234,17 @@ ORACLE_TOP = 11
 @cache
 def oracle_ideals(name):
     return frozenset(reverse_search_ideals(named_family(name), ORACLE_TOP))
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_module_matches_the_gauge_arrow_oracle(name):
+    fam = named_family(name)
+    for config in configurations(fam, 9):
+        rep = configuration_to_module(fam, config)
+        oracle = gauge_arrow_module(fam, config)
+        assert rep.vertex_of == oracle.vertex_of, config
+        assert rep.action == oracle.action, config
+        assert rep_to_json(rep) == rep_to_json(oracle)
 
 
 @pytest.mark.parametrize("name", FAMILIES)

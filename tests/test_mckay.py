@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import six_orientation_superpotential
 
 from crepant.errors import CrepantError
 from crepant.mckay import (AbelianAction, mckay_quiver, mckay_superpotential,
@@ -171,3 +172,18 @@ def test_z3_derivative_exact_value():
     d = cyclic_derivative(q, w, "z1_0")  # the a1 arrow out of vertex 0
     terms = {p.arrows: c for p, c in d.terms.items()}
     assert terms == {("z2_1", "z3_2"): 1, ("z3_1", "z2_2"): -1}
+
+
+# every cyclic action of order at most 8 with every weight pair, and Z2 x Z2
+ACTIONS = [AbelianAction.cyclic(n, (w1, w2, (-w1 - w2) % n))
+           for n in range(1, 9) for w1 in range(n) for w2 in range(n)] + \
+    [AbelianAction((2, 2), ((1, 0), (0, 1), (1, 1)))]
+
+
+def test_superpotential_matches_the_six_orientation_oracle():
+    assert len(ACTIONS) == 205
+    for act in ACTIONS:
+        w = mckay_superpotential(act)
+        assert w == six_orientation_superpotential(act), act
+        assert len(w.terms) == 2 * act.size, act
+        assert sorted({t.coeff for t in w.terms}) == [-1, 1], act
