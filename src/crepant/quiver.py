@@ -49,9 +49,6 @@ class Quiver:
     def arrows_into(self, v: str) -> tuple[Arrow, ...]:
         return tuple(a for a in self.arrows if a.head == v)
 
-    def loop_count(self, v: str) -> int:
-        return sum(1 for a in self.arrows if a.tail == v == a.head)
-
     def path(self, arrow_names, at: str | None = None) -> "Path":
         """Build a validated path from arrow names in traversal order.
 
@@ -198,33 +195,25 @@ class PathAlgebraElement:
     __repr__ = __str__
 
 
-def cyclic_derivative(quiver: Quiver, potential: Superpotential,
-                      arrow_name: str) -> PathAlgebraElement:
-    """Sum over occurrences of the arrow: rotate it to the front and delete it.
+def relations_from_potential(quiver: Quiver,
+                             potential: Superpotential) -> list[PathAlgebraElement]:
+    """The cyclic derivatives of the potential by every arrow, in arrow-id
+    order; zero relations are dropped.
 
-    Each resulting path runs from the arrow's head to its tail.
+    Each occurrence of an arrow adds the rest of its word, read from just
+    after the arrow, with the word's coefficient: a path from the arrow's
+    head to its tail.
     """
-    arrow = quiver.arrow(arrow_name)
     potential.validate_on(quiver)
-    acc: list[tuple[Path, int]] = []
+    acc: dict[str, list[tuple[Path, int]]] = {}
     for term in potential.terms:
         w = term.word
         for i, name in enumerate(w):
-            if name == arrow_name:
-                rest = w[i + 1:] + w[:i]
-                acc.append((quiver.path(rest, at=arrow.head), term.coeff))
-    return PathAlgebraElement(acc)
-
-
-def relations_from_potential(quiver: Quiver,
-                             potential: Superpotential) -> list[PathAlgebraElement]:
-    """One relation per arrow, in arrow-id order; zero relations are dropped."""
-    rels = []
-    for name in sorted(a.name for a in quiver.arrows):
-        r = cyclic_derivative(quiver, potential, name)
-        if not r.is_zero():
-            rels.append(r)
-    return rels
+            arrow = quiver.arrow(name)
+            rest = Path(w[i + 1:] + w[:i], arrow.head, arrow.tail)
+            acc.setdefault(name, []).append((rest, term.coeff))
+    rels = (PathAlgebraElement(acc[name]) for name in sorted(acc))
+    return [r for r in rels if not r.is_zero()]
 
 
 class FramedQuiver(namedtuple("FramedQuiver", "quiver potential framing_vertex"

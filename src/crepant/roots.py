@@ -59,14 +59,11 @@ def cartan_matrix(quiver: Quiver) -> CartanMatrix:
     vs = quiver.vertices
     index = {v: i for i, v in enumerate(vs)}
     n = len(vs)
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = 2 - 2 * quiver.loop_count(vs[i])
-    for a in quiver.arrows:
+    rows = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for a in quiver.arrows:  # a loop subtracts 2 on the diagonal
         i, j = index[a.tail], index[a.head]
-        if i != j:
-            rows[i][j] -= 1
-            rows[j][i] -= 1
+        rows[i][j] -= 1
+        rows[j][i] -= 1
     return CartanMatrix(vs, tuple(tuple(r) for r in rows))
 
 

@@ -16,12 +16,16 @@ from crepant.geometry import (CHART1, CHART2, V_COORDS, _MAX_COUNTEREXAMPLES,
                               VerificationReport, _agreement_residual,
                               _equation_residual, _equivariance_residual,
                               _transition_residual)
-from crepant.mckay import arrow_name
-from crepant.quiver import (Superpotential, c3_quiver, conifold_quiver, frame,
+from crepant.mckay import (AbelianAction, arrow_name, mckay_quiver,
+                           mckay_superpotential)
+from crepant.quiver import (Path, PathAlgebraElement, Quiver, Superpotential,
+                            c3_quiver, conifold_quiver, frame, laufer_quiver,
+                            local_p2_quiver, quiver_from_json,
                             relations_from_potential)
 from crepant.reps import (MonomialRepresentation, StabilityReport,
                           check_relations, normalize_theta)
-from crepant.roots import Root, _positive_vectors, _support_connected
+from crepant.roots import (CartanMatrix, Root, _positive_vectors,
+                          _support_connected)
 from crepant.series import FormalSeries, product_series
 from crepant.vertex import (GWSeries, TSeries, _ccw_slots, _glue,
                             _least_rotation, _pair_mul, _skew_valuation,
@@ -124,6 +128,77 @@ def reduction_positive_roots(cartan, height_bound: int) -> list:
             roots.append(Root(alpha, "imaginary"))
     roots.sort(key=lambda r: (r.height, r.vector))
     return roots
+
+
+# The cyclic derivative that ``quiver.relations_from_potential`` took once
+# per arrow, and the Cartan matrix as ``roots.cartan_matrix`` built it from
+# per-vertex loop counts, before each became one pass; kept verbatim but for
+# their names as the oracles for both.
+
+# every cyclic action of order at most 8 with every weight pair, and Z2 x Z2
+SMALL_ACTIONS = [AbelianAction.cyclic(n, (w1, w2, (-w1 - w2) % n))
+                 for n in range(1, 9) for w1 in range(n) for w2 in range(n)] + \
+    [AbelianAction((2, 2), ((1, 0), (0, 1), (1, 1)))]
+
+# arrow a repeated inside one word, and x a one-arrow loop word
+REPEAT_AND_LOOP_JSON = """{"vertices": ["0", "1"],
+ "arrows": [{"id": "a", "tail": "0", "head": "1"},
+            {"id": "b", "tail": "1", "head": "0"},
+            {"id": "x", "tail": "0", "head": "0"}],
+ "potential": [{"coeff": 2, "cycle": ["a", "b", "a", "b"]},
+               {"coeff": -3, "cycle": ["x"]},
+               {"coeff": 1, "cycle": ["x", "a", "b", "x"]}]}"""
+
+
+def small_quivers():
+    """(name, quiver, potential): the built-in quivers, laufer n = 1-4, the
+    McKay quivers of ``SMALL_ACTIONS`` and the quiver of
+    ``REPEAT_AND_LOOP_JSON``."""
+    for name, build in (("conifold", conifold_quiver), ("c3", c3_quiver),
+                        ("p2", local_p2_quiver)):
+        yield (name, *build())
+    for n in range(1, 5):
+        yield (f"laufer{n}", *laufer_quiver(n))
+    for act in SMALL_ACTIONS:
+        yield f"mckay{act.orders}{act.weights}", mckay_quiver(act), \
+            mckay_superpotential(act)
+    yield ("repeat-and-loop", *quiver_from_json(REPEAT_AND_LOOP_JSON))
+
+
+def per_arrow_cyclic_derivative(quiver: Quiver, potential: Superpotential,
+                                arrow_name: str) -> PathAlgebraElement:
+    """Sum over occurrences of the arrow: rotate it to the front and delete it.
+
+    Each resulting path runs from the arrow's head to its tail.
+    """
+    arrow = quiver.arrow(arrow_name)
+    potential.validate_on(quiver)
+    acc: list[tuple[Path, int]] = []
+    for term in potential.terms:
+        w = term.word
+        for i, name in enumerate(w):
+            if name == arrow_name:
+                rest = w[i + 1:] + w[:i]
+                acc.append((quiver.path(rest, at=arrow.head), term.coeff))
+    return PathAlgebraElement(acc)
+
+
+def loop_count_cartan_matrix(quiver: Quiver) -> CartanMatrix:
+    """Diagonal 2 - 2(loops at the vertex); off the diagonal, minus the
+    arrows between the two vertices in either direction."""
+    vs = quiver.vertices
+    index = {v: i for i, v in enumerate(vs)}
+    n = len(vs)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 2 - 2 * sum(1 for a in quiver.arrows
+                                 if a.tail == vs[i] == a.head)
+    for a in quiver.arrows:
+        i, j = index[a.tail], index[a.head]
+        if i != j:
+            rows[i][j] -= 1
+            rows[j][i] -= 1
+    return CartanMatrix(vs, tuple(tuple(r) for r in rows))
 
 
 def partial_injections(src, dst):
@@ -904,27 +979,32 @@ def gauge_arrow_module(family, config) -> MonomialRepresentation:
     return MonomialRepresentation(framed.quiver, vertex_of, action, framed=framed)
 
 
-def one_edge_gw_as_crystal(z: GWSeries, order: int, sign: int) -> FormalSeries:
-    """M(q)^2 Z(Q0 -> sign q1) Z(Q0 -> sign / q1) in (q0, q1), truncated at
-    ``order``, for the series Z of a web with one internal edge.
+def gw_as_crystal(z: GWSeries, order: int, sign: int) -> FormalSeries:
+    """M(q)^n Z(Q_i -> sign q_(i+1)) Z(Q_i -> sign / q_(i+1)) in q0..q(n-1),
+    truncated at ``order``, for the series Z of a web whose n - 1 internal
+    edges Q_0..Q_(n-2) are a chain of curves.
 
-    Here q = q0 q1 = t^2 and M is MacMahon's function, so a term
-    c Q0^j t^(2m) of Z goes to sign^j c q0^m q1^(m + j) in the first factor
-    and to sign^j c q0^m q1^(m - j) in the second.  This is the GW side of
-    the crystal series of the conifold (sign -1; Szendroi, arXiv:0705.3419)
-    and of C^2/Z_2 x C (sign 1; Young-Bryan, arXiv:0802.3948).
+    Here q = q0 q1 ... q(n-1) = t^2 and M is MacMahon's function, so a term
+    c Q^a t^(2m) of Z goes to sign^|a| c q0^m prod_i q_(i+1)^(m + a_i) in
+    the first factor and to sign^|a| c q0^m prod_i q_(i+1)^(m - a_i) in the
+    second.  This is the GW side of the crystal series of the conifold
+    (n = 2, sign -1; Szendroi, arXiv:0705.3419) and of C^2/Z_n x C with
+    weights (1, n-1, 0), glued along the A_(n-1) strip (sign 1;
+    Young-Bryan, arXiv:0802.3948).
     """
-    vars = ("q0", "q1")
+    n = len(z.vars) + 1
+    vars = tuple(f"q{i}" for i in range(n))
     plus, minus = {}, {}
-    for (j,), ts in z.terms.items():
+    for a, ts in z.terms.items():
         for e, c in ts.coeffs.items():
             if e % 2:
                 raise ValueError(f"odd t-power t^{e} has no image in q")
             m = e // 2
-            plus[m, m + j] = minus[m, m - j] = sign ** j * c
-    macmahon2 = product_series(vars, order, [(-1, (k, k), -2 * k)
-                                             for k in range(1, order + 1)])
-    return macmahon2 * FormalSeries(vars, order, plus) * \
+            plus[(m,) + tuple(m + j for j in a)] = \
+                minus[(m,) + tuple(m - j for j in a)] = sign ** sum(a) * c
+    macmahon = product_series(vars, order, [(-1, (k,) * n, -n * k)
+                                            for k in range(1, order + 1)])
+    return macmahon * FormalSeries(vars, order, plus) * \
         FormalSeries(vars, order, minus)
 
 

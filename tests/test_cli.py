@@ -328,6 +328,16 @@ def test_ncdt_on_a_large_mckay_quiver_is_linear_in_its_arrows():
     assert header == " ".join(f"q{i}" for i in range(20000)) + "\t2"
 
 
+def test_relations_on_a_large_mckay_quiver_is_one_pass():
+    """6000 arrows and 4000 cubic words; one cyclic derivative per arrow,
+    each rescanning every word, made this take about half a minute."""
+    proc = subprocess.run(BASE + ["relations", "--mckay", "2000:1,1,1998"],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.count("\n") == 6000
+
+
 def test_insufficient_precision_names_the_t_order():
     code, out, err = run_main(["gv", "--p2", "--order", "6"])
     assert (code, out) == (1, "")

@@ -3,13 +3,14 @@
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import six_orientation_superpotential
+from support import (SMALL_ACTIONS, per_arrow_cyclic_derivative,
+                     six_orientation_superpotential)
 
 from crepant.errors import CrepantError
 from crepant.mckay import (AbelianAction, mckay_quiver, mckay_superpotential,
                            parse_action)
-from crepant.quiver import (Superpotential, cyclic_derivative,
-                            local_p2_quiver, relations_from_potential)
+from crepant.quiver import (Superpotential, local_p2_quiver,
+                            relations_from_potential)
 
 
 def test_action_validation():
@@ -151,7 +152,7 @@ def test_potential_cycles_and_derivative_shapes(data):
         assert len(term.word) == 3
         assert {name.split("_")[0] for name in term.word} == {"z1", "z2", "z3"}
     for arrow in q.arrows:
-        d = cyclic_derivative(q, w, arrow.name)
+        d = per_arrow_cyclic_derivative(q, w, arrow.name)
         terms = d.sorted_terms()
         assert len(terms) == 2
         assert sorted(c for _, c in terms) == [-1, 1]
@@ -169,20 +170,14 @@ def test_z3_derivative_exact_value():
     act = AbelianAction.cyclic(3, (1, 1, 1))
     q = mckay_quiver(act)
     w = mckay_superpotential(act)
-    d = cyclic_derivative(q, w, "z1_0")  # the a1 arrow out of vertex 0
+    d = per_arrow_cyclic_derivative(q, w, "z1_0")  # the a1 arrow out of vertex 0
     terms = {p.arrows: c for p, c in d.terms.items()}
     assert terms == {("z2_1", "z3_2"): 1, ("z3_1", "z2_2"): -1}
 
 
-# every cyclic action of order at most 8 with every weight pair, and Z2 x Z2
-ACTIONS = [AbelianAction.cyclic(n, (w1, w2, (-w1 - w2) % n))
-           for n in range(1, 9) for w1 in range(n) for w2 in range(n)] + \
-    [AbelianAction((2, 2), ((1, 0), (0, 1), (1, 1)))]
-
-
 def test_superpotential_matches_the_six_orientation_oracle():
-    assert len(ACTIONS) == 205
-    for act in ACTIONS:
+    assert len(SMALL_ACTIONS) == 205
+    for act in SMALL_ACTIONS:
         w = mckay_superpotential(act)
         assert w == six_orientation_superpotential(act), act
         assert len(w.terms) == 2 * act.size, act

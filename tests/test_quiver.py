@@ -5,12 +5,13 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from support import (REPEAT_AND_LOOP_JSON, per_arrow_cyclic_derivative,
+                     small_quivers)
 
 from crepant.errors import CrepantError
 from crepant.quiver import (CyclicWord, PathAlgebraElement, Quiver,
                             Superpotential, c3_quiver, compose,
-                            conifold_quiver, cyclic_derivative, frame,
-                            laufer_quiver, local_p2_quiver, quiver_from_json,
+                            conifold_quiver, frame, laufer_quiver, local_p2_quiver, quiver_from_json,
                             quiver_to_json, relations_from_potential)
 
 
@@ -61,7 +62,7 @@ def test_compose_associative_on_short_conifold_paths(conifold):
 
 def test_cyclic_derivative_conifold(conifold):
     q, w = conifold
-    d = cyclic_derivative(q, w, "A")
+    d = per_arrow_cyclic_derivative(q, w, "A")
     expected = PathAlgebraElement([(q.path(("D", "B", "C")), 1),
                                    (q.path(("C", "B", "D")), -1)])
     assert d == expected
@@ -73,21 +74,22 @@ def test_cyclic_derivative_is_rotation_invariant(conifold):
     w2 = Superpotential([(1, ("A", "D", "B", "C")), (-1, ("B", "D", "A", "C"))])
     assert w1 == w2
     for name in "ABCD":
-        assert cyclic_derivative(q, w1, name) == cyclic_derivative(q, w2, name)
+        assert per_arrow_cyclic_derivative(q, w1, name) == \
+            per_arrow_cyclic_derivative(q, w2, name)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_loop_power_rule(m):
     q = Quiver(("v",), [("X", "v", "v")])
     w = Superpotential([(1, ("X",) * m)])
-    d = cyclic_derivative(q, w, "X")
+    d = per_arrow_cyclic_derivative(q, w, "X")
     assert d == PathAlgebraElement([(q.path(("X",) * (m - 1), at="v"), m)])
 
 
 def test_cyclic_derivative_unknown_arrow(conifold):
     q, w = conifold
     with pytest.raises(CrepantError):
-        cyclic_derivative(q, w, "nope")
+        per_arrow_cyclic_derivative(q, w, "nope")
 
 
 def test_relations_conifold_count_and_shape(conifold):
@@ -105,6 +107,32 @@ def test_relations_conifold_count_and_shape(conifold):
 def test_relations_zero_potential(conifold):
     q, _ = conifold
     assert relations_from_potential(q, Superpotential()) == []
+
+
+def test_relations_match_the_per_arrow_oracle():
+    """One pass over the words gives the nonzero cyclic derivatives by each
+    arrow, in arrow-name order, as one derivative per arrow does."""
+    quivers = list(small_quivers())
+    assert len(quivers) == 213
+    for name, q, w in quivers:
+        derivatives = (per_arrow_cyclic_derivative(q, w, a)
+                       for a in sorted(a.name for a in q.arrows))
+        assert relations_from_potential(q, w) == \
+            [d for d in derivatives if not d.is_zero()], name
+
+
+def test_relations_of_a_repeated_arrow_and_a_loop_word():
+    """Each occurrence of a counts, and the one-arrow word x leaves the
+    trivial path at its vertex."""
+    q, w = quiver_from_json(REPEAT_AND_LOOP_JSON)
+    assert [str(r) for r in relations_from_potential(q, w)] == [
+        "4*b*a*b + b*x*x", "4*a*b*a + x*x*a", "- 3*e_0 + a*b*x + x*a*b"]
+
+
+def test_relations_validate_the_potential_on_a_quiver_without_arrows():
+    q = Quiver(("v",), [])
+    with pytest.raises(CrepantError, match="unknown arrow 'x'"):
+        relations_from_potential(q, Superpotential([(1, ("x",))]))
 
 
 def test_frame_counts(conifold):

@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import brute_affine_a1_roots, reduction_positive_roots, tits
+from support import (brute_affine_a1_roots, loop_count_cartan_matrix,
+                     reduction_positive_roots, small_quivers, tits)
 
 from crepant.compare import AFFINE_A1
 from crepant.errors import CrepantError
 from crepant.mckay import AbelianAction, mckay_quiver, parse_action
-from crepant.quiver import (c3_quiver, conifold_quiver, laufer_quiver,
+from crepant.quiver import (Quiver, c3_quiver, conifold_quiver, laufer_quiver,
                             local_p2_quiver)
 from crepant.roots import CartanMatrix, cartan_matrix, positive_roots, walls_between
 
@@ -22,6 +23,17 @@ def test_cartan_examples():
     assert cartan_matrix(q3).rows == ((-4,),)
     p2, _ = local_p2_quiver()
     assert cartan_matrix(p2).rows == ((2, -3, -3), (-3, 2, -3), (-3, -3, 2))
+
+
+def test_cartan_matrix_matches_the_loop_count_formula():
+    """One pass over the arrows, a loop taking 2 off its diagonal entry,
+    gives the 2 - 2(loops) matrix."""
+    quivers = [q for _, q, _ in small_quivers()] + [Quiver(
+        ("0", "1"), [("x", "0", "0"), ("y", "0", "0"), ("z", "0", "0"),
+                     ("a", "0", "1"), ("b", "1", "0"), ("c", "0", "1")])]
+    assert cartan_matrix(quivers[-1]).rows == ((-4, -3), (-3, 2))
+    for q in quivers:
+        assert cartan_matrix(q) == loop_count_cartan_matrix(q), q
 
 
 def test_cartan_matrix_validation():
