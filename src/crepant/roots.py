@@ -6,7 +6,10 @@ Simple reflections act only at loop-free vertices, and both kinds of root
 are orbits of the Weyl group W they generate (Kac, LNM 996): the real
 roots are W applied to the loop-free simple roots, the imaginary roots W
 applied to the fundamental set K of positive vectors with connected support
-pairing nonpositively with every loop-free simple root.
+pairing nonpositively with every loop-free simple root.  K is listed by one
+pruned depth-first walk over the coordinates, with an upper bound, a lower
+bound and a cut from the height left; a reflection at i moves coordinate i
+alone, by the pairing of the root with e_i.
 """
 
 from __future__ import annotations
@@ -38,18 +41,6 @@ class CartanMatrix(namedtuple("CartanMatrix", "vertices rows")):
     @property
     def size(self) -> int:
         return len(self.vertices)
-
-    def pairing(self, alpha, i: int) -> int:
-        """(alpha, e_i) in the symmetrized bilinear form."""
-        return sum(self.rows[i][j] * a for j, a in enumerate(alpha))
-
-    def reflect(self, alpha, i: int) -> tuple[int, ...]:
-        if self.rows[i][i] != 2:
-            raise CrepantError("reflections act only at loop-free vertices")
-        c = self.pairing(alpha, i)
-        out = list(alpha)
-        out[i] -= c
-        return tuple(out)
 
     def loop_free(self) -> list[int]:
         return [i for i in range(self.size) if self.rows[i][i] == 2]
@@ -93,21 +84,93 @@ def _support_connected(cartan: CartanMatrix, alpha) -> bool:
 def _orbit(cartan: CartanMatrix, seeds, height_bound: int) -> set:
     """What loop-free simple reflections carry the positive ``seeds`` to
     through nonnegative vectors of height at most the bound, the seeds
-    included.  A reflection is invertible, so none of them is zero."""
+    included.  A reflection is invertible, so none of them is zero.
+
+    The reflection at i subtracts c = (alpha, e_i) from coordinate i alone,
+    so it gives a new vector exactly when c is nonzero, a nonnegative one
+    exactly when c <= alpha_i, and its height is the old one minus c.
+    """
+    rows = cartan.rows
     loop_free = cartan.loop_free()
     seen = set(seeds)
     frontier = list(seen)
     while frontier:
         nxt = []
         for alpha in frontier:
+            support = [(j, a) for j, a in enumerate(alpha) if a]
+            height = sum(a for _, a in support)
             for i in loop_free:
-                beta = cartan.reflect(alpha, i)
-                if beta not in seen and min(beta) >= 0 \
-                        and sum(beta) <= height_bound:
-                    seen.add(beta)
-                    nxt.append(beta)
+                row = rows[i]
+                c = sum(row[j] * a for j, a in support)
+                if c and c <= alpha[i] and height - c <= height_bound:
+                    beta = alpha[:i] + (alpha[i] - c,) + alpha[i + 1:]
+                    if beta not in seen:
+                        seen.add(beta)
+                        nxt.append(beta)
         frontier = nxt
     return seen
+
+
+def _fundamental_set(cartan: CartanMatrix, height_bound: int) -> list:
+    """The fundamental set: nonzero vectors of height at most the bound with
+    connected support pairing nonpositively with every loop-free simple
+    root, in lexicographic order.
+
+    One depth-first walk fixes a coordinate at a time.  A node holds the
+    next coordinate k, the height left, and the support fixed so far as
+    (i, alpha_i, pair_i), pair_i being (alpha, e_i) over the fixed
+    coordinates; a loop-free i off the support pairs nonpositively whatever
+    comes.  With m the largest |a_ij| over unfixed j, the walk prunes by
+
+    - an upper bound: a loop-free k needs alpha_k <= (m left - pair_k)/(2 + m);
+    - a lower bound: a fixed loop-free i whose only unfixed neighbour is k
+      needs alpha_k >= ceil(pair_i / |a_ik|);
+    - a cut: a fixed loop-free i with pair_i > m left ends the branch.
+
+    The bounds only prune; a full vector is kept by the definition.
+    """
+    rows = cartan.rows
+    n = cartan.size
+    loop_free = [rows[i][i] == 2 for i in range(n)]
+    reach = []  # reach[i][k]: the largest |a_ij| over j >= k > i
+    for i, row in enumerate(rows):
+        suffix = [0] * (n + 1)
+        for j in range(n - 1, i, -1):
+            suffix[j] = max(suffix[j + 1], -row[j])
+        reach.append(suffix)
+
+    found = []
+    stack = [(0, height_bound, ())]
+    while stack:
+        k, left, fixed = stack.pop()
+        if k == n or not left:  # every coordinate left is zero
+            if fixed and all(p <= 0 for i, _, p in fixed if loop_free[i]):
+                alpha = [0] * n
+                for i, a, _ in fixed:
+                    alpha[i] = a
+                if _support_connected(cartan, alpha):
+                    found.append(tuple(alpha))
+            continue
+        row = rows[k]  # a_ki = a_ik: the matrix is symmetric
+        pair_k = sum(row[i] * a for i, a, _ in fixed)
+        hi = left
+        if loop_free[k]:
+            m = reach[k][k + 1]
+            hi = min(hi, (m * left - pair_k) // (2 + m))
+        lo = 0
+        for i, _, p in fixed:
+            if loop_free[i] and row[i] and not reach[i][k + 1]:
+                lo = max(lo, -(p // row[i]))
+        for a in range(hi, lo - 1, -1):
+            grown = fixed
+            if a:
+                grown = tuple((i, b, p + row[i] * a) for i, b, p in fixed)
+                grown += ((k, a, pair_k + row[k] * a),)
+            rest = left - a
+            if not any(p > reach[i][k + 1] * rest
+                       for i, _, p in grown if loop_free[i]):
+                stack.append((k + 1, rest, grown))
+    return found
 
 
 def positive_roots(cartan: CartanMatrix, height_bound: int) -> list[Root]:
@@ -124,29 +187,12 @@ def positive_roots(cartan: CartanMatrix, height_bound: int) -> list[Root]:
     if height_bound < 1:
         raise CrepantError("height bound must be at least 1")
     n = cartan.size
-    loop_free = cartan.loop_free()
-    simple = [tuple(int(j == i) for j in range(n)) for i in loop_free]
-    fundamental = [
-        alpha for alpha in _positive_vectors(n, height_bound)
-        if all(cartan.pairing(alpha, i) <= 0 for i in loop_free)
-        and _support_connected(cartan, alpha)]
+    simple = [tuple(int(j == i) for j in range(n)) for i in cartan.loop_free()]
+    fundamental = _fundamental_set(cartan, height_bound)
     roots = [Root(v, "real") for v in _orbit(cartan, simple, height_bound)]
     roots += [Root(v, "imaginary")
               for v in _orbit(cartan, fundamental, height_bound)]
     return sorted(roots, key=lambda r: (r.height, r.vector))
-
-
-def _positive_vectors(n: int, bound: int):
-    """All nonzero vectors in Z_{>=0}^n of coordinate sum <= bound."""
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            if any(prefix):
-                yield tuple(prefix)
-            return
-        for a in range(remaining + 1):
-            yield from rec(prefix + [a], remaining - a, slots - 1)
-
-    yield from rec([], bound, n)
 
 
 class WallReport(namedtuple("WallReport", "separating on_wall")):

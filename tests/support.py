@@ -24,8 +24,7 @@ from crepant.quiver import (Path, PathAlgebraElement, Quiver, Superpotential,
                             relations_from_potential)
 from crepant.reps import (MonomialRepresentation, StabilityReport,
                           check_relations, normalize_theta)
-from crepant.roots import (CartanMatrix, Root, _positive_vectors,
-                          _support_connected)
+from crepant.roots import CartanMatrix, Root, _support_connected
 from crepant.series import FormalSeries, product_series
 from crepant.vertex import (GWSeries, TSeries, _ccw_slots, _glue,
                             _least_rotation, _pair_mul, _skew_valuation,
@@ -80,6 +79,44 @@ def brute_affine_a1_roots(bound):
     return reals, imag
 
 
+def pairing(cartan, alpha, i: int) -> int:
+    """(alpha, e_i) in the symmetrized bilinear form, over every entry."""
+    return sum(cartan.rows[i][j] * a for j, a in enumerate(alpha))
+
+
+def reflect(cartan, alpha, i: int) -> tuple[int, ...]:
+    """The simple reflection at a loop-free vertex, as a dense vector."""
+    if cartan.rows[i][i] != 2:
+        raise CrepantError("reflections act only at loop-free vertices")
+    c = pairing(cartan, alpha, i)
+    out = list(alpha)
+    out[i] -= c
+    return tuple(out)
+
+
+def _positive_vectors(n: int, bound: int):
+    """All nonzero vectors in Z_{>=0}^n of coordinate sum <= bound."""
+    def rec(prefix, remaining, slots):
+        if slots == 0:
+            if any(prefix):
+                yield tuple(prefix)
+            return
+        for a in range(remaining + 1):
+            yield from rec(prefix + [a], remaining - a, slots - 1)
+
+    yield from rec([], bound, n)
+
+
+def scan_fundamental_set(cartan, height_bound: int) -> list:
+    """The lattice scan for the fundamental set: every positive vector of
+    height at most the bound, kept when it pairs nonpositively with every
+    loop-free simple root and has connected support; lexicographic."""
+    loop_free = cartan.loop_free()
+    return [alpha for alpha in _positive_vectors(cartan.size, height_bound)
+            if all(pairing(cartan, alpha, i) <= 0 for i in loop_free)
+            and _support_connected(cartan, alpha)]
+
+
 def _imaginary_root(cartan, alpha) -> bool:
     """Reduce by height-decreasing reflections; test the terminal vector."""
     loop_free = cartan.loop_free()
@@ -87,13 +124,13 @@ def _imaginary_root(cartan, alpha) -> bool:
     while True:
         if any(a < 0 for a in alpha):
             return False
-        positives = [i for i in loop_free if cartan.pairing(alpha, i) > 0]
+        positives = [i for i in loop_free if pairing(cartan, alpha, i) > 0]
         if not positives:
             return _support_connected(cartan, alpha)
         i = positives[0]
         if alpha == tuple(1 if j == i else 0 for j in range(cartan.size)):
             return False  # a loop-free simple root is real
-        alpha = cartan.reflect(alpha, i)
+        alpha = reflect(cartan, alpha, i)
 
 
 def reduction_positive_roots(cartan, height_bound: int) -> list:
@@ -114,7 +151,7 @@ def reduction_positive_roots(cartan, height_bound: int) -> list:
         nxt = []
         for alpha in frontier:
             for i in loop_free:
-                beta = cartan.reflect(alpha, i)
+                beta = reflect(cartan, alpha, i)
                 if beta in reals or any(b < 0 for b in beta) or not any(beta):
                     continue
                 if sum(beta) <= height_bound:
@@ -439,7 +476,7 @@ def partitions_upto(n: int) -> list:
 
 def tits(cartan, alpha) -> int:
     """The Tits form (alpha, alpha) of a ``CartanMatrix``."""
-    return sum(a * cartan.pairing(alpha, i) for i, a in enumerate(alpha))
+    return sum(a * pairing(cartan, alpha, i) for i, a in enumerate(alpha))
 
 
 def area2(polygon) -> int:

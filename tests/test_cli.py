@@ -338,6 +338,21 @@ def test_relations_on_a_large_mckay_quiver_is_one_pass():
     assert proc.stdout.count("\n") == 6000
 
 
+@pytest.mark.parametrize("mckay,height,lines", [
+    ("200:1,1,198", "2", 600), ("1200:1,1,1198", "1", 1200)])
+def test_roots_on_a_large_mckay_quiver_skip_the_lattice_scan(mckay, height,
+                                                             lines):
+    """Listing the fundamental set by scanning every vector of height <= 2
+    and pairing each one densely took about 20 s at rank 200; at rank 1200
+    the scan's recursion ran out of stack."""
+    proc = subprocess.run(BASE + ["roots", "--mckay", mckay,
+                                  "--height", height],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert "error:" not in proc.stderr
+    assert proc.stdout.count("\n") == lines
+
+
 def test_insufficient_precision_names_the_t_order():
     code, out, err = run_main(["gv", "--p2", "--order", "6"])
     assert (code, out) == (1, "")

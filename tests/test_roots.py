@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from support import (brute_affine_a1_roots, loop_count_cartan_matrix,
-                     reduction_positive_roots, small_quivers, tits)
+                     reduction_positive_roots, reflect, scan_fundamental_set,
+                     small_quivers, tits)
 
 from crepant.compare import AFFINE_A1
 from crepant.errors import CrepantError
 from crepant.mckay import AbelianAction, mckay_quiver, parse_action
 from crepant.quiver import (Quiver, c3_quiver, conifold_quiver, laufer_quiver,
                             local_p2_quiver)
-from crepant.roots import CartanMatrix, cartan_matrix, positive_roots, walls_between
+from crepant.roots import (CartanMatrix, _fundamental_set, cartan_matrix,
+                          positive_roots, walls_between)
 
 
 def test_cartan_examples():
@@ -74,7 +76,7 @@ def test_real_roots_have_tits_two_and_reflection_closure():
         else:
             assert tits(cm, r.vector) <= 0
         for i in cm.loop_free():
-            w = cm.reflect(r.vector, i)
+            w = reflect(cm, r.vector, i)
             if min(w) >= 0 and 0 < sum(w) <= 9:
                 assert w in vectors
 
@@ -145,14 +147,31 @@ def test_quiver_roots_match_the_reduction_route(cartan):
             reduction_positive_roots(cartan, height), height
 
 
-def test_affine_a1_orbits_reach_height_400():
-    roots = positive_roots(AFFINE_A1, 400)
+@settings(max_examples=300, deadline=None)
+@given(cartan_matrices(), st.integers(1, 8))
+def test_walk_lists_the_fundamental_set_the_scan_lists(cartan, height):
+    assert _fundamental_set(cartan, height) == \
+        scan_fundamental_set(cartan, height)
+
+
+@pytest.mark.parametrize("cartan", [pytest.param(c, id=name)
+                                    for name, c in _test_cartan_matrices()])
+def test_quiver_fundamental_sets_match_the_scan(cartan):
+    for height in range(1, 13):
+        assert _fundamental_set(cartan, height) == \
+            scan_fundamental_set(cartan, height), height
+
+
+@pytest.mark.parametrize("height", [400, 10000])
+def test_affine_a1_orbits_reach_height(height):
+    half = height // 2
+    roots = positive_roots(AFFINE_A1, height)
     reals = {r.vector for r in roots if r.kind == "real"}
     imags = {r.vector for r in roots if r.kind == "imaginary"}
-    assert reals == {(a, a + 1) for a in range(200)} | \
-        {(a + 1, a) for a in range(200)}
-    assert imags == {(m, m) for m in range(1, 201)}
-    assert len(roots) == 600
+    assert reals == {(a, a + 1) for a in range(half)} | \
+        {(a + 1, a) for a in range(half)}
+    assert imags == {(m, m) for m in range(1, half + 1)}
+    assert len(roots) == 3 * half
 
 
 def test_walls_between_examples():
