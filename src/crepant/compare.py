@@ -17,7 +17,8 @@ from .crystal import PyramidFamily, family_for, ncdt_series
 from .errors import CrepantError, json_text
 from .mckay import AbelianAction
 from .reps import normalize_theta
-from .roots import CartanMatrix, Root, _dot, cartan_matrix, positive_roots
+from .roots import (CartanMatrix, Root, _pairing, _scaled_ints, cartan_matrix,
+                    positive_roots)
 from .series import FormalSeries
 from .toric import (dual_web, p2_triangle, unit_square, unit_triangle,
                     unit_triangulations, zn_triangle)
@@ -40,11 +41,12 @@ def chamber_certificate(theta, roots: list[Root],
     """
     from fractions import Fraction
     theta = tuple(Fraction(t) for t in theta)
+    ints = _scaled_ints(theta)
     signs = []
     for root in roots:
         if root.height > radius:
             continue
-        value = _dot(theta, root.vector)
+        value = _pairing(ints, root.vector)
         if value == 0:
             raise CrepantError(f"theta lies on the wall of root {root.vector}")
         signs.append((root.vector, root.kind, 1 if value > 0 else -1))

@@ -3,7 +3,9 @@
 A monomial representation has a labelled basis and every arrow acting as a
 partial injective map on basis elements.  Subrepresentations that can
 violate stability are spanned by basis subsets closed under the arrow maps,
-so stability is decided exactly by enumerating those subsets.
+so stability is decided exactly by enumerating those subsets.  They are
+streamed as bitmasks in increasing order, never listed: the scan stops at
+the first violating closed mask, which is the least one.
 
 The stability test follows the framed counting convention: a representation
 is stable when every nonzero proper arrow-closed subset pairs strictly
@@ -11,11 +13,12 @@ negatively with theta, equivalently every proper quotient pairs strictly
 positively.  With all gauge entries negative and the framing entry fixed by
 admissibility, stable coincides with cyclic.
 
-Theta is worked on as integers: ``_scaled`` multiplies it once by the lcm
-of its denominators, which keeps the sign of every pairing.  The framing
-entry, the admissibility check and the scan over closed subsets all sum
-those ints; a ``Fraction`` is built only for the returned framing entry and
-for the text of the "not admissible" error.
+Theta is worked on as integers: ``_scaled`` multiplies it once per call by
+the lcm of its denominators, which keeps the sign of every pairing.  The
+framing entry, the admissibility check and the scan over closed subsets all
+sum those ints; a ``Fraction`` is built only for the returned framing entry
+and for the text of the "not admissible" error.  The root pairings of
+``roots`` and ``compare`` scale theta by the same ``_scaled``.
 """
 
 from __future__ import annotations
@@ -106,27 +109,34 @@ def check_relations(rep: MonomialRepresentation,
     return True
 
 
-def _closed_subsets(rep: MonomialRepresentation):
-    """All arrow-closed basis subsets as bitmasks, with the basis list."""
-    basis = rep.basis()
+def _closed_subsets(rep: MonomialRepresentation, basis: list, weight: list):
+    """Yield ``(mask, total)`` for each arrow-closed subset of ``basis``,
+    which is ``rep.basis()``, in increasing mask order.
+
+    Bit i of a mask is ``basis[i]`` and ``total`` sums ``weight[i]`` over
+    its bits.  Closure is read from one table of out-masks, and the closure
+    test and the sum share one walk over a mask's bits, which stops at the
+    first element whose arrows leave the mask.  Nothing is listed, so a
+    caller that stops early pays only for the masks it was given.
+    """
     index = {b: i for i, b in enumerate(basis)}
     out_mask = [0] * len(basis)
     for mapping in rep.action.values():
         for src, dst in mapping.items():
             out_mask[index[src]] |= 1 << index[dst]
-    closed = []
     for s in range(1 << len(basis)):
+        outside = ~s
+        total = 0
         m = s
-        ok = True
         while m:
-            i = (m & -m).bit_length() - 1
-            if out_mask[i] & ~s:
-                ok = False
+            low = m & -m
+            i = low.bit_length() - 1
+            if out_mask[i] & outside:
                 break
-            m &= m - 1
-        if ok:
-            closed.append(s)
-    return basis, closed
+            total += weight[i]
+            m ^= low
+        else:
+            yield s, total
 
 
 def subrep_dimension_vectors(rep: MonomialRepresentation) -> set[tuple[int, ...]]:
@@ -135,10 +145,10 @@ def subrep_dimension_vectors(rep: MonomialRepresentation) -> set[tuple[int, ...]
     Vectors are tuples ordered like ``rep.quiver.vertices``; the zero and
     full subsets are always present.
     """
-    basis, closed = _closed_subsets(rep)
+    basis = rep.basis()
     vindex = {v: i for i, v in enumerate(rep.quiver.vertices)}
     vectors = set()
-    for s in closed:
+    for s, _ in _closed_subsets(rep, basis, [0] * len(basis)):
         dims = [0] * len(rep.quiver.vertices)
         m = s
         while m:
@@ -169,6 +179,10 @@ Fraction = None
 
 
 def _as_fraction(x) -> Fraction:
+    # a plain int first: isinstance against Fraction goes through the
+    # numbers ABCs' instance hook for anything that is not a Fraction
+    if type(x) is int:
+        return Fraction(x)
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int) and not isinstance(x, bool):
@@ -185,12 +199,22 @@ def normalize_theta(theta: dict) -> dict[str, Fraction]:
     return {str(v): _as_fraction(x) for v, x in theta.items()}
 
 
-def _scaled(theta: dict[str, Fraction]) -> tuple[int, dict[str, int]]:
+def _scaled(theta: dict) -> tuple[int, dict]:
     """A normalized theta as ``(scale, ints)``: ``scale`` is the lcm of its
-    denominators and ``ints[v]`` is ``scale * theta[v]``."""
-    scale = lcm(*(x.denominator for x in theta.values()))
+    denominators and ``ints[v]`` is ``scale * theta[v]``, so a pairing
+    summed over the ints has the sign of the exact one."""
+    scale = lcm(*[x.denominator for x in theta.values()])
+    if scale == 1:
+        return 1, {v: x.numerator for v, x in theta.items()}
     return scale, {v: x.numerator * (scale // x.denominator)
                    for v, x in theta.items()}
+
+
+def _framing_entry(theta: dict[str, Fraction], alpha: dict[str, int]) -> Fraction:
+    """Minus the pairing of a normalized theta with alpha, summed over
+    theta's vertices, every one of which alpha must name."""
+    scale, ints = _scaled(theta)
+    return Fraction(-sum(n * alpha[v] for v, n in ints.items()), scale)
 
 
 def theta_infinity(theta: dict, alpha: dict[str, int]) -> Fraction:
@@ -198,8 +222,7 @@ def theta_infinity(theta: dict, alpha: dict[str, int]) -> Fraction:
     theta = normalize_theta(theta)
     if set(theta) != set(alpha):
         raise CrepantError("theta and the dimension vector disagree on vertices")
-    scale, ints = _scaled(theta)
-    return Fraction(-sum(ints[v] * alpha[v] for v in alpha), scale)
+    return _framing_entry(theta, alpha)
 
 
 def framed_theta(gauge_theta: dict, alpha: dict[str, int],
@@ -209,8 +232,9 @@ def framed_theta(gauge_theta: dict, alpha: dict[str, int],
     ``gauge_theta`` must name exactly the vertices of ``alpha`` other than
     the framing vertex."""
     theta = normalize_theta(gauge_theta)
-    gauge_alpha = {v: n for v, n in alpha.items() if v != framing_vertex}
-    theta[framing_vertex] = theta_infinity(theta, gauge_alpha)
+    if set(theta) != set(alpha) - {framing_vertex}:
+        raise CrepantError("theta and the dimension vector disagree on vertices")
+    theta[framing_vertex] = _framing_entry(theta, alpha)
     return theta
 
 
@@ -223,36 +247,28 @@ def is_semistable(rep: MonomialRepresentation, theta: dict) -> StabilityReport:
     the quotient value is the negative of the subset value, so stable means
     every subset pairs strictly negatively.  Pairings are summed over
     ``_scaled(theta)``'s ints, which have theta's signs.  Bit i of a subset
-    mask is ``rep.basis()[i]``, and the reported subset of an unstable
-    representation is the least violating closed mask.
+    mask is ``rep.basis()[i]``; the closed masks are streamed in increasing
+    order and the scan stops at the first violating one, which is the
+    reported subset of an unstable representation.
     """
     theta = normalize_theta(theta)
-    alpha = rep.dimension_vector()
-    if set(theta) != set(alpha):
+    if set(theta) != set(rep.quiver.vertices):
         raise CrepantError("theta is not defined on the representation's vertices")
     scale, ints = _scaled(theta)
-    pairing = sum(ints[v] * alpha[v] for v in alpha)
+    basis = rep.basis()
+    weight = [ints[rep.vertex_of[b]] for b in basis]
+    pairing = sum(weight)
     if pairing:
         raise CrepantError("theta is not admissible: theta . alpha = "
                            f"{Fraction(pairing, scale)}")
 
-    basis, closed = _closed_subsets(rep)
     full = (1 << len(basis)) - 1
-    weight = [ints[rep.vertex_of[b]] for b in basis]
     tight = False
-    for s in closed:
-        if s == 0 or s == full:
-            continue
-        value = 0
-        m = s
-        while m:
-            i = (m & -m).bit_length() - 1
-            value += weight[i]
-            m &= m - 1
+    for s, value in _closed_subsets(rep, basis, weight):
         if value > 0:
             subset = tuple(basis[i] for i in range(len(basis)) if s >> i & 1)
             return StabilityReport("unstable", subset)
-        if value == 0:
+        if value == 0 and 0 < s < full:
             tight = True
     return StabilityReport("semistable" if tight else "stable")
 

@@ -9,7 +9,9 @@ applied to the fundamental set K of positive vectors with connected support
 pairing nonpositively with every loop-free simple root.  K is listed by one
 pruned depth-first walk over the coordinates, with an upper bound, a lower
 bound and a cut from the height left; a reflection at i moves coordinate i
-alone, by the pairing of the root with e_i.
+alone, by the pairing of the root with e_i.  A wall test pairs a rational
+theta, scaled once to ints by ``reps._scaled``, with each root over the
+root's nonzero coordinates; the ints keep every pairing's sign.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from collections import namedtuple
 
 from .errors import CrepantError
 from .quiver import Quiver
+from .reps import _scaled
 
 
 class CartanMatrix(namedtuple("CartanMatrix", "vertices rows")):
@@ -199,10 +202,17 @@ class WallReport(namedtuple("WallReport", "separating on_wall")):
     __slots__ = ()
 
 
-def _dot(theta, vector):
-    """The exact pairing of a rational ``theta`` with a root vector."""
+def _scaled_ints(theta) -> dict[int, int]:
+    """A rational vector scaled once to ints by ``reps._scaled``: coordinate
+    k maps to ``scale * theta[k]``, so a pairing summed over the ints has
+    the sign of the exact pairing."""
     from fractions import Fraction
-    return sum((Fraction(t) * v for t, v in zip(theta, vector)), Fraction(0))
+    return _scaled(dict(enumerate(map(Fraction, theta))))[1]
+
+
+def _pairing(ints: dict[int, int], vector) -> int:
+    """Scaled ints paired with a root vector over its nonzero coordinates."""
+    return sum(ints[i] * c for i, c in enumerate(vector) if c)
 
 
 def walls_between(theta1, theta2, roots: list[Root]) -> WallReport:
@@ -219,10 +229,11 @@ def walls_between(theta1, theta2, roots: list[Root]) -> WallReport:
         if len(theta) != size:
             raise CrepantError(f"{name} has {len(theta)} entries,"
                                f" expected {size}")
+    ints1, ints2 = _scaled_ints(theta1), _scaled_ints(theta2)
     separating, on_wall = [], []
     for root in roots:
-        a = _dot(theta1, root.vector)
-        b = _dot(theta2, root.vector)
+        a = _pairing(ints1, root.vector)
+        b = _pairing(ints2, root.vector)
         if a == 0 or b == 0:
             on_wall.append(root)
         elif (a < 0) != (b < 0):

@@ -479,6 +479,41 @@ def tits(cartan, alpha) -> int:
     return sum(a * pairing(cartan, alpha, i) for i, a in enumerate(alpha))
 
 
+def fraction_dot(theta, vector) -> Fraction:
+    """The exact pairing of a rational ``theta`` with a root vector, summed
+    in ``Fraction``s: the reference for ``roots._pairing``, which sums
+    theta's scaled ints and so keeps only the sign."""
+    return sum((Fraction(t) * v for t, v in zip(theta, vector)), Fraction(0))
+
+
+def fraction_walls_between(theta1, theta2, roots) -> tuple[tuple, tuple]:
+    """``(separating, on_wall)`` from ``fraction_dot``: the reference for
+    ``roots.walls_between`` on parameters of the right length."""
+    separating, on_wall = [], []
+    for root in roots:
+        a = fraction_dot(theta1, root.vector)
+        b = fraction_dot(theta2, root.vector)
+        if a == 0 or b == 0:
+            on_wall.append(root)
+        elif (a < 0) != (b < 0):
+            separating.append(root)
+    return tuple(separating), tuple(on_wall)
+
+
+def fraction_certificate_signs(theta, roots, radius: int) -> tuple:
+    """``compare.chamber_certificate``'s signs from ``fraction_dot``, with
+    its error for a theta on the wall of a root up to the radius."""
+    signs = []
+    for root in roots:
+        if root.height <= radius:
+            value = fraction_dot(theta, root.vector)
+            if value == 0:
+                raise CrepantError(
+                    f"theta lies on the wall of root {root.vector}")
+            signs.append((root.vector, root.kind, 1 if value > 0 else -1))
+    return tuple(signs)
+
+
 def area2(polygon) -> int:
     """Twice the area of a ``LatticePolygon``, by the shoelace formula."""
     vs = polygon.vertices

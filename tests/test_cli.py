@@ -112,6 +112,30 @@ def test_stability_subcommand(tmp_path):
     assert data["classification"] in ("stable", "semistable", "unstable")
 
 
+def _limit_address_space_400mb():
+    resource.setrlimit(resource.RLIMIT_AS, (400 * 2 ** 20, 400 * 2 ** 20))
+
+
+def test_stability_on_a_large_rep_streams_its_subsets(tmp_path):
+    """24 basis elements and no arrows: all 2**24 subsets are closed.  The
+    scan meets them one at a time, so the first violating one, the single
+    element b00 of weight 1 at mask 2**12, ends it within 400 MB of
+    address space for the command; a list of every closed mask does not
+    fit there."""
+    basis = [{"id": f"{tag}{i:02}", "vertex": vertex}
+             for tag, vertex in (("a", "0"), ("b", "1")) for i in range(12)]
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps({"basis": basis, "actions": []}))
+    proc = subprocess.run(
+        BASE + ["stability", "--builtin", "conifold", "--rep", str(path),
+                "--theta", "0=-1,1=1"],
+        capture_output=True, text=True, timeout=30,
+        preexec_fn=_limit_address_space_400mb)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {"classification": "unstable",
+                                       "violating_subset": ["b00"]}
+
+
 _CONIFOLD_BASIS = [{"id": "b0", "vertex": "0"}, {"id": "b1", "vertex": "1"}]
 
 

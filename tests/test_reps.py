@@ -14,9 +14,10 @@ from support import (framed_c3_modules, framed_conifold_modules,
 from crepant.crystal import configuration_to_module, configurations, family_for
 from crepant.errors import CrepantError
 from crepant.quiver import c3_quiver, conifold_quiver, frame, relations_from_potential
-from crepant.reps import (MonomialRepresentation, check_relations, framed_theta,
-                          is_cyclic, is_semistable, normalize_theta, rep_from_json,
-                          rep_to_json, subrep_dimension_vectors, theta_infinity)
+from crepant.reps import (MonomialRepresentation, _closed_subsets, check_relations,
+                          framed_theta, is_cyclic, is_semistable, normalize_theta,
+                          rep_from_json, rep_to_json, subrep_dimension_vectors,
+                          theta_infinity)
 
 
 def c3_rep(action, n_basis):
@@ -87,19 +88,26 @@ def test_subrep_vectors_zero_rep():
 
 
 def test_subset_lattice_closed_under_union():
+    """The closed masks of every c3 crystal module of at most four atoms are
+    closed under union and give ``subrep_dimension_vectors``' vectors.
+    ``_closed_subsets`` streams its masks, so they are read once into a
+    list before the loops that read them twice; a second pass over the
+    generator would see nothing and pass vacuously."""
     fam = family_for("c3")
     for config in configurations(fam, 4):
         rep = configuration_to_module(fam, config)
-        basis, closed = [], []
-        # recompute closed subsets through the public surface
-        vectors = subrep_dimension_vectors(rep)
-        # union closure is checked on the subsets themselves
-        from crepant.reps import _closed_subsets
-        basis, masks = _closed_subsets(rep)
+        basis = rep.basis()
+        masks = [s for s, _ in _closed_subsets(rep, basis, [0] * len(basis))]
+        assert masks[0] == 0 and masks[-1] == (1 << len(basis)) - 1
         mask_set = set(masks)
         for s in masks:
             for t in masks:
                 assert (s | t) in mask_set
+        vectors = {tuple(sum(s >> i & 1 for i, b in enumerate(basis)
+                             if rep.vertex_of[b] == v)
+                         for v in rep.quiver.vertices)
+                   for s in masks}
+        assert vectors == subrep_dimension_vectors(rep)
 
 
 def test_theta_zero_never_unstable():

@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import (brute_affine_a1_roots, loop_count_cartan_matrix,
+from support import (brute_affine_a1_roots, fraction_certificate_signs,
+                     fraction_walls_between, loop_count_cartan_matrix,
                      reduction_positive_roots, reflect, scan_fundamental_set,
                      small_quivers, tits)
 
-from crepant.compare import AFFINE_A1
+from crepant.compare import AFFINE_A1, chamber_certificate
 from crepant.errors import CrepantError
 from crepant.mckay import AbelianAction, mckay_quiver, parse_action
 from crepant.quiver import (Quiver, c3_quiver, conifold_quiver, laufer_quiver,
@@ -206,3 +207,39 @@ def test_walls_reject_theta_of_the_wrong_length():
         walls_between((1, -1), (1,), roots)
     with pytest.raises(CrepantError, match="theta2 has 1 entries, expected 2"):
         walls_between((1, -1), (1,), [])
+
+
+# zeros and entries of equal numerators over the denominators 2, 3, 4 and 6
+# put parameters on walls and make bare numerators give other signs
+WALL_ENTRIES = (0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 3), Fraction(1, 4),
+                Fraction(-1, 6), Fraction(5, 6), "-2/3", "3/4")
+WALL_CARTANS = (AFFINE_A1, cartan_matrix(local_p2_quiver()[0]),
+                cartan_matrix(mckay_quiver(parse_action("5:1,1,3"))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(WALL_CARTANS), st.integers(1, 6), st.data())
+def test_int_pairings_match_the_fraction_dot(cartan, height, data):
+    """``walls_between`` and ``chamber_certificate`` pair scaled ints with
+    each root; on rational parameters with mixed denominators they give the
+    reports the ``Fraction`` pairing gives, and a parameter on a wall names
+    the root the ``Fraction`` route stops at."""
+    roots = positive_roots(cartan, height)
+    entries = st.lists(st.sampled_from(WALL_ENTRIES), min_size=cartan.size,
+                       max_size=cartan.size)
+    theta1, theta2 = data.draw(entries), data.draw(entries)
+    report = walls_between(theta1, theta2, roots)
+    assert (report.separating, report.on_wall) == \
+        fraction_walls_between(theta1, theta2, roots)
+
+    def signs_or_error(certify):
+        try:
+            return certify(theta1, roots, height)
+        except CrepantError as exc:
+            return str(exc)
+
+    got = signs_or_error(chamber_certificate)
+    if not isinstance(got, str):
+        assert got.theta == tuple(map(Fraction, theta1))
+        got = got.signs
+    assert got == signs_or_error(fraction_certificate_signs)

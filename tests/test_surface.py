@@ -22,6 +22,8 @@ ALLOWED = {
                         " for stability --rep",
     "reps.subrep_dimension_vectors": "the dimension vectors of the"
                                      " submodules that is_semistable weighs",
+    "reps.theta_infinity": "the admissible framing entry alone, the one"
+                           " framed_theta appends",
     "vertex.vertex": "the amplitude at any rotation of its arguments; the"
                      " summands take the least rotation themselves",
 }
