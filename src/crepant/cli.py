@@ -568,8 +568,9 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
 
 # the arguments that size a computation, in the order they are named when
-# one runs out of memory or of stack
-_SIZE_ARGS = ("t_order", "order", "height", "trials", "wall_radius")
+# one runs out of memory or of stack; a McKay quiver's order is its rank,
+# and the Cartan matrix of ``roots`` and ``walls`` holds rank**2 entries
+_SIZE_ARGS = ("mckay", "t_order", "order", "height", "trials", "wall_radius")
 
 
 def _too_large(args, what: str) -> str:

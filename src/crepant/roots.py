@@ -6,17 +6,20 @@ Simple reflections act only at loop-free vertices, and both kinds of root
 are orbits of the Weyl group W they generate (Kac, LNM 996): the real
 roots are W applied to the loop-free simple roots, the imaginary roots W
 applied to the fundamental set K of positive vectors with connected support
-pairing nonpositively with every loop-free simple root.  K is listed by one
-pruned depth-first walk over the coordinates, with an upper bound, a lower
-bound and a cut from the height left; a reflection at i moves coordinate i
-alone, by the pairing of the root with e_i.  A wall test pairs a rational
-theta, scaled once to ints by ``reps._scaled``, with each root over the
-root's nonzero coordinates; the ints keep every pairing's sign.
+pairing nonpositively with every loop-free simple root.  Each row's nonzero
+columns are listed once per call.  K is listed by one pruned depth-first
+walk over the coordinates, bounded by the height left and by each row's
+last neighbour and largest |a_ij| right of the diagonal; a reflection at i
+moves coordinate i alone, by the pairing of the root with e_i over i's
+neighbours.  A wall test pairs a rational theta, scaled once to ints by
+``reps._scaled``, with each root over the root's nonzero coordinates; the
+ints keep every pairing's sign.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import compress
 
 from .errors import CrepantError
 from .quiver import Quiver
@@ -28,17 +31,15 @@ class CartanMatrix(namedtuple("CartanMatrix", "vertices rows")):
 
     def __new__(cls, vertices, rows):
         n = len(vertices)
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        rows = tuple(tuple(map(int, row)) for row in rows)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise CrepantError("Cartan matrix shape does not match the vertices")
-        for i in range(n):
-            if rows[i][i] > 2:
-                raise CrepantError("diagonal Cartan entries must be at most 2")
-            for j in range(n):
-                if rows[i][j] != rows[j][i]:
-                    raise CrepantError("Cartan matrix must be symmetric")
-                if i != j and rows[i][j] > 0:
-                    raise CrepantError("off-diagonal Cartan entries must be <= 0")
+        if any(row[i] > 2 for i, row in enumerate(rows)):
+            raise CrepantError("diagonal Cartan entries must be at most 2")
+        if rows != tuple(zip(*rows)):
+            raise CrepantError("Cartan matrix must be symmetric")
+        if any(max(row[i + 1:], default=0) > 0 for i, row in enumerate(rows)):
+            raise CrepantError("off-diagonal Cartan entries must be <= 0")
         return super().__new__(cls, vertices, rows)
 
     @property
@@ -53,12 +54,12 @@ def cartan_matrix(quiver: Quiver) -> CartanMatrix:
     vs = quiver.vertices
     index = {v: i for i, v in enumerate(vs)}
     n = len(vs)
-    rows = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    rows = [[0] * i + [2] + [0] * (n - i - 1) for i in range(n)]
     for a in quiver.arrows:  # a loop subtracts 2 on the diagonal
         i, j = index[a.tail], index[a.head]
         rows[i][j] -= 1
         rows[j][i] -= 1
-    return CartanMatrix(vs, tuple(tuple(r) for r in rows))
+    return CartanMatrix(vs, rows)
 
 
 class Root(namedtuple("Root", "vector kind")):  # kind: "real" or "imaginary"
@@ -84,27 +85,38 @@ def _support_connected(cartan: CartanMatrix, alpha) -> bool:
     return len(seen) == len(support)
 
 
-def _orbit(cartan: CartanMatrix, seeds, height_bound: int) -> set:
+def _neighbours(cartan: CartanMatrix) -> list[list[int]]:
+    """Each row's nonzero columns, in increasing order."""
+    return [list(compress(range(cartan.size), row)) for row in cartan.rows]
+
+
+def _orbit(cartan: CartanMatrix, neighbours, seeds, height_bound: int) -> set:
     """What loop-free simple reflections carry the positive ``seeds`` to
     through nonnegative vectors of height at most the bound, the seeds
     included.  A reflection is invertible, so none of them is zero.
 
     The reflection at i subtracts c = (alpha, e_i) from coordinate i alone,
     so it gives a new vector exactly when c is nonzero, a nonnegative one
-    exactly when c <= alpha_i, and its height is the old one minus c.
+    exactly when c <= alpha_i, and its height is the old one minus c.  c is
+    0 unless i neighbours the support, and sums over i's neighbours.
     """
     rows = cartan.rows
-    loop_free = cartan.loop_free()
+    indices = range(cartan.size)
+    loop_free = [row[i] == 2 for i, row in enumerate(rows)]
     seen = set(seeds)
     frontier = list(seen)
     while frontier:
         nxt = []
         for alpha in frontier:
-            support = [(j, a) for j, a in enumerate(alpha) if a]
-            height = sum(a for _, a in support)
-            for i in loop_free:
+            height = sum(alpha)
+            near = set()
+            for j in compress(indices, alpha):
+                near.update(neighbours[j])
+            for i in near:
+                if not loop_free[i]:
+                    continue
                 row = rows[i]
-                c = sum(row[j] * a for j, a in support)
+                c = sum([row[j] * alpha[j] for j in neighbours[i]])
                 if c and c <= alpha[i] and height - c <= height_bound:
                     beta = alpha[:i] + (alpha[i] - c,) + alpha[i + 1:]
                     if beta not in seen:
@@ -114,7 +126,8 @@ def _orbit(cartan: CartanMatrix, seeds, height_bound: int) -> set:
     return seen
 
 
-def _fundamental_set(cartan: CartanMatrix, height_bound: int) -> list:
+def _fundamental_set(cartan: CartanMatrix, neighbours,
+                     height_bound: int) -> list:
     """The fundamental set: nonzero vectors of height at most the bound with
     connected support pairing nonpositively with every loop-free simple
     root, in lexicographic order.
@@ -123,24 +136,23 @@ def _fundamental_set(cartan: CartanMatrix, height_bound: int) -> list:
     next coordinate k, the height left, and the support fixed so far as
     (i, alpha_i, pair_i), pair_i being (alpha, e_i) over the fixed
     coordinates; a loop-free i off the support pairs nonpositively whatever
-    comes.  With m the largest |a_ij| over unfixed j, the walk prunes by
+    comes.  With m the largest |a_ij| over i's neighbours j > i while one
+    is unfixed, else 0, the walk prunes by
 
     - an upper bound: a loop-free k needs alpha_k <= (m left - pair_k)/(2 + m);
-    - a lower bound: a fixed loop-free i whose only unfixed neighbour is k
-      needs alpha_k >= ceil(pair_i / |a_ik|);
+    - a lower bound: a fixed loop-free i whose last neighbour is k needs
+      alpha_k >= ceil(pair_i / |a_ik|);
     - a cut: a fixed loop-free i with pair_i > m left ends the branch.
 
-    The bounds only prune; a full vector is kept by the definition.
+    m may exceed the largest |a_ij| over unfixed j only in the cut, which
+    then prunes less; a full vector is kept by the definition.
     """
     rows = cartan.rows
     n = cartan.size
     loop_free = [rows[i][i] == 2 for i in range(n)]
-    reach = []  # reach[i][k]: the largest |a_ij| over j >= k > i
-    for i, row in enumerate(rows):
-        suffix = [0] * (n + 1)
-        for j in range(n - 1, i, -1):
-            suffix[j] = max(suffix[j + 1], -row[j])
-        reach.append(suffix)
+    above = [[j for j in near if j > i] for i, near in enumerate(neighbours)]
+    top = [max([-r[j] for j in up], default=0) for r, up in zip(rows, above)]
+    last = [up[-1] if up else i for i, up in enumerate(above)]
 
     found = []
     stack = [(0, height_bound, ())]
@@ -156,13 +168,11 @@ def _fundamental_set(cartan: CartanMatrix, height_bound: int) -> list:
             continue
         row = rows[k]  # a_ki = a_ik: the matrix is symmetric
         pair_k = sum(row[i] * a for i, a, _ in fixed)
-        hi = left
-        if loop_free[k]:
-            m = reach[k][k + 1]
-            hi = min(hi, (m * left - pair_k) // (2 + m))
+        m = top[k]
+        hi = min(left, (m * left - pair_k) // (2 + m)) if loop_free[k] else left
         lo = 0
         for i, _, p in fixed:
-            if loop_free[i] and row[i] and not reach[i][k + 1]:
+            if loop_free[i] and last[i] == k:
                 lo = max(lo, -(p // row[i]))
         for a in range(hi, lo - 1, -1):
             grown = fixed
@@ -170,7 +180,7 @@ def _fundamental_set(cartan: CartanMatrix, height_bound: int) -> list:
                 grown = tuple((i, b, p + row[i] * a) for i, b, p in fixed)
                 grown += ((k, a, pair_k + row[k] * a),)
             rest = left - a
-            if not any(p > reach[i][k + 1] * rest
+            if not any(p > (top[i] if last[i] > k else 0) * rest
                        for i, _, p in grown if loop_free[i]):
                 stack.append((k + 1, rest, grown))
     return found
@@ -190,11 +200,13 @@ def positive_roots(cartan: CartanMatrix, height_bound: int) -> list[Root]:
     if height_bound < 1:
         raise CrepantError("height bound must be at least 1")
     n = cartan.size
-    simple = [tuple(int(j == i) for j in range(n)) for i in cartan.loop_free()]
-    fundamental = _fundamental_set(cartan, height_bound)
-    roots = [Root(v, "real") for v in _orbit(cartan, simple, height_bound)]
+    neighbours = _neighbours(cartan)
+    simple = [(0,) * i + (1,) + (0,) * (n - i - 1) for i in cartan.loop_free()]
+    fundamental = _fundamental_set(cartan, neighbours, height_bound)
+    roots = [Root(v, "real")
+             for v in _orbit(cartan, neighbours, simple, height_bound)]
     roots += [Root(v, "imaginary")
-              for v in _orbit(cartan, fundamental, height_bound)]
+              for v in _orbit(cartan, neighbours, fundamental, height_bound)]
     return sorted(roots, key=lambda r: (r.height, r.vector))
 
 

@@ -117,6 +117,40 @@ def scan_fundamental_set(cartan, height_bound: int) -> list:
             and _support_connected(cartan, alpha)]
 
 
+def dense_orbit(cartan: CartanMatrix, seeds, height_bound: int) -> set:
+    """What loop-free simple reflections carry the positive ``seeds`` to
+    through nonnegative vectors of height at most the bound, the seeds
+    included.  A reflection is invertible, so none of them is zero.
+
+    The reflection at i subtracts c = (alpha, e_i) from coordinate i alone,
+    so it gives a new vector exactly when c is nonzero, a nonnegative one
+    exactly when c <= alpha_i, and its height is the old one minus c.
+
+    The dense route to ``roots._orbit``, which ``roots`` took before it
+    read the matrix through neighbour lists: c for every loop-free vertex
+    of every root, summed over the root's whole support.
+    """
+    rows = cartan.rows
+    loop_free = cartan.loop_free()
+    seen = set(seeds)
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for alpha in frontier:
+            support = [(j, a) for j, a in enumerate(alpha) if a]
+            height = sum(a for _, a in support)
+            for i in loop_free:
+                row = rows[i]
+                c = sum(row[j] * a for j, a in support)
+                if c and c <= alpha[i] and height - c <= height_bound:
+                    beta = alpha[:i] + (alpha[i] - c,) + alpha[i + 1:]
+                    if beta not in seen:
+                        seen.add(beta)
+                        nxt.append(beta)
+        frontier = nxt
+    return seen
+
+
 def _imaginary_root(cartan, alpha) -> bool:
     """Reduce by height-decreasing reflections; test the terminal vector."""
     loop_free = cartan.loop_free()

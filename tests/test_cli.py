@@ -1,6 +1,7 @@
 """CLI behaviour: outputs, schemas, exit codes, determinism."""
 
 import ast
+import hashlib
 import io
 import json
 import os
@@ -375,6 +376,55 @@ def test_roots_on_a_large_mckay_quiver_skip_the_lattice_scan(mckay, height,
     assert proc.returncode == 0, proc.stderr
     assert "error:" not in proc.stderr
     assert proc.stdout.count("\n") == lines
+
+
+def test_roots_at_rank_3000_reads_rows_through_neighbour_lists():
+    """3000 simple roots, each a 3000-vector: every reflection pairing a
+    dense row with the root and every K bound read from an n x n suffix
+    table took about 11 s; neighbour lists leave the dense matrix and the
+    printed output."""
+    proc = subprocess.run(BASE + ["roots", "--mckay", "3000:1,1,2998",
+                                  "--height", "1"],
+                          capture_output=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count(b"\n") == 3000
+    assert hashlib.md5(proc.stdout).hexdigest() == \
+        "facf34416933fa852bfcdefb0cb5ce07"
+
+
+def test_walls_at_rank_400_prints_the_recorded_bytes():
+    """theta1 = (1^200, -1^200) against -theta1 over every root of height
+    at most 2 of the rank-400 McKay quiver."""
+    theta1 = ",".join(["1"] * 200 + ["-1"] * 200)
+    theta2 = ",".join(["-1"] * 200 + ["1"] * 200)
+    code, out, err = run_main(["walls", "--mckay", "400:1,1,398",
+                               "--height", "2", f"--theta1={theta1}",
+                               f"--theta2={theta2}"])
+    assert (code, err) == (0, "")
+    assert hashlib.md5(out.encode()).hexdigest() == \
+        "69316e7b9dd918f27121b09f86cb72db"
+
+
+@pytest.mark.parametrize("args,limit", [
+    (("roots", "--mckay", "12000:1,1,11998", "--height", "1"), 2 ** 29),
+    (("walls", "--mckay", "12000:1,1,11998", "--height", "1",
+      "--theta1=1", "--theta2=1"), 2 ** 29),
+    (("roots", "--mckay", "20000:1,1,19998", "--height", "1"), 2 ** 30),
+])
+def test_a_rank_past_memory_names_mckay(args, limit):
+    """The Cartan matrix holds rank**2 entries, so a rank past memory is
+    one error line naming ``--mckay``; ``--height`` is already at its
+    least value."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(BASE + list(args), capture_output=True, text=True,
+                          timeout=30, preexec_fn=cap)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("error:") == 1
+    assert proc.stderr.count("\n") == 1
+    assert f"--mckay {args[2]}" in proc.stderr
 
 
 def test_insufficient_precision_names_the_t_order():

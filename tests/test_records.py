@@ -184,6 +184,9 @@ _INTO_INF = Quiver(_FRAMED.quiver.vertices,
      "Cartan matrix must be symmetric"),
     (lambda: CartanMatrix(("0", "1"), ((2, 1), (1, 2))),
      "off-diagonal Cartan entries must be <= 0"),
+    # two faults: the diagonal is checked before symmetry
+    (lambda: CartanMatrix(("0", "1"), ((2, -1), (-2, 3))),
+     "diagonal Cartan entries must be at most 2"),
     (lambda: LatticePolygon(((0, 0), (1, 0))),
      "polygon needs at least three distinct vertices"),
     (lambda: LatticePolygon(((0, 0), (1, 0), (1, 0), (0, 1))),

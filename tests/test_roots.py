@@ -5,18 +5,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import (brute_affine_a1_roots, fraction_certificate_signs,
-                     fraction_walls_between, loop_count_cartan_matrix,
-                     reduction_positive_roots, reflect, scan_fundamental_set,
-                     small_quivers, tits)
+from support import (brute_affine_a1_roots, dense_orbit,
+                     fraction_certificate_signs, fraction_walls_between,
+                     loop_count_cartan_matrix, reduction_positive_roots,
+                     reflect, scan_fundamental_set, small_quivers, tits)
 
 from crepant.compare import AFFINE_A1, chamber_certificate
 from crepant.errors import CrepantError
 from crepant.mckay import AbelianAction, mckay_quiver, parse_action
 from crepant.quiver import (Quiver, c3_quiver, conifold_quiver, laufer_quiver,
                             local_p2_quiver)
-from crepant.roots import (CartanMatrix, _fundamental_set, cartan_matrix,
-                          positive_roots, walls_between)
+from crepant.roots import (CartanMatrix, _fundamental_set, _neighbours,
+                          _orbit, cartan_matrix, positive_roots, walls_between)
 
 
 def test_cartan_examples():
@@ -151,7 +151,7 @@ def test_quiver_roots_match_the_reduction_route(cartan):
 @settings(max_examples=300, deadline=None)
 @given(cartan_matrices(), st.integers(1, 8))
 def test_walk_lists_the_fundamental_set_the_scan_lists(cartan, height):
-    assert _fundamental_set(cartan, height) == \
+    assert _fundamental_set(cartan, _neighbours(cartan), height) == \
         scan_fundamental_set(cartan, height)
 
 
@@ -159,8 +159,39 @@ def test_walk_lists_the_fundamental_set_the_scan_lists(cartan, height):
                                     for name, c in _test_cartan_matrices()])
 def test_quiver_fundamental_sets_match_the_scan(cartan):
     for height in range(1, 13):
-        assert _fundamental_set(cartan, height) == \
+        assert _fundamental_set(cartan, _neighbours(cartan), height) == \
             scan_fundamental_set(cartan, height), height
+
+
+def _orbits_match_the_dense_orbits(cartan, height):
+    """``_orbit`` over neighbour lists reaches what the dense orbit reaches,
+    from the loop-free simple roots and from the fundamental set."""
+    n = cartan.size
+    neighbours = _neighbours(cartan)
+    simple = [tuple(int(j == i) for j in range(n)) for i in cartan.loop_free()]
+    fundamental = _fundamental_set(cartan, neighbours, height)
+    for seeds in (simple, fundamental):
+        assert _orbit(cartan, neighbours, seeds, height) == \
+            dense_orbit(cartan, seeds, height), (seeds, height)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cartan_matrices(), st.integers(1, 8))
+def test_neighbour_orbits_match_the_dense_orbits(cartan, height):
+    _orbits_match_the_dense_orbits(cartan, height)
+
+
+@pytest.mark.parametrize("cartan", [pytest.param(c, id=name)
+                                    for name, c in _test_cartan_matrices()])
+def test_quiver_neighbour_orbits_match_the_dense_orbits(cartan):
+    for height in range(1, 11):
+        _orbits_match_the_dense_orbits(cartan, height)
+
+
+def test_mckay_60_neighbour_orbits_match_the_dense_orbits():
+    cartan = cartan_matrix(mckay_quiver(parse_action("60:1,1,58")))
+    for height in (1, 2, 3):
+        _orbits_match_the_dense_orbits(cartan, height)
 
 
 @pytest.mark.parametrize("height", [400, 10000])
