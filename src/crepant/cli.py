@@ -242,7 +242,7 @@ def _cartan_from_args(args) -> roots.CartanMatrix:
     if args.cartan:
         _check_laufer_n(args)
         names = tuple(str(i) for i in range(len(args.cartan)))
-        return roots.CartanMatrix(names, tuple(map(tuple, args.cartan)))
+        return roots.CartanMatrix.from_dense(names, args.cartan)
     q, _ = _load_quiver(args)
     return roots.cartan_matrix(q)
 
@@ -569,7 +569,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
 # the arguments that size a computation, in the order they are named when
 # one runs out of memory or of stack; a McKay quiver's order is its rank,
-# and the Cartan matrix of ``roots`` and ``walls`` holds rank**2 entries
+# and the roots of ``roots`` and ``walls`` are vectors of rank coordinates
 _SIZE_ARGS = ("mckay", "t_order", "order", "height", "trials", "wall_radius")
 
 

@@ -53,7 +53,7 @@ def chamber_certificate(theta, roots: list[Root],
     return ChamberCertificate(theta, radius, tuple(signs))
 
 
-AFFINE_A1 = CartanMatrix(("0", "1"), ((2, -2), (-2, 2)))
+AFFINE_A1 = CartanMatrix.from_dense(("0", "1"), ((2, -2), (-2, 2)))
 
 
 def _gw_polygon(act: AbelianAction):

@@ -6,14 +6,15 @@ Simple reflections act only at loop-free vertices, and both kinds of root
 are orbits of the Weyl group W they generate (Kac, LNM 996): the real
 roots are W applied to the loop-free simple roots, the imaginary roots W
 applied to the fundamental set K of positive vectors with connected support
-pairing nonpositively with every loop-free simple root.  Each row's nonzero
-columns are listed once per call.  K is listed by one pruned depth-first
-walk over the coordinates, bounded by the height left and by each row's
-last neighbour and largest |a_ij| right of the diagonal; a reflection at i
-moves coordinate i alone, by the pairing of the root with e_i over i's
-neighbours.  A wall test pairs a rational theta, scaled once to ints by
-``reps._scaled``, with each root over the root's nonzero coordinates; the
-ints keep every pairing's sign.
+pairing nonpositively with every loop-free simple root.  The matrix keeps
+one form: each row holds its nonzero entries only, filled from the arrows
+in one pass; square rows enter through ``CartanMatrix.from_dense``.  K is
+listed by one pruned depth-first walk over the coordinates, bounded by the
+height left and by each row's last neighbour and largest |a_ij| right of
+the diagonal; a reflection at i moves coordinate i alone, by the pairing of
+the root with e_i over row i's entries.  A wall test pairs a rational
+theta, scaled once to ints by ``reps._scaled``, with each root over the
+root's nonzero coordinates; the ints keep every pairing's sign.
 """
 
 from __future__ import annotations
@@ -27,39 +28,55 @@ from .reps import _scaled
 
 
 class CartanMatrix(namedtuple("CartanMatrix", "vertices rows")):
+    """``rows[i]`` maps each column j with a_ij != 0 to the int a_ij, in
+    increasing j; a missing key is a zero entry.  Only the stored entries
+    are checked."""
     __slots__ = ()
+    _SHAPE = "Cartan matrix shape does not match the vertices"
 
     def __new__(cls, vertices, rows):
         n = len(vertices)
-        rows = tuple(tuple(map(int, row)) for row in rows)
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise CrepantError("Cartan matrix shape does not match the vertices")
-        if any(row[i] > 2 for i, row in enumerate(rows)):
+        rows = tuple(rows)
+        if len(rows) != n or any(not 0 <= j < n for row in rows for j in row):
+            raise CrepantError(cls._SHAPE)
+        if any(row.get(i, 0) > 2 for i, row in enumerate(rows)):
             raise CrepantError("diagonal Cartan entries must be at most 2")
-        if rows != tuple(zip(*rows)):
+        if any(rows[j].get(i) != a
+               for i, row in enumerate(rows) for j, a in row.items()):
             raise CrepantError("Cartan matrix must be symmetric")
-        if any(max(row[i + 1:], default=0) > 0 for i, row in enumerate(rows)):
+        if any(a > 0 for i, row in enumerate(rows) for j, a in row.items()
+               if j != i):
             raise CrepantError("off-diagonal Cartan entries must be <= 0")
         return super().__new__(cls, vertices, rows)
+
+    @classmethod
+    def from_dense(cls, vertices, rows) -> CartanMatrix:
+        """The matrix of square ``rows``, each entry coerced to ``int``."""
+        n = len(vertices)
+        rows = tuple(tuple(map(int, row)) for row in rows)
+        if len(rows) != n or any(len(r) != n for r in rows):
+            raise CrepantError(cls._SHAPE)
+        return cls(vertices, [{j: a for j, a in enumerate(row) if a}
+                              for row in rows])
 
     @property
     def size(self) -> int:
         return len(self.vertices)
 
     def loop_free(self) -> list[int]:
-        return [i for i in range(self.size) if self.rows[i][i] == 2]
+        return [i for i, row in enumerate(self.rows) if row.get(i) == 2]
 
 
 def cartan_matrix(quiver: Quiver) -> CartanMatrix:
     vs = quiver.vertices
     index = {v: i for i, v in enumerate(vs)}
-    n = len(vs)
-    rows = [[0] * i + [2] + [0] * (n - i - 1) for i in range(n)]
+    rows = [{i: 2} for i in range(len(vs))]
     for a in quiver.arrows:  # a loop subtracts 2 on the diagonal
         i, j = index[a.tail], index[a.head]
-        rows[i][j] -= 1
-        rows[j][i] -= 1
-    return CartanMatrix(vs, rows)
+        rows[i][j] = rows[i].get(j, 0) - 1
+        rows[j][i] = rows[j].get(i, 0) - 1
+    return CartanMatrix(vs, [{j: a for j, a in sorted(row.items()) if a}
+                             for row in rows])
 
 
 class Root(namedtuple("Root", "vector kind")):  # kind: "real" or "imaginary"
@@ -78,19 +95,14 @@ def _support_connected(cartan: CartanMatrix, alpha) -> bool:
     queue = [support[0]]
     while queue:
         i = queue.pop()
-        for j in support:
-            if j not in seen and cartan.rows[i][j] != 0:
+        for j in cartan.rows[i]:
+            if alpha[j] and j not in seen:
                 seen.add(j)
                 queue.append(j)
     return len(seen) == len(support)
 
 
-def _neighbours(cartan: CartanMatrix) -> list[list[int]]:
-    """Each row's nonzero columns, in increasing order."""
-    return [list(compress(range(cartan.size), row)) for row in cartan.rows]
-
-
-def _orbit(cartan: CartanMatrix, neighbours, seeds, height_bound: int) -> set:
+def _orbit(cartan: CartanMatrix, seeds, height_bound: int) -> set:
     """What loop-free simple reflections carry the positive ``seeds`` to
     through nonnegative vectors of height at most the bound, the seeds
     included.  A reflection is invertible, so none of them is zero.
@@ -98,11 +110,11 @@ def _orbit(cartan: CartanMatrix, neighbours, seeds, height_bound: int) -> set:
     The reflection at i subtracts c = (alpha, e_i) from coordinate i alone,
     so it gives a new vector exactly when c is nonzero, a nonnegative one
     exactly when c <= alpha_i, and its height is the old one minus c.  c is
-    0 unless i neighbours the support, and sums over i's neighbours.
+    0 unless i neighbours the support, and sums over row i's entries.
     """
     rows = cartan.rows
     indices = range(cartan.size)
-    loop_free = [row[i] == 2 for i, row in enumerate(rows)]
+    loop_free = [row.get(i) == 2 for i, row in enumerate(rows)]
     seen = set(seeds)
     frontier = list(seen)
     while frontier:
@@ -111,12 +123,11 @@ def _orbit(cartan: CartanMatrix, neighbours, seeds, height_bound: int) -> set:
             height = sum(alpha)
             near = set()
             for j in compress(indices, alpha):
-                near.update(neighbours[j])
+                near.update(rows[j])
             for i in near:
                 if not loop_free[i]:
                     continue
-                row = rows[i]
-                c = sum([row[j] * alpha[j] for j in neighbours[i]])
+                c = sum([a * alpha[j] for j, a in rows[i].items()])
                 if c and c <= alpha[i] and height - c <= height_bound:
                     beta = alpha[:i] + (alpha[i] - c,) + alpha[i + 1:]
                     if beta not in seen:
@@ -126,8 +137,7 @@ def _orbit(cartan: CartanMatrix, neighbours, seeds, height_bound: int) -> set:
     return seen
 
 
-def _fundamental_set(cartan: CartanMatrix, neighbours,
-                     height_bound: int) -> list:
+def _fundamental_set(cartan: CartanMatrix, height_bound: int) -> list:
     """The fundamental set: nonzero vectors of height at most the bound with
     connected support pairing nonpositively with every loop-free simple
     root, in lexicographic order.
@@ -149,10 +159,10 @@ def _fundamental_set(cartan: CartanMatrix, neighbours,
     """
     rows = cartan.rows
     n = cartan.size
-    loop_free = [rows[i][i] == 2 for i in range(n)]
-    above = [[j for j in near if j > i] for i, near in enumerate(neighbours)]
+    loop_free = [row.get(i) == 2 for i, row in enumerate(rows)]
+    above = [[j for j in row if j > i] for i, row in enumerate(rows)]
     top = [max([-r[j] for j in up], default=0) for r, up in zip(rows, above)]
-    last = [up[-1] if up else i for i, up in enumerate(above)]
+    last = [max(up, default=i) for i, up in enumerate(above)]
 
     found = []
     stack = [(0, height_bound, ())]
@@ -167,7 +177,7 @@ def _fundamental_set(cartan: CartanMatrix, neighbours,
                     found.append(tuple(alpha))
             continue
         row = rows[k]  # a_ki = a_ik: the matrix is symmetric
-        pair_k = sum(row[i] * a for i, a, _ in fixed)
+        pair_k = sum(row.get(i, 0) * a for i, a, _ in fixed)
         m = top[k]
         hi = min(left, (m * left - pair_k) // (2 + m)) if loop_free[k] else left
         lo = 0
@@ -177,8 +187,9 @@ def _fundamental_set(cartan: CartanMatrix, neighbours,
         for a in range(hi, lo - 1, -1):
             grown = fixed
             if a:
-                grown = tuple((i, b, p + row[i] * a) for i, b, p in fixed)
-                grown += ((k, a, pair_k + row[k] * a),)
+                grown = tuple((i, b, p + row.get(i, 0) * a)
+                              for i, b, p in fixed)
+                grown += ((k, a, pair_k + row.get(k, 0) * a),)
             rest = left - a
             if not any(p > (top[i] if last[i] > k else 0) * rest
                        for i, _, p in grown if loop_free[i]):
@@ -200,13 +211,11 @@ def positive_roots(cartan: CartanMatrix, height_bound: int) -> list[Root]:
     if height_bound < 1:
         raise CrepantError("height bound must be at least 1")
     n = cartan.size
-    neighbours = _neighbours(cartan)
     simple = [(0,) * i + (1,) + (0,) * (n - i - 1) for i in cartan.loop_free()]
-    fundamental = _fundamental_set(cartan, neighbours, height_bound)
-    roots = [Root(v, "real")
-             for v in _orbit(cartan, neighbours, simple, height_bound)]
+    fundamental = _fundamental_set(cartan, height_bound)
+    roots = [Root(v, "real") for v in _orbit(cartan, simple, height_bound)]
     roots += [Root(v, "imaginary")
-              for v in _orbit(cartan, neighbours, fundamental, height_bound)]
+              for v in _orbit(cartan, fundamental, height_bound)]
     return sorted(roots, key=lambda r: (r.height, r.vector))
 
 

@@ -79,14 +79,21 @@ def brute_affine_a1_roots(bound):
     return reals, imag
 
 
+def dense_row(cartan, i: int) -> list[int]:
+    """Row i of a ``CartanMatrix`` with its zeros, from the stored nonzero
+    entries: the dense oracles read the matrix through this alone."""
+    row = cartan.rows[i]
+    return [row.get(j, 0) for j in range(cartan.size)]
+
+
 def pairing(cartan, alpha, i: int) -> int:
     """(alpha, e_i) in the symmetrized bilinear form, over every entry."""
-    return sum(cartan.rows[i][j] * a for j, a in enumerate(alpha))
+    return sum(x * a for x, a in zip(dense_row(cartan, i), alpha))
 
 
 def reflect(cartan, alpha, i: int) -> tuple[int, ...]:
     """The simple reflection at a loop-free vertex, as a dense vector."""
-    if cartan.rows[i][i] != 2:
+    if dense_row(cartan, i)[i] != 2:
         raise CrepantError("reflections act only at loop-free vertices")
     c = pairing(cartan, alpha, i)
     out = list(alpha)
@@ -127,10 +134,10 @@ def dense_orbit(cartan: CartanMatrix, seeds, height_bound: int) -> set:
     exactly when c <= alpha_i, and its height is the old one minus c.
 
     The dense route to ``roots._orbit``, which ``roots`` took before it
-    read the matrix through neighbour lists: c for every loop-free vertex
-    of every root, summed over the root's whole support.
+    read the matrix through each row's nonzero entries: c for every
+    loop-free vertex of every root, summed over the root's whole support.
     """
-    rows = cartan.rows
+    rows = [dense_row(cartan, i) for i in range(cartan.size)]
     loop_free = cartan.loop_free()
     seen = set(seeds)
     frontier = list(seen)
@@ -204,7 +211,8 @@ def reduction_positive_roots(cartan, height_bound: int) -> list:
 # The cyclic derivative that ``quiver.relations_from_potential`` took once
 # per arrow, and the Cartan matrix as ``roots.cartan_matrix`` built it from
 # per-vertex loop counts, before each became one pass; kept verbatim but for
-# their names as the oracles for both.
+# their names (and the Cartan matrix's return through
+# ``CartanMatrix.from_dense``) as the oracles for both.
 
 # every cyclic action of order at most 8 with every weight pair, and Z2 x Z2
 SMALL_ACTIONS = [AbelianAction.cyclic(n, (w1, w2, (-w1 - w2) % n))
@@ -269,7 +277,25 @@ def loop_count_cartan_matrix(quiver: Quiver) -> CartanMatrix:
         if i != j:
             rows[i][j] -= 1
             rows[j][i] -= 1
-    return CartanMatrix(vs, tuple(tuple(r) for r in rows))
+    return CartanMatrix.from_dense(vs, tuple(tuple(r) for r in rows))
+
+
+def dense_cartan_rows(vertices, rows) -> tuple:
+    """The square rows coerced to ``int`` and checked as ``CartanMatrix``
+    did while it stored them dense, verbatim but for returning the rows:
+    the oracle for ``CartanMatrix.from_dense``, which keeps each row's
+    nonzero entries and checks only those."""
+    n = len(vertices)
+    rows = tuple(tuple(map(int, row)) for row in rows)
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise CrepantError("Cartan matrix shape does not match the vertices")
+    if any(row[i] > 2 for i, row in enumerate(rows)):
+        raise CrepantError("diagonal Cartan entries must be at most 2")
+    if rows != tuple(zip(*rows)):
+        raise CrepantError("Cartan matrix must be symmetric")
+    if any(max(row[i + 1:], default=0) > 0 for i, row in enumerate(rows)):
+        raise CrepantError("off-diagonal Cartan entries must be <= 0")
+    return rows
 
 
 def partial_injections(src, dst):

@@ -193,7 +193,7 @@ def test_criterion_7_local_p2_integrality():
 
 def test_criterion_8_root_system():
     budget = Budget(1.0)
-    cm = CartanMatrix(("0", "1"), ((2, -2), (-2, 2)))
+    cm = CartanMatrix.from_dense(("0", "1"), ((2, -2), (-2, 2)))
     roots = positive_roots(cm, 9)
     reals = {r.vector for r in roots if r.kind == "real"}
     imags = {r.vector for r in roots if r.kind == "imaginary"}

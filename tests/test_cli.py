@@ -381,8 +381,9 @@ def test_roots_on_a_large_mckay_quiver_skip_the_lattice_scan(mckay, height,
 def test_roots_at_rank_3000_reads_rows_through_neighbour_lists():
     """3000 simple roots, each a 3000-vector: every reflection pairing a
     dense row with the root and every K bound read from an n x n suffix
-    table took about 11 s; neighbour lists leave the dense matrix and the
-    printed output."""
+    table took about 11 s.  Each row of the Cartan matrix holds only its
+    nonzero entries, built from the arrows in one pass, so what is left is
+    the orbit over each row's entries and the printed output."""
     proc = subprocess.run(BASE + ["roots", "--mckay", "3000:1,1,2998",
                                   "--height", "1"],
                           capture_output=True, timeout=10)
@@ -412,9 +413,9 @@ def test_walls_at_rank_400_prints_the_recorded_bytes():
     (("roots", "--mckay", "20000:1,1,19998", "--height", "1"), 2 ** 30),
 ])
 def test_a_rank_past_memory_names_mckay(args, limit):
-    """The Cartan matrix holds rank**2 entries, so a rank past memory is
-    one error line naming ``--mckay``; ``--height`` is already at its
-    least value."""
+    """The roots at height 1 are the rank's simple roots, rank**2
+    coordinates in all, so a rank past memory is one error line naming
+    ``--mckay``; ``--height`` is already at its least value."""
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 

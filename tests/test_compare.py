@@ -10,7 +10,8 @@ from crepant.mckay import AbelianAction
 from crepant.roots import CartanMatrix, positive_roots
 from crepant.series import FormalSeries
 
-AFFINE_A1_ROOTS = positive_roots(CartanMatrix(("0", "1"), ((2, -2), (-2, 2))), 9)
+AFFINE_A1_ROOTS = positive_roots(
+    CartanMatrix.from_dense(("0", "1"), ((2, -2), (-2, 2))), 9)
 
 
 def test_certificate_signs_and_scaling():

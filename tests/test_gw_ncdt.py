@@ -47,7 +47,7 @@ def test_a1_crystal_is_the_a1_strip_vertex():
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="the glue drops summands whose chains truncate to"
                           " zero, so Q-degrees near the cutoff are wrong"
-                          " (ROADMAP item 2)")
+                          " (ROADMAP item 1)")
 @pytest.mark.parametrize("order, t_cutoff", [(10, 20), (8, 16)])
 def test_a1_crystal_is_the_a1_strip_vertex_at_t_cutoff_2n(order, t_cutoff):
     """1 mismatch at N = 10, t 20 and 7 at N = 8, t 16 today."""
@@ -64,7 +64,7 @@ def test_a2_crystal_is_the_a2_strip_vertex(order, t_cutoff):
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="the glue drops summands whose chains truncate to"
                           " zero, so Q-degrees near the cutoff are wrong"
-                          " (ROADMAP item 2)")
+                          " (ROADMAP item 1)")
 @pytest.mark.parametrize("order, t_cutoff", [(6, 18), (5, 10)])
 def test_a2_crystal_is_the_a2_strip_vertex_at_low_t_cutoffs(order, t_cutoff):
     """1 mismatch today at each size, at q0^N."""

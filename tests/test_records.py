@@ -176,17 +176,20 @@ _INTO_INF = Quiver(_FRAMED.quiver.vertices,
      "framing vertex must have the single framing arrow"),
     (lambda: FramedQuiver(_FRAMED.quiver, _W, "inf", "A", "0"),
      "framing vertex must have the single framing arrow"),
-    (lambda: CartanMatrix(("0", "1"), ((2, -2),)),
+    (lambda: CartanMatrix.from_dense(("0", "1"), ((2, -2),)),
      "Cartan matrix shape does not match the vertices"),
-    (lambda: CartanMatrix(("0",), ((3,),)),
+    (lambda: CartanMatrix.from_dense(("0",), ((3,),)),
      "diagonal Cartan entries must be at most 2"),
-    (lambda: CartanMatrix(("0", "1"), ((2, -1), (-2, 2))),
+    (lambda: CartanMatrix.from_dense(("0", "1"), ((2, -1), (-2, 2))),
      "Cartan matrix must be symmetric"),
-    (lambda: CartanMatrix(("0", "1"), ((2, 1), (1, 2))),
+    (lambda: CartanMatrix.from_dense(("0", "1"), ((2, 1), (1, 2))),
      "off-diagonal Cartan entries must be <= 0"),
     # two faults: the diagonal is checked before symmetry
-    (lambda: CartanMatrix(("0", "1"), ((2, -1), (-2, 3))),
+    (lambda: CartanMatrix.from_dense(("0", "1"), ((2, -1), (-2, 3))),
      "diagonal Cartan entries must be at most 2"),
+    # the stored form: a column past the vertices is a shape fault
+    (lambda: CartanMatrix(("0", "1"), ({0: 2, 2: -1}, {1: 2})),
+     "Cartan matrix shape does not match the vertices"),
     (lambda: LatticePolygon(((0, 0), (1, 0))),
      "polygon needs at least three distinct vertices"),
     (lambda: LatticePolygon(((0, 0), (1, 0), (1, 0), (0, 1))),
@@ -212,9 +215,9 @@ def test_validators_normalise_as_before():
     fq = FramedQuiver(_FRAMED.quiver, _W, "inf", "fr", "0")
     assert fq == _FRAMED and fq.gauge_vertices() == ("0", "1")
 
-    cm = CartanMatrix(("0", "1"), [[2.0, -2], [True - 3, 2]])
-    assert cm.rows == ((2, -2), (-2, 2)) and cm == AFFINE_A1
-    assert all(type(x) is int for row in cm.rows for x in row)
+    cm = CartanMatrix.from_dense(("0", "1"), [[2.0, -2], [True - 3, 2]])
+    assert cm.rows == ({0: 2, 1: -2}, {0: -2, 1: 2}) and cm == AFFINE_A1
+    assert all(type(x) is int for row in cm.rows for x in row.values())
 
     poly = LatticePolygon([[0, 0], [1.0, 0], [1, 1], ["0", 1]])
     assert poly.vertices == ((0, 0), (1, 0), (1, 1), (0, 1))

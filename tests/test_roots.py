@@ -1,11 +1,14 @@
 """Cartan matrices, positive roots, and walls."""
 
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from support import (brute_affine_a1_roots, dense_orbit,
+from support import (brute_affine_a1_roots, dense_cartan_rows, dense_orbit,
                      fraction_certificate_signs, fraction_walls_between,
                      loop_count_cartan_matrix, reduction_positive_roots,
                      reflect, scan_fundamental_set, small_quivers, tits)
@@ -15,17 +18,19 @@ from crepant.errors import CrepantError
 from crepant.mckay import AbelianAction, mckay_quiver, parse_action
 from crepant.quiver import (Quiver, c3_quiver, conifold_quiver, laufer_quiver,
                             local_p2_quiver)
-from crepant.roots import (CartanMatrix, _fundamental_set, _neighbours,
-                          _orbit, cartan_matrix, positive_roots, walls_between)
+from crepant.roots import (CartanMatrix, _fundamental_set, _orbit,
+                           cartan_matrix, positive_roots, walls_between)
 
 
 def test_cartan_examples():
     q, _ = conifold_quiver()
-    assert cartan_matrix(q).rows == ((2, -4), (-4, 2))
+    assert cartan_matrix(q).rows == ({0: 2, 1: -4}, {0: -4, 1: 2})
     q3, _ = c3_quiver()
-    assert cartan_matrix(q3).rows == ((-4,),)
+    assert cartan_matrix(q3).rows == ({0: -4},)
     p2, _ = local_p2_quiver()
-    assert cartan_matrix(p2).rows == ((2, -3, -3), (-3, 2, -3), (-3, -3, 2))
+    assert cartan_matrix(p2).rows == ({0: 2, 1: -3, 2: -3},
+                                      {0: -3, 1: 2, 2: -3},
+                                      {0: -3, 1: -3, 2: 2})
 
 
 def test_cartan_matrix_matches_the_loop_count_formula():
@@ -34,29 +39,105 @@ def test_cartan_matrix_matches_the_loop_count_formula():
     quivers = [q for _, q, _ in small_quivers()] + [Quiver(
         ("0", "1"), [("x", "0", "0"), ("y", "0", "0"), ("z", "0", "0"),
                      ("a", "0", "1"), ("b", "1", "0"), ("c", "0", "1")])]
-    assert cartan_matrix(quivers[-1]).rows == ((-4, -3), (-3, 2))
+    assert cartan_matrix(quivers[-1]).rows == ({0: -4, 1: -3}, {0: -3, 1: 2})
     for q in quivers:
-        assert cartan_matrix(q) == loop_count_cartan_matrix(q), q
+        built = cartan_matrix(q)
+        assert built == loop_count_cartan_matrix(q), q
+        assert all(list(row) == sorted(row) for row in built.rows), q
+
+
+def test_a_rank_20000_cartan_matrix_fits_in_256_mib():
+    """Each row holds its nonzero entries only, so the McKay quiver's
+    Cartan matrix at rank 20000 builds where a square one (4e8 entries)
+    cannot."""
+    limit = 2 ** 28
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    code = ("from crepant.mckay import mckay_quiver, parse_action\n"
+            "from crepant.roots import cartan_matrix\n"
+            "q = mckay_quiver(parse_action('20000:1,1,19998'))\n"
+            "assert cartan_matrix(q).size == 20000\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, preexec_fn=cap)
+    assert proc.returncode == 0, proc.stderr
+
+
+@st.composite
+def dense_matrices(draw):
+    """(vertices, rows): n <= 5 with entries -3..3 and diagonals up to 3;
+    symmetric with nonpositive off-diagonal entries, then up to two entries
+    redrawn, alone (asymmetric) or with their transposes (positive), and
+    sometimes an entry or a row dropped or added, or a vertex too many or
+    too few."""
+    n = draw(st.integers(0, 5))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = draw(st.integers(-3, 3))
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = draw(st.integers(-3, 0))
+    if n:
+        for _ in range(draw(st.integers(0, 2))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            rows[i][j] = draw(st.integers(-3, 3))
+            if draw(st.booleans()):
+                rows[j][i] = rows[i][j]
+    ragged = draw(st.sampled_from(["", "", "", "", "", "entry", "row",
+                                   "vertex"]))
+    if ragged == "entry" and n:
+        row = rows[draw(st.integers(0, n - 1))]
+        if draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(draw(st.integers(-3, 3)))
+    elif ragged == "row":
+        if n and draw(st.booleans()):
+            rows.pop()
+        else:
+            rows.append([draw(st.integers(-3, 3)) for _ in range(n)])
+    elif ragged == "vertex":
+        n += draw(st.sampled_from([-1, 1])) if n else 1
+    return tuple(map(str, range(n))), rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(dense_matrices())
+def test_from_dense_keeps_what_the_dense_validator_keeps(matrix):
+    """``CartanMatrix.from_dense`` raises the dense validator's message, or
+    stores exactly its nonzero entries, as ints, in increasing columns."""
+    vertices, rows = matrix
+    try:
+        dense = dense_cartan_rows(vertices, rows)
+    except CrepantError as exc:
+        with pytest.raises(CrepantError) as err:
+            CartanMatrix.from_dense(vertices, rows)
+        assert str(err.value) == str(exc)
+        return
+    cm = CartanMatrix.from_dense(vertices, rows)
+    assert [list(row.items()) for row in cm.rows] == \
+        [[(j, a) for j, a in enumerate(row) if a] for row in dense]
+    assert all(type(a) is int for row in cm.rows for a in row.values())
 
 
 def test_cartan_matrix_validation():
-    with pytest.raises(CrepantError):
-        CartanMatrix(("0", "1"), ((2, -1), (-2, 2)))  # not symmetric
-    with pytest.raises(CrepantError):
-        CartanMatrix(("0",), ((3,),))  # diagonal too large
-    with pytest.raises(CrepantError):
-        CartanMatrix(("0", "1"), ((2, 1), (1, 2)))  # positive off-diagonal
+    with pytest.raises(CrepantError):  # not symmetric
+        CartanMatrix.from_dense(("0", "1"), ((2, -1), (-2, 2)))
+    with pytest.raises(CrepantError):  # diagonal too large
+        CartanMatrix.from_dense(("0",), ((3,),))
+    with pytest.raises(CrepantError):  # positive off-diagonal
+        CartanMatrix.from_dense(("0", "1"), ((2, 1), (1, 2)))
 
 
 def test_a2_roots():
-    cm = CartanMatrix(("0", "1"), ((2, -1), (-1, 2)))
+    cm = CartanMatrix.from_dense(("0", "1"), ((2, -1), (-1, 2)))
     roots = positive_roots(cm, 3)
     assert {(r.vector, r.kind) for r in roots} == {
         ((1, 0), "real"), ((0, 1), "real"), ((1, 1), "real")}
 
 
 def test_affine_a1_roots_against_reflection_oracle():
-    cm = CartanMatrix(("0", "1"), ((2, -2), (-2, 2)))
+    cm = CartanMatrix.from_dense(("0", "1"), ((2, -2), (-2, 2)))
     roots = positive_roots(cm, 9)
     reals = {r.vector for r in roots if r.kind == "real"}
     imags = {r.vector for r in roots if r.kind == "imaginary"}
@@ -68,7 +149,7 @@ def test_affine_a1_roots_against_reflection_oracle():
 
 
 def test_real_roots_have_tits_two_and_reflection_closure():
-    cm = CartanMatrix(("0", "1"), ((2, -2), (-2, 2)))
+    cm = CartanMatrix.from_dense(("0", "1"), ((2, -2), (-2, 2)))
     roots = positive_roots(cm, 9)
     vectors = {r.vector for r in roots}
     for r in roots:
@@ -114,7 +195,7 @@ def cartan_matrices(draw):
         rows[i][i] = draw(st.sampled_from([2, 0, -2]))
         for j in range(i + 1, n):
             rows[i][j] = rows[j][i] = -draw(st.integers(0, 3))
-    return CartanMatrix(tuple(map(str, range(n))), rows)
+    return CartanMatrix.from_dense(tuple(map(str, range(n))), rows)
 
 
 @settings(max_examples=200, deadline=None)
@@ -151,7 +232,7 @@ def test_quiver_roots_match_the_reduction_route(cartan):
 @settings(max_examples=300, deadline=None)
 @given(cartan_matrices(), st.integers(1, 8))
 def test_walk_lists_the_fundamental_set_the_scan_lists(cartan, height):
-    assert _fundamental_set(cartan, _neighbours(cartan), height) == \
+    assert _fundamental_set(cartan, height) == \
         scan_fundamental_set(cartan, height)
 
 
@@ -159,19 +240,19 @@ def test_walk_lists_the_fundamental_set_the_scan_lists(cartan, height):
                                     for name, c in _test_cartan_matrices()])
 def test_quiver_fundamental_sets_match_the_scan(cartan):
     for height in range(1, 13):
-        assert _fundamental_set(cartan, _neighbours(cartan), height) == \
+        assert _fundamental_set(cartan, height) == \
             scan_fundamental_set(cartan, height), height
 
 
 def _orbits_match_the_dense_orbits(cartan, height):
-    """``_orbit`` over neighbour lists reaches what the dense orbit reaches,
-    from the loop-free simple roots and from the fundamental set."""
+    """``_orbit`` over each row's nonzero entries (the neighbours with
+    their entries) reaches what the dense orbit reaches, from the loop-free
+    simple roots and from the fundamental set."""
     n = cartan.size
-    neighbours = _neighbours(cartan)
     simple = [tuple(int(j == i) for j in range(n)) for i in cartan.loop_free()]
-    fundamental = _fundamental_set(cartan, neighbours, height)
+    fundamental = _fundamental_set(cartan, height)
     for seeds in (simple, fundamental):
-        assert _orbit(cartan, neighbours, seeds, height) == \
+        assert _orbit(cartan, seeds, height) == \
             dense_orbit(cartan, seeds, height), (seeds, height)
 
 
@@ -207,7 +288,7 @@ def test_affine_a1_orbits_reach_height(height):
 
 
 def test_walls_between_examples():
-    cm = CartanMatrix(("0", "1"), ((2, -2), (-2, 2)))
+    cm = CartanMatrix.from_dense(("0", "1"), ((2, -2), (-2, 2)))
     roots = positive_roots(cm, 9)
     same = walls_between((1, -1), (1, -1), roots)
     assert same.separating == ()
@@ -223,7 +304,7 @@ def test_walls_between_examples():
 
 
 def test_walls_with_fractions():
-    cm = CartanMatrix(("0", "1"), ((2, -2), (-2, 2)))
+    cm = CartanMatrix.from_dense(("0", "1"), ((2, -2), (-2, 2)))
     roots = positive_roots(cm, 5)
     report = walls_between((Fraction(1, 3), Fraction(-1, 2)),
                            (Fraction(-1, 3), Fraction(1, 2)), roots)
@@ -231,7 +312,7 @@ def test_walls_with_fractions():
 
 
 def test_walls_reject_theta_of_the_wrong_length():
-    roots = positive_roots(CartanMatrix(("0", "1"), ((2, -2), (-2, 2))), 4)
+    roots = positive_roots(AFFINE_A1, 4)
     with pytest.raises(CrepantError, match="theta1 has 3 entries, expected 2"):
         walls_between((1, 2, 3), (1, 2), roots)
     with pytest.raises(CrepantError, match="theta2 has 1 entries, expected 2"):
