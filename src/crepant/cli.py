@@ -239,10 +239,14 @@ def cmd_stability(args) -> int:
 
 
 def _cartan_from_args(args) -> roots.CartanMatrix:
+    _check_laufer_n(args)
     if args.cartan:
-        _check_laufer_n(args)
         names = tuple(str(i) for i in range(len(args.cartan)))
         return roots.CartanMatrix.from_dense(names, args.cartan)
+    if args.mckay:
+        # the arrows alone: the McKay potential would be built and dropped
+        act = mckay.parse_action(args.mckay)
+        return roots.cartan_matrix(mckay.mckay_quiver(act))
     q, _ = _load_quiver(args)
     return roots.cartan_matrix(q)
 

@@ -19,7 +19,7 @@ from .mckay import AbelianAction
 from .reps import normalize_theta
 from .roots import (CartanMatrix, Root, _pairing, _scaled_ints, cartan_matrix,
                     positive_roots)
-from .series import FormalSeries
+from .series import FormalSeries, text_lines
 from .toric import (dual_web, p2_triangle, unit_square, unit_triangle,
                     unit_triangulations, zn_triangle)
 from .vertex import GWSeries, TSeries, gw_partition_function
@@ -143,21 +143,20 @@ class ComparisonSheet(namedtuple(
         lines.append("theta: (" + ", ".join(str(t) for t in self.theta) + ")"
                      f"   ncdt sign convention: {self.sign_convention}")
         lines.append("")
-        lines.append("crystal side (" + " ".join(self.ncdt.vars) + "):")
-        for exps, coeff in self.ncdt.sorted_terms():
-            lines.append("  " + " ".join(map(str, exps)) + "\t" + str(coeff))
-        lines.append("vertex side (" + " ".join(self.gw.vars + ("t",)) + "):")
-        for exps, coeff in self.gw.sorted_terms():
-            lines.append("  " + " ".join(map(str, exps)) + "\t" + str(coeff))
+        lines.append("crystal side (" + " ".join(self.ncdt.columns()) + "):")
+        lines += _indented(self.ncdt.sorted_terms())
+        lines.append("vertex side (" + " ".join(self.gw.columns()) + "):")
+        lines += _indented(self.gw.sorted_terms())
         if self.mapped_ncdt is not None:
             lines.append("diff (mapped crystal minus vertex):")
-            if not self.diff:
-                lines.append("  none up to truncation")
-            for exps, coeff in self.diff:
-                lines.append("  " + " ".join(map(str, exps)) + "\t" + str(coeff))
+            lines += _indented(self.diff) or ["  none up to truncation"]
         else:
             lines.append("diff: no variable map supplied")
         return "\n".join(lines) + "\n"
+
+
+def _indented(rows) -> list[str]:
+    return ["  " + line for line in text_lines(rows)]
 
 
 def _map_json(variable_map):
@@ -202,11 +201,6 @@ def compare(geometry, order: int, theta: dict, variable_map: dict | None = None,
     diff: tuple = ()
     if variable_map is not None:
         mapped = _map_ncdt(ncdt, variable_map, gw)
-        delta = mapped - gw
-        rows = []
-        for exps, coeff in delta.sorted_terms():
-            if coeff:
-                rows.append((exps, coeff))
-        diff = tuple(rows)
+        diff = tuple((mapped - gw).sorted_terms())
     return ComparisonSheet(label, order, theta_vec, sign, certificate,
                            ncdt, gw, variable_map, mapped, diff)

@@ -143,20 +143,16 @@ def subrep_dimension_vectors(rep: MonomialRepresentation) -> set[tuple[int, ...]
     """Dimension vectors of all arrow-closed basis subsets.
 
     Vectors are tuples ordered like ``rep.quiver.vertices``; the zero and
-    full subsets are always present.
+    full subsets are always present.  A basis element weighs 1 in its
+    vertex's field of ``width`` bits, so the scan's totals are packed vectors.
     """
     basis = rep.basis()
+    width = len(basis).bit_length()
     vindex = {v: i for i, v in enumerate(rep.quiver.vertices)}
-    vectors = set()
-    for s, _ in _closed_subsets(rep, basis, [0] * len(basis)):
-        dims = [0] * len(rep.quiver.vertices)
-        m = s
-        while m:
-            i = (m & -m).bit_length() - 1
-            dims[vindex[rep.vertex_of[basis[i]]]] += 1
-            m &= m - 1
-        vectors.add(tuple(dims))
-    return vectors
+    weight = [1 << width * vindex[rep.vertex_of[b]] for b in basis]
+    mask = (1 << width) - 1
+    return {tuple(total >> width * i & mask for i in range(len(vindex)))
+            for _, total in _closed_subsets(rep, basis, weight)}
 
 
 class StabilityReport(namedtuple("StabilityReport",

@@ -4,9 +4,9 @@ Everything is exact: truncation is by total degree, and a term dropped at
 the truncation never reappears.  Coefficients are Python ints for crystal
 counts, and any exact ring element with ``+``, ``*``, unary ``-``, a truth
 value that is false for zero and left multiplication by a scalar otherwise
-(``vertex.GWSeries`` takes Laurent series in t).  The text format (one term
-per line, graded-lex order) is byte-stable, so two runs producing the same
-series produce the same bytes.
+(``vertex.GWSeries`` takes Laurent series in t).  The text format, one term
+per line in graded-lex order, is written by ``text_lines`` alone and is
+byte-stable: two runs producing the same series produce the same bytes.
 """
 
 from __future__ import annotations
@@ -24,6 +24,13 @@ def general_binomial(e: int, j: int) -> int:
     if e >= 0:
         return math.comb(e, j)
     return (-1) ** j * math.comb(-e + j - 1, j)
+
+
+def text_lines(rows: Iterable[tuple[Iterable, object]]) -> list[str]:
+    """The lines of the series text format for ``(exponents, value)`` rows:
+    the exponents joined by spaces, a tab, then ``str(value)``.  A header
+    is one more row, ``(column names, order)``."""
+    return [" ".join(map(str, exps)) + "\t" + str(value) for exps, value in rows]
 
 
 class FormalSeries:
@@ -123,11 +130,13 @@ class FormalSeries:
         """Terms in graded lexicographic order of the exponent vectors."""
         return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]))
 
+    def columns(self) -> tuple:
+        """The text format's column names, one per exponent of a row."""
+        return self.vars
+
     def to_text(self) -> str:
-        lines = [" ".join(self.vars) + "\t" + str(self.order)]
-        for exps, coeff in self.sorted_terms():
-            lines.append(" ".join(str(e) for e in exps) + "\t" + str(coeff))
-        return "\n".join(lines) + "\n"
+        rows = [(self.columns(), self.order), *self.sorted_terms()]
+        return "\n".join(text_lines(rows)) + "\n"
 
     def __repr__(self):
         return (f"{type(self).__name__}(vars={self.vars}, order={self.order},"

@@ -80,7 +80,7 @@ from operator import add, and_, lshift, or_, rshift, sub
 from types import MappingProxyType
 
 from .errors import CrepantError
-from .series import FormalSeries
+from .series import FormalSeries, text_lines
 from .toric import DualWeb
 
 Partition = tuple[int, ...]
@@ -643,14 +643,13 @@ class GWSeries(FormalSeries):
         rows.sort(key=lambda row: (sum(row[0]), row[0]))
         return rows
 
+    def columns(self) -> tuple:
+        return self.vars + ("t",)
+
     def to_text(self) -> str:
-        names = " ".join(self.vars + ("t",))
-        lines = [names + "\t" + str(self.order)]
-        for exps, coeff in self.sorted_terms():
-            if coeff != int(coeff):
-                raise CrepantError("text format needs integer coefficients")
-            lines.append(" ".join(str(e) for e in exps) + "\t" + str(int(coeff)))
-        return "\n".join(lines) + "\n"
+        if any(c != int(c) for ts in self.terms.values() for c in ts.data):
+            raise CrepantError("text format needs integer coefficients")
+        return super().to_text()
 
 
 def gw_partition_function(web: DualWeb, order: int, t_cutoff: int = 20,
@@ -959,10 +958,7 @@ class GVTable:
         return sorted(self.entries.items())
 
     def to_text(self) -> str:
-        lines = ["g d\tn"]
-        for (g, d), v in self.rows():
-            lines.append(f"{g} {d}\t{v}")
-        return "\n".join(lines) + "\n"
+        return "\n".join(text_lines([(("g", "d"), "n"), *self.rows()])) + "\n"
 
 
 def gv_extract(series: GWSeries, genus_cap: int = 2) -> GVTable:

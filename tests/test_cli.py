@@ -197,6 +197,30 @@ def test_compare_json_reparses():
     formal_series_from_text(data["ncdt"])
 
 
+def test_compare_on_an_odd_cyclic_action_glues_the_zn_triangle():
+    """mckay:5:1,1,3 is cyclic n:1,1,n-2 with n odd: its vertex side is
+    the web of the (1,0),(0,1),(-2,-2) triangle, the one ``gw --zn 2``
+    glues."""
+    theta = ",".join(f"{v}=-1" for v in range(5))
+    code, out, err = run_main(["compare", "mckay:5:1,1,3", "--order", "2",
+                               "--t-order", "8", "--theta", theta, "--json"])
+    assert (code, err) == (0, "")
+    code, gw, err = run_main(["gw", "--zn", "2", "--order", "2",
+                              "--t-order", "8"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["gw"] == gw and gw.count("\n") == 212
+
+
+def test_readme_series_block_is_the_head_of_ncdt_conifold():
+    """README's "Series text format" example, tabs included, is the first
+    four lines ``ncdt conifold --order 6`` prints."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Series text format\n")[1].split("```\n")[1]
+    code, out, err = run_main(["ncdt", "conifold", "--order", "6"])
+    assert (code, err) == (0, "")
+    assert block.count("\n") == 4 and out.startswith(block)
+
+
 @pytest.mark.parametrize("geometry,stderr", [
     ("mckay:x", "error: bad action descriptor 'x'\n"),
     ("nosuch", "error: unknown crystal family 'nosuch'\n"),

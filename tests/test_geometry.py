@@ -147,9 +147,12 @@ def test_pair_text_is_the_fraction_text():
 
 
 def test_zero_trials_rejected():
+    """Each verifier checks its trial count first: the conifold carries no
+    torus action, and equivariance still names the trial count."""
     geo = builtin_geometry("conifold")
-    with pytest.raises(CrepantError):
-        verify_transition(geo, 0)
+    for verify in (verify_transition, verify_contraction, verify_equivariance):
+        with pytest.raises(CrepantError, match="^need at least one trial$"):
+            verify(geo, 0)
 
 
 def sympy_parse(geo, text):
@@ -208,6 +211,7 @@ GRAMMAR = [
     ("conifold", {}, "x**(4/2)", Fraction(9)),
     ("conifold", {}, "x**-1", Fraction(1, 3)),
     ("conifold", {}, "-x**2", Fraction(-9)),
+    ("conifold", {}, "+x*+2", Fraction(6)),
     ("conifold", {}, "x/2", Fraction(3, 2)),
     ("conifold", {}, " x + 1\n", Fraction(4)),
     ("laufer2", {"n": 1}, "n", Fraction(1)),

@@ -148,6 +148,9 @@ def test_frame_counts(conifold):
 
     ff = frame(f, w, f.base_vertex)
     assert (len(ff.quiver.vertices), len(ff.quiver.arrows)) == (4, 6)
+    assert (ff.framing_vertex, ff.framing_arrow) == ("inf1", "fr1")
+    fff = frame(ff, w, f.base_vertex)
+    assert (fff.framing_vertex, fff.framing_arrow) == ("inf2", "fr2")
 
 
 def test_frame_unknown_vertex(conifold):

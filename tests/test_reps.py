@@ -88,14 +88,16 @@ def test_subrep_vectors_zero_rep():
 
 
 def test_subset_lattice_closed_under_union():
-    """The closed masks of every c3 crystal module of at most four atoms are
-    closed under union and give ``subrep_dimension_vectors``' vectors.
-    ``_closed_subsets`` streams its masks, so they are read once into a
-    list before the loops that read them twice; a second pass over the
-    generator would see nothing and pass vacuously."""
-    fam = family_for("c3")
-    for config in configurations(fam, 4):
-        rep = configuration_to_module(fam, config)
+    """The closed masks of every c3, conifold and Z3 crystal module of at
+    most four atoms are closed under union and give
+    ``subrep_dimension_vectors``' vectors, which it packs a field per
+    vertex.  ``_closed_subsets`` streams its masks, so they are read once
+    into a list before the loops that read them twice; a second pass over
+    the generator would see nothing and pass vacuously."""
+    modules = [configuration_to_module(fam, config)
+               for fam in map(family_for, ("c3", "conifold", "mckay:3:1,1,1"))
+               for config in configurations(fam, 4)]
+    for rep in modules:
         basis = rep.basis()
         masks = [s for s, _ in _closed_subsets(rep, basis, [0] * len(basis))]
         assert masks[0] == 0 and masks[-1] == (1 << len(basis)) - 1

@@ -949,3 +949,10 @@ def test_gw_series_text_round_trip():
     assert back.vars == series.vars and back.order == series.order
     assert gw_series_from_text(GWSeries.one((), 2).to_text()) == \
         GWSeries.one((), 2)
+    whole = GWSeries(("Q",), 1, {(1,): TSeries({-1: Fraction(-3)})})
+    assert whole.to_text() == "Q t\t1\n1 -1\t-3\n"
+    half = GWSeries(("Q",), 1, {(0,): TSeries({0: 1}),
+                                (1,): TSeries({-1: Fraction(1, 2)})})
+    with pytest.raises(CrepantError,
+                       match="^text format needs integer coefficients$"):
+        half.to_text()
