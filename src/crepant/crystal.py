@@ -25,19 +25,19 @@ each S_{k+1} a nonempty set of atoms whose predecessors all lie in S_k.
 ``configurations`` lists the ideals by a depth-first walk over these
 chains, one ideal per chain by construction.  Counts come from a
 layer-profile recursion over the same chains (``enumerate_configurations``):
-only the top set and the atoms left matter for what can follow, which is the
-transfer-matrix view of plane and pyramid partitions.
+what can follow a top set depends only on its next layer and the atoms
+left, which is the transfer-matrix view of plane and pyramid partitions.
 
 Both run on one atom index per call (``_AtomIndex``): an atom is numbered
 when first met, and its ``sort_key``, successor numbers and predecessor
 bitmask are asked of the family once.  A layer set is a tuple of numbers in
 ``sort_key`` order, and its next layer, memoized on that tuple, is the set
 of its successors whose predecessor mask lies inside it; this is the one
-next-layer rule of the module.  The recursion keeps two frames per layer
-(``above`` and ``grow``), so an order far past the stack's reach ends at
-once on the recursion limit, which the CLI reports as one error line; a DP
-without recursion would run on for minutes there unless gated by a reach
-bound computed before counting.
+next-layer rule of the module.  The recursion keeps two frames per layer, a
+lookup frame (``above``) and a count frame (``grow``), so an order far past
+the stack's reach ends at once on the recursion limit, which the CLI
+reports as one error line; a DP without recursion would run on for hours
+there unless gated by a reach bound computed before counting.
 
 Reverse search over single atoms (canonical parent = drop the largest
 removable atom) is the test oracle for both, and the frozenset layer DP that
@@ -46,7 +46,6 @@ preceded the index is kept verbatim in ``tests/support.py``.
 
 from __future__ import annotations
 
-from functools import cache
 from itertools import combinations
 
 from .errors import CrepantError
@@ -261,42 +260,64 @@ def enumerate_configurations(family, max_size: int) -> dict[tuple[int, ...], int
     Layer-profile recursion.  Atoms are graded by ``sort_key(atom)[0]`` and
     every predecessor of an atom lies exactly one layer down, so an ideal is
     a chain of layer sets S0 <= {apex}, S1, S2, ..., each inside the atoms
-    of its layer whose predecessors all lie in the set below.  The colour
-    counts of the continuations above a top layer set depend only on that
-    set and the atoms left, so they are memoized on the pair; the memo lives
-    for one call.  Dimension vectors are packed into one int, a field of
-    ``width`` bits per colour, so that shifting a count is one addition;
-    each atom's packed colour weight is computed once, by atom number.
+    of its layer whose predecessors all lie in the set below.  What can
+    follow a top layer set depends only on its next layer, so the counts
+    of the continuations are memoized on that allowed set alone, with no
+    budget in the key; the memo lives for one call.  An entry holds
+    ``(key, count)`` pairs in increasing atom count, and a later ask reads
+    its prefix up to the ask's budget, never recounting.
+
+    An entry is counted at the budget of its first ask, which is the
+    largest it is ever asked at.  Every chain under an allowed set contains,
+    layer by layer, the chain of the down-closure of that set's
+    predecessors, and ``grow`` takes layer subsets in increasing size, so
+    that fewest-atom chain, the one with the most budget left, is walked
+    first.
+
+    A key packs a dimension vector into one int, a field of ``width`` bits
+    per colour, with the atom count as one more field above them, so that
+    shifting a count is one addition and sorting keys sorts by atom count;
+    each atom's packed weight is computed once, by atom number.
     """
     if max_size < 0:
         raise CrepantError("size bound must be nonnegative")
     width = max_size.bit_length()
+    ncolours = len(family.variables)
+    shift = width * ncolours
     index = _AtomIndex(family)
     weights: list[int] = []
+    memo: dict[tuple, list[tuple[int, int]]] = {}
 
-    def grow(allowed, budget) -> dict[int, int]:
-        weights.extend(1 << width * family.color_index(atom)
+    def grow(allowed, budget) -> list[tuple[int, int]]:
+        weights.extend((1 << shift) + (1 << width * family.color_index(atom))
                        for atom in index.atoms[len(weights):])
         weight = weights.__getitem__
         counts = {0: 1}
         for k in range(1, min(budget, len(allowed)) + 1):
+            left = budget - k
+            limit = left + 1 << shift
             for layer in combinations(allowed, k):
                 base = sum(map(weight, layer))
-                for dims, count in above(layer, budget - k).items():
-                    key = base + dims
+                if not left:
+                    counts[base] = counts.get(base, 0) + 1
+                    continue
+                for key, count in above(layer, left):
+                    if key >= limit:
+                        break
+                    key += base
                     counts[key] = counts.get(key, 0) + count
-        return counts
+        return sorted(counts.items())
 
-    @cache
-    def above(top: tuple, budget: int) -> dict[int, int]:
-        if not budget:
-            return {0: 1}
-        return grow(index.next_layer(top), budget)
+    def above(top: tuple, budget: int) -> list[tuple[int, int]]:
+        allowed = index.next_layer(top)
+        entry = memo.get(allowed)
+        if entry is None:
+            entry = memo[allowed] = grow(allowed, budget)
+        return entry
 
     mask = (1 << width) - 1
-    ncolours = len(family.variables)
     return {tuple(key >> width * i & mask for i in range(ncolours)): count
-            for key, count in grow((0,), max_size).items()}
+            for key, count in grow((0,), max_size)}
 
 
 def configuration_to_module(family, config) -> MonomialRepresentation:

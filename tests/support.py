@@ -925,7 +925,10 @@ def reverse_search_ideals(family, max_size: int):
 
 
 # The frozenset layer DP that ``crystal`` used before it numbered its
-# atoms, kept verbatim as the oracle for the indexed walk and counts.
+# atoms, kept verbatim as the oracle for the indexed walk and counts.  Its
+# count, ``layer_profile_counts``, memoizes on the top layer set and the
+# budget; ``crystal.enumerate_configurations`` replaced that route with one
+# memoized on the next layer alone.
 
 def frozenset_next_layer(family, top) -> tuple:
     """The atoms one layer above ``top`` whose predecessors all lie in it,

@@ -352,6 +352,8 @@ def _limit_address_space():
     (("ncdt", "c3", "--order", "600"), "--order 600"),
     (("gw", "--square", "--order", "3", "--t-order", "100000000"),
      "--t-order 100000000"),
+    (("ncdt", "conifold", "--order", "2000"), "--order 2000"),
+    (("ncdt", "mckay:3:1,1,1", "--order", "2000"), "--order 2000"),
 ])
 def test_sizes_past_the_stack_or_memory_are_one_error_line(args, flag):
     """A recursion too deep or an allocation too large ends in one error

@@ -4,6 +4,8 @@ from collections import Counter
 from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from support import (dimension_vector, gauge_arrow_module,
                      layer_profile_counts, layer_walk, reverse_search_ideals,
                      young_bryan_series)
@@ -281,6 +283,25 @@ def test_layer_walk_matches_layer_dp_past_the_oracle(name):
                          [("c3", 18), ("conifold", 18), ("3:1,1,1", 18)])
 def test_indexed_dp_matches_frozenset_dp_past_the_oracle(name, top):
     fam = named_family(name)
+    assert enumerate_configurations(fam, top) == layer_profile_counts(fam, top)
+
+
+def _actions(orders):
+    """Abelian actions of the group with these orders, at random weights
+    with z3's weight completing each to a determinant-one action."""
+    vector = st.tuples(*(st.integers(0, n - 1) for n in orders))
+    return st.tuples(vector, vector).map(lambda w: AbelianAction(orders, (
+        w[0], w[1], tuple(-a - b for a, b in zip(*w)))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(n,) for n in range(1, 7)] + [(2, 2)])
+       .flatmap(_actions), st.integers(0, 9))
+def test_indexed_dp_matches_frozenset_dp_on_random_mckay_actions(act, top):
+    """Random actions of groups of order at most 6, not only the five
+    ``FAMILIES``: the colours the next-layer memo packs depend on the
+    weights."""
+    fam = family_for(act)
     assert enumerate_configurations(fam, top) == layer_profile_counts(fam, top)
 
 
